@@ -56,9 +56,11 @@ from .combinatorics import (
     star_intersections,
 )
 from .chamber_maps import (
+    Analysis,
     AnalysisError,
     ChamberMap,
     Decomposition,
+    analyze,
     classify,
     induce,
     main_lemma_decompose,

@@ -219,16 +219,20 @@ def _check_base_cap(space: ProjSpace, force: bool):
         )
 
 
+def iter_bases(space: ProjSpace, force: bool = False):
+    """The bases of :func:`all_bases`, lazily; beyond the cap the first
+    step raises :class:`ScaleError`."""
+    _check_base_cap(space, force)
+    gf, m = space.gf, space.ambient
+    for combo in itertools.combinations(points_of(space), m):
+        if Subspace.span(gf, m, combo).rank == m:
+            yield Base(space, combo)
+
+
 @lru_cache(maxsize=None)
 def all_bases(space: ProjSpace, force: bool = False) -> tuple[Base, ...]:
     """Every base (independent (n+1)-point set), in lexicographic order."""
-    _check_base_cap(space, force)
-    gf, m = space.gf, space.ambient
-    out = []
-    for combo in itertools.combinations(points_of(space), m):
-        if Subspace.span(gf, m, combo).rank == m:
-            out.append(Base(space, combo))
-    return tuple(out)
+    return tuple(iter_bases(space, force))
 
 
 class BuildingIndex:

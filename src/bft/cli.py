@@ -13,8 +13,7 @@ Exit codes are stable across commands: 0 when every check passes, 1 when a
 mathematical check fails (the first witness is printed to stderr), 2 for
 invalid input.  Reports are emitted on stdout as JSON (default) or CSV and
 are byte-identical for identical inputs and seeds; wall-clock timing goes
-to stderr only.  The BFT_THREADS environment variable caps worker threads
-for the sweep commands.
+to stderr only.
 """
 
 from __future__ import annotations
@@ -29,15 +28,8 @@ import time
 from dataclasses import dataclass, field
 from math import factorial, prod
 
-from ._parallel import parallel_map
-from .buildings import apartment_of, chambers_of
-from .chamber_maps import (
-    AnalysisError,
-    classify,
-    induce,
-    preserves_apartments,
-    reconstruct,
-)
+from .buildings import ScaleError, apartment_of
+from .chamber_maps import analyze, induce
 from .combinatorics import (
     classify_adjacent_family,
     closed_form,
@@ -55,7 +47,7 @@ from .combinatorics import (
     residual_family,
     star_intersections,
 )
-from .gf import SUPPORTED_ORDERS, FieldError, GF
+from .gf import SUPPORTED_ORDERS, FieldError
 from .jsonio import FormatError, dump_map, encode_chamber, load_map, parse_rows
 from .projective import Base, MapError, ProjSpace, Semilinear, standard_base
 
@@ -175,12 +167,8 @@ def _parse_base(space: ProjSpace, text: str) -> Base:
     return Base.of(space, rows)
 
 
-def _encode_point(p) -> list:
-    return list(p)
-
-
 def _encode_base(base: Base) -> list:
-    return [_encode_point(p) for p in base.points]
+    return [list(p) for p in base.points]
 
 
 # ----------------------------------------------------------------- commands
@@ -358,8 +346,7 @@ def cmd_lemmas(args) -> int:
     report = RunReport(
         "lemmas", {"n": n, "q": q, "cases": cases, "all": args.case is None}
     )
-    for row in parallel_map(lambda c: _case_row(ap, n, c), cases):
-        report.checks.append(row)
+    report.checks.extend(_case_row(ap, n, c) for c in cases)
     if args.case is None:
         report.checks.extend(_structural_rows(ap, n, q))
     _emit(report, args.format)
@@ -428,6 +415,9 @@ def cmd_map_induce(args) -> int:
 
 
 def cmd_map_analyze(args) -> int:
+    if args.k < 1:
+        _fail(f"--k must be at least 1, got {args.k}")
+        return 2
     try:
         f = load_map(args.path)
     except OSError as exc:
@@ -436,21 +426,23 @@ def cmd_map_analyze(args) -> int:
     except (FormatError, MapError) as exc:
         _fail(f"malformed chamber-map file: {exc}")
         return 2
-    mode = args.mode
-    if mode is None:
-        mode = "exhaustive" if f.source.n <= 3 and f.source.q <= 3 else "sample"
+    try:
+        result = analyze(f, mode=args.mode, k=args.k, seed=args.seed)
+    except ScaleError:
+        _fail(f"--mode exhaustive is too large for {f.source!r}; use --mode sample")
+        return 2
+    check = result.check
     report = RunReport(
         "map analyze",
         {
             "path": args.path,
             "source": {"n": f.source.n, "q": f.source.q},
             "target": {"n": f.target.n, "q": f.target.q},
-            "mode": mode,
+            "mode": check.mode,
             "k": args.k,
         },
         seed=args.seed,
     )
-    check = preserves_apartments(f, mode=mode, k=args.k, seed=args.seed)
     report.add(
         "apartments-preserved",
         True,
@@ -458,53 +450,40 @@ def cmd_map_analyze(args) -> int:
         check.ok,
         f"{check.checked} apartments checked ({check.mode})",
     )
-    label = "not-apartment-preserving"
-    witness = None
-    if check.ok:
-        try:
-            label = classify(f, mode=mode, k=args.k, seed=args.seed)
-            decomposition = reconstruct(f)
-        except AnalysisError as exc:
-            label = "not-apartment-preserving"
-            witness = f"reconstruction failed: {exc}"
-        else:
-            if decomposition.kind == "direct":
-                g_table = [
-                    [_encode_point(p), _encode_point(img)]
-                    for p, img in sorted(decomposition.g.items())
-                ]
-            else:
-                g_table = [
-                    [_encode_point(p), [list(r) for r in img.rows]]
-                    for p, img in sorted(decomposition.g.items())
-                ]
-            report.details["kind"] = decomposition.kind
-            report.details["g"] = g_table
-            report.details["sigma_by_base"] = [
-                {
-                    "base": _encode_base(base),
-                    "sigma": list(sigma),
-                    "case": case,
-                }
-                for base, (sigma, case) in sorted(
-                    decomposition.sigma_by_base.items(),
-                    key=lambda kv: kv[0].points,
-                )
-            ]
-    else:
-        witness = "witness base: " + ";".join(
-            ",".join(map(str, p)) for p in check.witness_base.points
-        )
+    decomposition = result.decomposition
+    if decomposition is not None:
+        direct = decomposition.kind == "direct"
+        report.details["kind"] = decomposition.kind
+        report.details["g"] = [  # a dual g sends points to hyperplanes (RREF rows)
+            [list(p), list(img) if direct else [list(r) for r in img.rows]]
+            for p, img in sorted(decomposition.g.items())
+        ]
+        report.details["sigma_by_base"] = [
+            {
+                "base": _encode_base(base),
+                "sigma": list(sigma),
+                "case": case,
+            }
+            for base, (sigma, case) in sorted(
+                decomposition.sigma_by_base.items(),
+                key=lambda kv: kv[0].points,
+            )
+        ]
     report.add(
         "classification",
         "induced",
-        label,
-        label != "not-apartment-preserving",
+        result.label,
+        result.label != "not-apartment-preserving",
     )
     _emit(report, args.format)
-    if label == "not-apartment-preserving":
-        if witness:
-            _fail(witness)
+    if result.error is not None:
+        _fail(f"reconstruction failed: {result.error}")
+        return 1
+    if not check.ok:
+        _fail(
+            "witness base: "
+            + ";".join(",".join(map(str, p)) for p in check.witness_base.points)
+        )
         return 1
     return 0
 

@@ -19,13 +19,7 @@ from bft.buildings import (
     common_apartment,
     panels_of,
 )
-from bft.chamber_maps import (
-    ChamberMap,
-    classify,
-    induce,
-    preserves_apartments,
-    reconstruct,
-)
+from bft.chamber_maps import ChamberMap, analyze, classify, induce
 from bft.combinatorics import (
     UndefinedCountError,
     closed_form,
@@ -223,12 +217,12 @@ def test_collineation_round_trip():
             semi = Semilinear.of(
                 space, space, random_invertible(GF.of(q), n + 1, rng)
             )
-            f = induce(semi)
-            label = classify(f)
+            result = analyze(induce(semi))
+            label = result.label
             if label != "collineation-direct":
                 problems.append(f"n={n} q={q} #{t}: direct label {label}")
                 continue
-            d = reconstruct(f)
+            d = result.decomposition
             if d.g != {p: semi.apply_point(p) for p in points_of(space)}:
                 problems.append(f"n={n} q={q} #{t}: point action differs")
             dual_label = classify(induce(semi, dual=True))
@@ -249,13 +243,12 @@ def test_collineation_round_trip():
 def test_subfield_embedding():
     """The order-2 into order-4 inclusion is a non-surjective strong embedding."""
     semi = Semilinear.of(PG22, PG24, identity_matrix(3))
-    f = induce(semi)
-    check = preserves_apartments(f, mode="exhaustive")
-    d = reconstruct(f)
+    result = analyze(induce(semi), mode="exhaustive")
+    check, d = result.check, result.decomposition
     ok = (
         check.ok
         and check.checked == 28
-        and classify(f) == "strong-embedding-direct"
+        and result.label == "strong-embedding-direct"
         and d.g_image_size() == 7
         and len(points_of(PG24)) == 21
     )
@@ -288,12 +281,11 @@ def test_negative_detection():
         maps.append((f"tamper-{k}", table))
     artifacts, problems = [], []
     for name, table in maps:
-        f = ChamberMap(PG22, PG22, table)
-        label = classify(f)
-        if label != "not-apartment-preserving":
-            artifacts.append(f"{name} classified {label}")
+        result = analyze(ChamberMap(PG22, PG22, table))
+        if result.label != "not-apartment-preserving":
+            artifacts.append(f"{name} classified {result.label}")
             continue
-        check = preserves_apartments(f)
+        check = result.check
         if check.ok or check.witness_base is None:
             problems.append(f"{name} lacks a witness base")
     detail = "; ".join(problems)

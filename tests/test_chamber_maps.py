@@ -1,5 +1,6 @@
 """Induced chamber maps and the recovery of their inducing point maps."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from bft.chamber_maps import (
     ChamberMap,
     DecompositionError,
     ReconstructionError,
+    analyze,
     classify,
     dual_point,
     induce,
@@ -25,7 +27,9 @@ from bft.projective import (
     ProjSpace,
     Semilinear,
     dual_subspace,
+    is_independent,
     points_of,
+    points_of_subspace,
     standard_base,
 )
 from conftest import random_invertible
@@ -34,6 +38,7 @@ PG22 = ProjSpace.of(2, 2)
 PG23 = ProjSpace.of(2, 3)
 PG32 = ProjSpace.of(3, 2)
 PG24 = ProjSpace.of(2, 4)
+PG34 = ProjSpace.of(3, 4)
 
 
 def identity_semi(space):
@@ -140,6 +145,8 @@ def test_sample_mode_is_deterministic():
     assert a == b and a.ok and a.checked == 5
     with pytest.raises(ValueError):
         preserves_apartments(f, mode="bogus")
+    with pytest.raises(ValueError):
+        preserves_apartments(f, mode="sample", k=0)
 
 
 # ------------------------------------------------------------ decomposition
@@ -182,6 +189,7 @@ def test_reconstruct_direct_collineation():
     d = reconstruct(induce(semi))
     assert d.kind == "direct"
     assert d.g == {p: semi.apply_point(p) for p in points_of(PG23)}
+    assert list(d.sigma_by_base) == list(all_bases(PG23)[:5])
     for base, (sigma, case) in d.sigma_by_base.items():
         assert case == 1
         image_base = Base.of(PG23, [semi.apply_point(p) for p in base.points])
@@ -240,6 +248,51 @@ def test_verify_strong_embedding_round_trip():
     assert verify_strong_embedding(PG22, PG24, d.g).ok
 
 
+def oracle_strong_embedding(source, target, g) -> bool:
+    """The slow reference: injective, every line inside a line, every
+    non-collinear triple and every base kept independent."""
+    pts = points_of(source)
+    if set(g.keys()) != set(pts) or len(set(g.values())) != len(pts):
+        return False
+    lines = {source.subspace([a, b]) for a in pts for b in pts if a != b}
+    for line in lines:
+        image = target.subspace([g[p] for p in points_of_subspace(source, line)])
+        if image.rank > 2:
+            return False
+    for a, b, c in itertools.combinations(pts, 3):
+        if source.subspace([a, b, c]).rank == 3:
+            if target.subspace([g[a], g[b], g[c]]).rank != 3:
+                return False
+    return all(
+        is_independent(target, [g[p] for p in base.points])
+        for base in all_bases(source)
+    )
+
+
+@pytest.mark.parametrize(
+    "source,target",
+    [(PG22, PG22), (PG22, PG24), (PG23, PG23), (PG32, PG32), (PG32, PG34)],
+    ids=["PG22", "PG22-PG24", "PG23", "PG32", "PG32-PG34"],
+)
+def test_verify_strong_embedding_matches_oracle(source, target):
+    rng = random.Random(source.n * 100 + source.q * 10 + target.q)
+    pts, target_pts = points_of(source), points_of(target)
+    verdicts = set()
+    for _ in range(6):
+        matrix = random_invertible(target.gf, target.ambient, rng)
+        g = {p: Semilinear.of(source, target, matrix).apply_point(p) for p in pts}
+        swapped = dict(g)
+        a, b = rng.sample(pts, 2)
+        swapped[a], swapped[b] = g[b], g[a]
+        replaced = dict(g)
+        replaced[rng.choice(pts)] = rng.choice(target_pts)
+        for point_map in (g, swapped, replaced):
+            expected = oracle_strong_embedding(source, target, point_map)
+            assert verify_strong_embedding(source, target, point_map).ok == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 # ------------------------------------------------------------ classification
 
 
@@ -251,6 +304,24 @@ def test_classify_labels():
     assert classify(induce(semi, dual=True)) == "strong-embedding-dual"
     assert classify(swapped_identity(PG22)) == "not-apartment-preserving"
     assert classify(random_bijection(PG22, 0)) == "not-apartment-preserving"
+
+
+def test_analyze_record():
+    f = induce(identity_semi(PG22), dual=True)
+    result = analyze(f)
+    assert result.check == ApartmentCheck(True, "exhaustive", 28, None, None)
+    assert result.label == "collineation-dual" and result.error is None
+    assert result.decomposition.kind == "dual"
+    assert result.point_map == {p: p for p in points_of(PG22)}
+    swapped = analyze(swapped_identity(PG22))
+    assert not swapped.check.ok and swapped.decomposition is None
+    assert swapped.label == "not-apartment-preserving"
+    unsampled = analyze(swapped_identity(PG23), mode="sample", k=1, seed=1)
+    assert unsampled.check.ok and unsampled.decomposition is None
+    assert isinstance(unsampled.error, ReconstructionError)
+    assert unsampled.label == "not-apartment-preserving"
+    with pytest.raises(ReconstructionError):
+        classify(swapped_identity(PG23), mode="sample", k=1, seed=1)
 
 
 def test_classify_dual_collineation_gf3():

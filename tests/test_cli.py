@@ -1,9 +1,13 @@
 """End-to-end command-line behavior: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bft
 from bft import cli
 
 IDENTITY = "1,0,0;0,1,0;0,0,1"
@@ -234,6 +238,70 @@ def test_map_analyze_malformed_and_missing(capsys, tmp_path):
     assert code == 2 and "malformed" in err
     code, _, err = run(capsys, "map", "analyze", str(tmp_path / "none.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_map_analyze_rejects_k_below_one(capsys, tmp_path, k):
+    out_path = str(tmp_path / "map.json")
+    run(capsys, "map", "induce", "--n", "2", "--q", "2", "--matrix", IDENTITY,
+        "--out", out_path)
+    code, out, err = run(
+        capsys, "map", "analyze", out_path, "--mode", "sample", "--k", k
+    )
+    assert code == 2 and out == ""
+    assert "--k must be at least 1" in err
+
+
+def test_map_analyze_exhaustive_over_cap_exits_2(tmp_path):
+    out_path = str(tmp_path / "pg24.json")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bft.__file__)))
+
+    def bft_cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "bft.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    made = bft_cli("map", "induce", "--n", "2", "--q", "4", "--matrix", IDENTITY,
+                   "--out", out_path)
+    assert made.returncode == 0
+    done = bft_cli("map", "analyze", out_path, "--mode", "exhaustive")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "use --mode sample" in done.stderr
+
+
+def test_map_analyze_runs_each_stage_once(capsys, tmp_path, monkeypatch):
+    """The apartment sweep and the reconstruction run once per analysis."""
+    from bft import buildings, chamber_maps
+
+    out_path = str(tmp_path / "pg32.json")
+    run(capsys, "map", "induce", "--n", "3", "--q", "2",
+        "--matrix", "1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1", "--out", out_path)
+    calls = {}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bft"]
+    for owner, name in [
+        (chamber_maps, "preserves_apartments"),
+        (chamber_maps, "reconstruct"),
+        (buildings, "all_bases"),
+    ]:
+        original = getattr(owner, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    code, report, _ = run_json(capsys, "map", "analyze", out_path)
+    assert code == 0
+    assert report["checks"][-1]["actual"] == "collineation-direct"
+    assert calls["preserves_apartments"] == 1
+    assert calls["reconstruct"] == 1
+    assert calls["all_bases"] <= 1
 
 
 def test_reports_are_byte_identical(capsys, tmp_path):
