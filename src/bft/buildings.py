@@ -6,6 +6,12 @@ adjacent when they differ in exactly one position; the n-1 shared
 subspaces form the common panel.  Every panel of PG(n, q) lies in
 exactly q + 1 chambers, so the complex is thick.
 
+A chamber is held as its tuple of subspace masks over the space's
+:class:`~bft.projective.Geometry`, so hashing and comparing chambers is
+hashing and comparing tuples of ints.  ``parts``, ``point``,
+``hyperplane`` and ``sort_key`` are read-only views in coordinates and
+canonical RREF rows.
+
 An apartment is the set of (n+1)! chambers built from one base: each
 ordering of the base points yields the chamber of its prefix spans.
 That bijection with permutations is the combinatorial skeleton used by
@@ -16,16 +22,15 @@ every panel lies in exactly 2 chambers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gf import Subspace
 from .projective import (
     Base,
+    Geometry,
     ProjSpace,
     Residue,
-    points_of,
-    points_of_subspace,
+    bits,
 )
 
 # Default ceilings for exhaustive sweeps; pass force=True to go beyond.
@@ -36,81 +41,109 @@ class ScaleError(RuntimeError):
     """Exhaustive enumeration was requested beyond the default caps."""
 
 
-@dataclass(frozen=True)
 class Chamber:
-    """A maximal flag, held as its tuple of subspaces by pdim."""
+    """A maximal flag, held as its subspace masks by pdim."""
 
-    parts: tuple[Subspace, ...]
+    __slots__ = ("geometry", "masks", "_hash")
+
+    def __init__(self, geometry: Geometry, masks):
+        self.geometry = geometry
+        self.masks = tuple(masks)
+        self._hash = hash(self.masks)
+
+    @classmethod
+    def of(cls, space: ProjSpace, parts) -> "Chamber":
+        """The chamber of a sequence of :class:`Subspace` values."""
+        geo = Geometry.of(space)
+        return cls(geo, [geo.mask_of(part) for part in parts])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Chamber)
+            and self.masks == other.masks
+            and self.geometry is other.geometry
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    @property
+    def parts(self) -> tuple[Subspace, ...]:
+        return tuple(map(self.geometry.subspace, self.masks))
 
     @property
     def point(self) -> tuple[int, ...]:
-        return self.parts[0].rows[0]
+        return self.geometry.point(self.masks[0].bit_length() - 1)
 
     @property
     def hyperplane(self) -> Subspace:
-        return self.parts[-1]
+        return self.geometry.subspace(self.masks[-1])
 
     def sort_key(self):
-        return tuple(p.rows for p in self.parts)
+        return tuple(map(self.geometry.rows, self.masks))
 
     def __repr__(self):
-        return "Chamber" + repr(tuple(p.rows for p in self.parts))
+        return "Chamber" + repr(self.sort_key())
 
 
 def check_chamber(space: ProjSpace, chamber: Chamber):
-    """Validate the chain shape: pdims 0..n-1, nested, right field."""
-    parts = chamber.parts
-    if len(parts) != space.n:
+    """Validate the chain shape: pdims 0..n-1, nested, right space."""
+    masks = chamber.masks
+    if len(masks) != space.n:
         raise ValueError(f"a chamber of {space!r} has {space.n} subspaces")
-    prev = None
-    for k, s in enumerate(parts):
-        if s.gf != space.gf or s.ambient != space.ambient:
-            raise ValueError("chamber subspace does not live in this space")
-        if s.pdim != k:
-            raise ValueError(f"expected pdim {k} at position {k}, got {s.pdim}")
-        if prev is not None and not s.contains(prev):
+    geo = chamber.geometry
+    if geo is not Geometry.of(space):
+        raise ValueError("chamber subspace does not live in this space")
+    prev = 0
+    for k, mask in enumerate(masks):
+        pdim = geo.rank(mask) - 1
+        if pdim != k:
+            raise ValueError(f"expected pdim {k} at position {k}, got {pdim}")
+        if mask & prev != prev:
             raise ValueError("chamber subspaces are not nested")
-        prev = s
+        prev = mask
     return chamber
 
 
 @lru_cache(maxsize=None)
 def chambers_of(space: ProjSpace) -> tuple[Chamber, ...]:
-    """Every chamber, in a fixed depth-first lexicographic order."""
-    pts = points_of(space)
+    """Every chamber, in a fixed depth-first lexicographic order: points
+    by coordinates, then the subspaces covering each by their RREF rows."""
+    geo = Geometry.of(space)
     out: list[Chamber] = []
+    covers: dict[int, list[int]] = {}
 
     def walk(chain):
         last = chain[-1]
-        if last.pdim == space.n - 1:
-            out.append(Chamber(tuple(chain)))
+        if len(chain) == space.n:
+            out.append(Chamber(geo, chain))
             return
-        nxt = {}
-        for p in pts:
-            if not last.contains_vector(p):
-                t = last.extended_by(p)
-                nxt.setdefault(t.rows, t)
-        for key in sorted(nxt):
-            walk(chain + [nxt[key]])
+        if last not in covers:
+            found, rest = [], geo.full & ~last
+            while rest:
+                cover = geo.join_point(last, (rest & -rest).bit_length() - 1)
+                found.append(cover)
+                rest &= ~cover
+            covers[last] = sorted(found, key=geo.rows)
+        for cover in covers[last]:
+            walk(chain + (cover,))
 
-    for p in pts:
-        walk([space.point_space(p)])
+    for p in range(geo.size):
+        walk((1 << p,))
     return tuple(out)
 
 
 def adjacent(c1: Chamber, c2: Chamber) -> bool:
     """True when the chambers share a panel (differ in one position)."""
-    if len(c1.parts) != len(c2.parts):
+    if len(c1.masks) != len(c2.masks):
         raise ValueError("chambers of different rank")
-    return sum(a != b for a, b in zip(c1.parts, c2.parts)) == 1
+    return sum(a != b for a, b in zip(c1.masks, c2.masks)) == 1
 
 
 def panels_of(chamber: Chamber):
     """The n walls of a chamber, as hashable keys."""
-    parts = chamber.parts
-    return tuple(
-        (k, parts[:k] + parts[k + 1 :]) for k in range(len(parts))
-    )
+    masks = chamber.masks
+    return tuple((k, masks[:k] + masks[k + 1 :]) for k in range(len(masks)))
 
 
 def chamber_of_perm(base: Base, perm) -> Chamber:
@@ -118,14 +151,27 @@ def chamber_of_perm(base: Base, perm) -> Chamber:
     the ordering ``perm`` (a permutation of 0..n)."""
     space = base.space
     if sorted(perm) != list(range(space.ambient)):
-        raise ValueError(f"perm must reorder 0..{space.n + 1 - 1}")
-    parts = []
-    current = space.point_space(base.points[perm[0]])
-    parts.append(current)
-    for idx in perm[1:-1]:
-        current = current.extended_by(base.points[idx])
-        parts.append(current)
-    return Chamber(tuple(parts))
+        raise ValueError(f"perm must reorder 0..{space.n}")
+    geo = Geometry.of(space)
+    masks, span = [], 0
+    for idx in perm[:-1]:
+        span = geo.join_point(span, geo.id_of(base.points[idx]))
+        masks.append(span)
+    return Chamber(geo, masks)
+
+
+@lru_cache(maxsize=None)
+def _perm_prefixes(m: int):
+    """All orderings of 0..m-1 in lexicographic order, each with the index
+    sets of its m-1 proper prefixes as bitmasks."""
+    out = []
+    for perm in itertools.permutations(range(m)):
+        subset, prefixes = 0, []
+        for idx in perm[:-1]:
+            subset |= 1 << idx
+            prefixes.append(subset)
+        out.append((perm, tuple(prefixes)))
+    return tuple(out)
 
 
 class Apartment:
@@ -133,18 +179,35 @@ class Apartment:
 
     ``perms[k]`` (lexicographic order) corresponds to ``chambers[k]``;
     the dictionaries go both ways.  Equality and hashing follow the
-    base, so apartments of equal bases are interchangeable.
+    base, so apartments of equal bases are interchangeable.  The spans of
+    the 2^(n+1) - 2 proper subsets of the base are built once, and each
+    chamber is read off them.
     """
 
     def __init__(self, base: Base):
         self.base = base
         self.space = base.space
-        self.perms = tuple(itertools.permutations(range(self.space.ambient)))
-        self.chambers = tuple(chamber_of_perm(base, p) for p in self.perms)
-        self.chamber_by_perm = dict(zip(self.perms, self.chambers))
-        self.perm_by_chamber = dict(zip(self.chambers, self.perms))
+        geo = Geometry.of(self.space)
+        ids = [geo.id_of(p) for p in base.points]
+        spans = [0] * (1 << len(ids))
+        for subset in range(1, len(spans) - 1):
+            top = subset.bit_length() - 1
+            spans[subset] = geo.join_point(spans[subset ^ 1 << top], ids[top])
+        table = _perm_prefixes(len(ids))
+        self.perms = tuple(perm for perm, _ in table)
+        self.chambers = tuple(
+            Chamber(geo, [spans[s] for s in prefixes]) for _, prefixes in table
+        )
         self.chamber_set = frozenset(self.chambers)
         self._memo: dict = {}
+
+    @cached_property
+    def chamber_by_perm(self) -> dict:
+        return dict(zip(self.perms, self.chambers))
+
+    @cached_property
+    def perm_by_chamber(self) -> dict:
+        return dict(zip(self.chambers, self.perms))
 
     def __eq__(self, other):
         return isinstance(other, Apartment) and other.base == self.base
@@ -200,7 +263,12 @@ class Apartment:
         return self._memo["trace"]
 
 
-@lru_cache(maxsize=None)
+# A bound, so an exhaustive sweep over tens of thousands of bases holds a
+# fixed number of apartments; a sweep uses each apartment right away.
+APARTMENT_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=APARTMENT_CACHE_SIZE)
 def apartment_of(base: Base) -> Apartment:
     return Apartment(base)
 
@@ -221,12 +289,27 @@ def _check_base_cap(space: ProjSpace, force: bool):
 
 def iter_bases(space: ProjSpace, force: bool = False):
     """The bases of :func:`all_bases`, lazily; beyond the cap the first
-    step raises :class:`ScaleError`."""
+    step raises :class:`ScaleError`.
+
+    A depth-first walk over increasing point ids that never extends a
+    dependent prefix, so it yields the independent (n+1)-subsets in the
+    lexicographic order of ``itertools.combinations``.
+    """
     _check_base_cap(space, force)
-    gf, m = space.gf, space.ambient
-    for combo in itertools.combinations(points_of(space), m):
-        if Subspace.span(gf, m, combo).rank == m:
-            yield Base(space, combo)
+    geo = Geometry.of(space)
+    last = space.ambient - 1
+
+    def extend(ids, span):
+        start = ids[-1] + 1 if ids else 0
+        for p in range(start, geo.size):
+            if span >> p & 1:
+                continue
+            if len(ids) == last:
+                yield geo.base(ids + [p])
+            else:
+                yield from extend(ids + [p], geo.join_point(span, p))
+
+    yield from extend([], 0)
 
 
 @lru_cache(maxsize=None)
@@ -286,33 +369,22 @@ def common_apartment(c1: Chamber, c2: Chamber) -> Base:
     and adapted to both chains.  Deterministic; the postcondition is
     verified before returning.
     """
-    gf = c1.parts[0].gf
-    ambient = c1.parts[0].ambient
-    space = ProjSpace(ambient - 1, gf)
+    geo = c1.geometry
+    space = geo.space
     check_chamber(space, c1)
     check_chamber(space, c2)
-    chain_u = [Subspace.zero(gf, ambient), *c1.parts, Subspace.full(gf, ambient)]
-    chain_w = [Subspace.zero(gf, ambient), *c2.parts, Subspace.full(gf, ambient)]
-    m = ambient
-    meets = [[chain_u[i].meet(chain_w[j]) for j in range(m + 1)] for i in range(m + 1)]
+    chain_u = [0, *c1.masks, geo.full]
+    chain_w = [0, *c2.masks, geo.full]
+    meets = [[u & w for w in chain_w] for u in chain_u]
+    ranks = [[geo.rank(m) for m in row] for row in meets]
     picks = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            jump = (
-                meets[i][j].rank
-                - meets[i - 1][j].rank
-                - meets[i][j - 1].rank
-                + meets[i - 1][j - 1].rank
-            )
+    for i in range(1, space.ambient + 1):
+        for j in range(1, space.ambient + 1):
+            jump = ranks[i][j] - ranks[i - 1][j] - ranks[i][j - 1] + ranks[i - 1][j - 1]
             if jump == 1:
-                boundary = meets[i - 1][j].join(meets[i][j - 1])
-                pt = next(
-                    p
-                    for p in points_of_subspace(space, meets[i][j])
-                    if not boundary.contains_vector(p)
-                )
-                picks.append(pt)
-    base = Base.of(space, picks)
+                boundary = geo.join(meets[i - 1][j], meets[i][j - 1])
+                picks.append(next(bits(meets[i][j] & ~boundary)))
+    base = Base.of(space, [geo.point(p) for p in picks])
     apt = apartment_of(base)
     if c1 not in apt.chamber_set or c2 not in apt.chamber_set:
         raise AssertionError("common apartment construction failed its postcondition")
@@ -324,4 +396,4 @@ def residue_chamber(res: Residue, chamber: Chamber) -> Chamber:
     quotient space (the first subspace is dropped)."""
     if chamber.point != res.point:
         raise ValueError("chamber does not pass through the residue point")
-    return Chamber(tuple(res.project(p) for p in chamber.parts[1:]))
+    return Chamber.of(res.space, [res.project(p) for p in chamber.parts[1:]])

@@ -45,7 +45,6 @@ from .buildings import (
     chambers_of,
     check_chamber,
     iter_bases,
-    trace_of,
 )
 from .combinatorics import (
     FamilyConsistencyError,
@@ -57,13 +56,12 @@ from .combinatorics import (
 from .gf import Subspace
 from .projective import (
     Base,
+    Geometry,
     MapError,
     ProjSpace,
     Semilinear,
-    dual_subspace,
-    is_independent,
+    bits,
     points_of,
-    points_of_subspace,
     standard_base,
 )
 
@@ -159,10 +157,11 @@ class ChamberMap:
 
 def dual_point(space: ProjSpace, hyperplane: Subspace) -> tuple[int, ...]:
     """The normalized coordinate vector of a hyperplane's annihilator line."""
-    ann = dual_subspace(space, hyperplane)
-    if ann.rank != 1:
+    geo = Geometry.of(space)
+    ann = geo.annihilator(geo.mask_of(hyperplane))
+    if ann.bit_count() != 1:
         raise ValueError(f"expected a hyperplane, got rank {hyperplane.rank}")
-    return ann.rows[0]
+    return geo.point(ann.bit_length() - 1)
 
 
 def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
@@ -170,14 +169,25 @@ def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
 
     With ``dual=False`` each flag component is replaced by its image; with
     ``dual=True`` the images are replaced by their annihilators and the flag
-    is read backwards, so points and hyperplanes trade places.
+    is read backwards, so points and hyperplanes trade places.  Each point
+    is mapped once; a component's image is the span of its points' images.
     """
+    source, target = Geometry.of(semi.source), Geometry.of(semi.target)
+    point_image = [
+        target.id_of(semi.apply_vector(source.point(p))) for p in range(source.size)
+    ]
+    images: dict[int, int] = {}
     table = {}
     for chamber in chambers_of(semi.source):
-        parts = [semi.apply_subspace(part) for part in chamber.parts]
+        masks = []
+        for mask in chamber.masks:
+            if mask not in images:
+                image = target.span(point_image[p] for p in bits(mask))
+                images[mask] = target.annihilator(image) if dual else image
+            masks.append(images[mask])
         if dual:
-            parts = [dual_subspace(semi.target, part) for part in reversed(parts)]
-        table[chamber] = Chamber(tuple(parts))
+            masks.reverse()
+        table[chamber] = Chamber(target, masks)
     return ChamberMap(semi.source, semi.target, table)
 
 
@@ -196,29 +206,30 @@ def _image_apartment(f: ChamberMap, ap: Apartment):
     Returns ``(apartment, None)`` on success and ``(None, image_set)``
     when the image chamber set is not an apartment.
     """
-    images = [f(c) for c in ap.chambers]
-    image_set = frozenset(images)
+    table = f.table
+    image_set = frozenset([table[c] for c in ap.chambers])
     if len(image_set) != len(ap):
         return None, image_set
-    points = {c.point for c in image_set}
+    points = {c.masks[0].bit_length() - 1 for c in image_set}
     if len(points) != f.target.n + 1:
         return None, image_set
-    try:
-        base = Base.of(f.target, points)
-    except ValueError:
+    geo = Geometry.of(f.target)
+    if not geo.is_independent(points):
         return None, image_set
-    candidate = apartment_of(base)
+    candidate = apartment_of(geo.base(points))
     if image_set != candidate.chamber_set:
         return None, image_set
     return candidate, None
 
 
 def _random_base(space: ProjSpace, rng: random.Random) -> Base:
-    pts = list(points_of(space))
+    # sampling ids draws exactly as sampling the list points_of(space) would
+    geo = Geometry.of(space)
+    ids = range(geo.size)
     while True:
-        chosen = rng.sample(pts, space.n + 1)
-        if is_independent(space, chosen):
-            return Base.of(space, chosen)
+        chosen = rng.sample(ids, space.n + 1)
+        if geo.is_independent(chosen):
+            return geo.base(chosen)
 
 
 def preserves_apartments(
@@ -369,32 +380,32 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     componentwise induced.  Violations raise :class:`ReconstructionError`
     with a witness pair of chambers.
     """
-    source, target = f.source, f.target
-    chambers = chambers_of(source)
+    source, target = Geometry.of(f.source), Geometry.of(f.target)
+    table = f.table
     by_point = {}
     by_hyperplane = {}
-    for c in chambers:
-        by_point.setdefault(c.point, []).append(c)
-        by_hyperplane.setdefault(c.hyperplane, []).append(c)
+    for c in chambers_of(f.source):
+        by_point.setdefault(c.masks[0], []).append(c)
+        by_hyperplane.setdefault(c.masks[-1], []).append(c)
 
     g, kinds = {}, {}
     for p, star in by_point.items():
-        images = [f(c) for c in star]
-        common_point = _common_value([c.point for c in images])
-        common_hyp = _common_value([c.hyperplane for c in images])
+        images = [table[c] for c in star]
+        common_point = _common_value([c.masks[0] for c in images])
+        common_hyp = _common_value([c.masks[-1] for c in images])
         if (common_point is None) == (common_hyp is None):
             if common_point is not None:
                 raise ReconstructionError(
-                    f"images of the chambers through {p} collapse; no unique "
-                    "component map exists",
+                    f"images of the chambers through {star[0].point} collapse; "
+                    "no unique component map exists",
                     witness=(star[0], star[-1]),
                 )
             raise ReconstructionError(
-                f"chambers through {p} map to chambers sharing neither a "
-                "point nor a hyperplane",
+                f"chambers through {star[0].point} map to chambers sharing "
+                "neither a point nor a hyperplane",
                 witness=(
-                    _witness_pair(star, images, lambda c: c.point),
-                    _witness_pair(star, images, lambda c: c.hyperplane),
+                    _witness_pair(star, images, lambda c: c.masks[0]),
+                    _witness_pair(star, images, lambda c: c.masks[-1]),
                 ),
             )
         if common_point is not None:
@@ -405,6 +416,7 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     if len(distinct) != 1:
         direct_p = next(p for p, k in kinds.items() if k == "direct")
         dual_p = next(p for p, k in kinds.items() if k == "dual")
+        direct_p, dual_p = by_point[direct_p][0].point, by_point[dual_p][0].point
         raise MixedKindError(
             f"point {direct_p} reconstructs as direct but {dual_p} as dual",
             witness=(direct_p, dual_p),
@@ -413,84 +425,108 @@ def reconstruct(f: ChamberMap) -> Decomposition:
 
     h = {}
     for hyp, star in by_hyperplane.items():
-        images = [f(c) for c in star]
+        images = [table[c] for c in star]
         if kind == "direct":
-            common = _common_value([c.hyperplane for c in images])
+            common = _common_value([c.masks[-1] for c in images])
         else:
-            common = _common_value([c.point for c in images])
+            common = _common_value([c.masks[0] for c in images])
         if common is None:
             raise ReconstructionError(
-                f"chambers on hyperplane {hyp} do not share an image "
-                "component of the expected kind",
+                f"chambers on hyperplane {star[0].hyperplane} do not share an "
+                "image component of the expected kind",
                 witness=(star[0], star[-1]),
             )
         h[hyp] = common
 
-    _verify_h_from_g(f, kind, g, h)
+    induced = _induced_parts(f, kind, g)
+    _verify_h_from_g(f, h, induced)
     _verify_incidence(f, kind, g, h)
-    _verify_componentwise(f, kind, g)
+    _verify_componentwise(f, kind, induced)
 
     sigma_by_base = {}
     try:
-        bases = list(itertools.islice(iter_bases(source), 5))
+        bases = list(itertools.islice(iter_bases(f.source), 5))
     except ScaleError:
-        bases = [standard_base(source)]
+        bases = [standard_base(f.source)]
     for base in bases:
         sigma_by_base[base] = main_lemma_decompose(f, base)
 
-    return Decomposition(kind=kind, g=g, h=h, sigma_by_base=sigma_by_base)
+    return Decomposition(
+        kind=kind,
+        g={_view(source, p): _view(target, v) for p, v in g.items()},
+        h={_view(source, k): _view(target, v) for k, v in h.items()},
+        sigma_by_base=sigma_by_base,
+    )
 
 
-def _induced_part(f: ChamberMap, kind: str, g: dict, part: Subspace) -> Subspace:
-    """The image of one flag component under the reconstructed point map."""
-    source, target = f.source, f.target
-    pts = points_of_subspace(source, part)
-    if kind == "direct":
-        return target.subspace([g[p] for p in pts])
-    meet = g[pts[0]]
-    for p in pts[1:]:
-        meet = meet.meet(g[p])
-    return meet
+def _view(geo: Geometry, mask: int):
+    """The outside view of a mask: coordinates for a point, else a Subspace."""
+    if mask.bit_count() == 1:
+        return geo.point(mask.bit_length() - 1)
+    return geo.subspace(mask)
 
 
-def _verify_h_from_g(f, kind, g, h):
+def _induced_parts(f: ChamberMap, kind: str, g: dict):
+    """The image of a source subspace mask under the reconstructed point
+    map: the join of the point images (direct) or the meet of the image
+    hyperplanes (dual); memoized per mask."""
+    target = Geometry.of(f.target)
+    memo: dict[int, int] = {}
+
+    def induced(mask: int) -> int:
+        image = memo.get(mask)
+        if image is None:
+            points = [g[1 << p] for p in bits(mask)]
+            if kind == "direct":
+                image = target.span(m.bit_length() - 1 for m in points)
+            else:
+                image = target.full
+                for m in points:
+                    image &= m
+            memo[mask] = image
+        return image
+
+    return induced
+
+
+def _verify_h_from_g(f, h, induced):
+    source, target = Geometry.of(f.source), Geometry.of(f.target)
     for hyp, value in h.items():
-        expected = _induced_part(f, kind, g, hyp)
-        actual = value if kind == "direct" else f.target.point_space(value)
-        if actual != expected:
+        if value != induced(hyp):
             raise ReconstructionError(
-                f"hyperplane map at {hyp} is not induced by the point map",
-                witness=(hyp, value),
+                f"hyperplane map at {source.subspace(hyp)} is not induced by "
+                "the point map",
+                witness=(source.subspace(hyp), _view(target, value)),
             )
 
 
 def _verify_incidence(f, kind, g, h):
+    geo = Geometry.of(f.source)
     for hyp, value in h.items():
-        for p in points_of_subspace(f.source, hyp):
-            if kind == "direct":
-                ok = value.contains_vector(g[p])
-            else:
-                ok = g[p].contains_vector(value)
-            if not ok:
+        for p in bits(hyp):
+            image = g[1 << p]
+            # direct: the point image lies on the hyperplane image;
+            # dual: the hyperplane image passes through the point image
+            small, big = (image, value) if kind == "direct" else (value, image)
+            if small & big != small:
                 raise ReconstructionError(
-                    f"images of incident pair ({p}, {hyp}) are not incident",
-                    witness=(p, hyp),
+                    f"images of incident pair ({geo.point(p)}, "
+                    f"{geo.subspace(hyp)}) are not incident",
+                    witness=(geo.point(p), geo.subspace(hyp)),
                 )
 
 
-def _verify_componentwise(f, kind, g):
-    n = f.source.n
+def _verify_componentwise(f, kind, induced):
+    table = f.table
     for chamber in chambers_of(f.source):
-        image = f(chamber)
-        for k, part in enumerate(chamber.parts):
-            expected = _induced_part(f, kind, g, part)
-            actual = image.parts[k] if kind == "direct" else image.parts[n - 1 - k]
-            if actual != expected:
-                raise ReconstructionError(
-                    "a chamber image is not componentwise induced by the "
-                    "point map",
-                    witness=(chamber, image),
-                )
+        image = table[chamber].masks
+        if kind == "dual":
+            image = image[::-1]
+        if any(m != induced(part) for part, m in zip(chamber.masks, image)):
+            raise ReconstructionError(
+                "a chamber image is not componentwise induced by the point map",
+                witness=(chamber, table[chamber]),
+            )
 
 
 @dataclass(frozen=True)
@@ -522,14 +558,14 @@ def verify_strong_embedding(
         return StrongEmbeddingVerdict(False, ("map is not total on points",))
     if len(set(g.values())) != len(pts):
         return StrongEmbeddingVerdict(False, ("map is not injective",))
-    subspaces = sorted(
-        trace_of(chambers_of(source)) | {Subspace.full(source.gf, source.ambient)},
-        key=lambda s: (s.rank, s.rows),
-    )
-    for sub in subspaces:
-        image = target.subspace([g[p] for p in points_of_subspace(source, sub)])
-        if image.rank != sub.rank:
-            failure = f"subspace {sub.rows} of rank {sub.rank} spans rank {image.rank}"
+    sgeo, tgeo = Geometry.of(source), Geometry.of(target)
+    image_id = [tgeo.id_of(g[p]) for p in pts]
+    masks = {m for c in chambers_of(source) for m in c.masks} | {sgeo.full}
+    for mask in sorted(masks, key=lambda m: (sgeo.rank(m), sgeo.rows(m))):
+        rank = sgeo.rank(mask)
+        image_rank = tgeo.rank(tgeo.span(image_id[p] for p in bits(mask)))
+        if image_rank != rank:
+            failure = f"subspace {sgeo.rows(mask)} of rank {rank} spans rank {image_rank}"
             return StrongEmbeddingVerdict(False, (failure,))
     return StrongEmbeddingVerdict(True)
 

@@ -398,7 +398,11 @@ def cmd_map_induce(args) -> int:
         _fail(f"matrix does not induce a strong embedding: {exc}")
         return 1
     f = induce(semi, dual=args.dual)
-    dump_map(f, args.out, dual=args.dual)
+    try:
+        dump_map(f, args.out, dual=args.dual)
+    except OSError as exc:
+        _fail(f"cannot write {args.out}: {exc}")
+        return 2
     report = RunReport(
         "map induce",
         {

@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import factorial
 
 from .buildings import Apartment, Chamber, apartments_containing
-from .projective import points_of, points_of_subspace
+from .projective import Geometry
 
 __all__ = [
     "UndefinedCountError",
@@ -321,10 +321,10 @@ def classify_adjacent_family(pairs):
 
 
 @lru_cache(maxsize=None)
-def _point_masks(ap: Apartment):
-    """Point set of every subspace occurring as a component in ``ap``."""
-    space = ap.base.space
-    return {sub: frozenset(points_of_subspace(space, sub)) for sub in ap.trace()}
+def _point_masks(ap: Apartment) -> tuple[int, ...]:
+    """The base points of ``ap`` as one-point subspace masks."""
+    geo = Geometry.of(ap.space)
+    return tuple(1 << geo.id_of(p) for p in ap.base.points)
 
 
 def _check_subset(ap: Apartment, chambers) -> tuple[Chamber, ...]:
@@ -345,16 +345,14 @@ def is_exact(ap: Apartment, chambers) -> bool:
     including the empty one.)
     """
     subset = _check_subset(ap, chambers)
-    masks = _point_masks(ap)
-    space = ap.base.space
-    everything = frozenset(points_of(space))
-    trace = {part for c in subset for part in c.parts}
-    for p in ap.base.points:
-        meet = everything
-        for sub in trace:
-            if p in masks[sub]:
-                meet &= masks[sub]
-        if meet != {p}:
+    trace = {mask for c in subset for mask in c.masks}
+    full = Geometry.of(ap.space).full
+    for point in _point_masks(ap):
+        meet = full
+        for mask in trace:
+            if mask & point:
+                meet &= mask
+        if meet != point:
             return False
     return True
 

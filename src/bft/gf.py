@@ -14,9 +14,12 @@ Codes 0 and 1 are always the additive and multiplicative identities,
 which makes the prime subfield {0, .., p-1} sit inside every extension
 as the same codes.
 
-Subspaces of GF(q)^m are kept in reduced row echelon form.  That is the
-canonical representation everywhere in this package: two Subspace
-values are equal exactly when their row spaces are equal.
+A :class:`Subspace` of GF(q)^m is kept in reduced row echelon form, so
+two Subspace values are equal exactly when their row spaces are equal.
+RREF rows are the outside view of a subspace: the chamber-map file
+format, semilinear-map input, and the reference the tests check the
+point-id masks of :class:`bft.projective.Geometry` against.  The
+building itself is computed on those masks.
 """
 
 from __future__ import annotations

@@ -22,12 +22,13 @@ the offending entry.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 from .buildings import Chamber, chambers_of, check_chamber
 from .chamber_maps import ChamberMap
 from .gf import SUPPORTED_ORDERS, Subspace
-from .projective import ProjSpace
+from .projective import Geometry, ProjSpace
 
 __all__ = [
     "SCHEMA",
@@ -68,7 +69,22 @@ def parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def encode_chamber(chamber: Chamber) -> list:
-    return [[list(row) for row in part.rows] for part in chamber.parts]
+    return [[list(row) for row in rows] for rows in chamber.sort_key()]
+
+
+@lru_cache(maxsize=4096)
+def _decode_part(space: ProjSpace, rows: tuple) -> int:
+    """The mask of one subspace given by rows of field codes; a file names
+    each subspace many times, so each distinct encoding is checked once."""
+    listed = [list(row) for row in rows]
+    for row in rows:
+        for x in row:
+            if not 0 <= x < space.q:
+                raise FormatError(f"code {x} out of range for GF({space.q}) in {listed!r}")
+    sub = Subspace.span(space.gf, space.ambient, rows)
+    if sub.rank != len(rows):
+        raise FormatError(f"dependent rows in subspace encoding {listed!r}")
+    return Geometry.of(space).mask_of(sub)
 
 
 def decode_chamber(space: ProjSpace, data) -> Chamber:
@@ -76,30 +92,22 @@ def decode_chamber(space: ProjSpace, data) -> Chamber:
         raise FormatError(
             f"a chamber must be a list of {space.n} subspaces, got {data!r}"
         )
-    parts = []
+    masks = []
     for part in data:
+        # type(x) is int: JSON true/false decode to bools, which are ints
         if (
             not isinstance(part, list)
             or not part
             or not all(
                 isinstance(row, list)
                 and len(row) == space.ambient
-                and all(isinstance(x, int) for x in row)
+                and all(type(x) is int for x in row)
                 for row in part
             )
         ):
             raise FormatError(f"invalid subspace encoding: {part!r}")
-        for row in part:
-            for x in row:
-                if not 0 <= x < space.q:
-                    raise FormatError(
-                        f"code {x} out of range for GF({space.q}) in {part!r}"
-                    )
-        sub = Subspace.span(space.gf, space.ambient, [tuple(r) for r in part])
-        if sub.rank != len(part):
-            raise FormatError(f"dependent rows in subspace encoding {part!r}")
-        parts.append(sub)
-    chamber = Chamber(tuple(parts))
+        masks.append(_decode_part(space, tuple(map(tuple, part))))
+    chamber = Chamber(Geometry.of(space), masks)
     try:
         check_chamber(space, chamber)
     except ValueError as exc:
@@ -174,6 +182,8 @@ def dump_map(f: ChamberMap, path, dual: bool = False) -> None:
 def load_map(path) -> ChamberMap:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     return decode_map(data)

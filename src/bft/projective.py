@@ -2,8 +2,15 @@
 
 A point is a normalized coordinate tuple: the first nonzero coordinate
 is 1, so each rank-1 subspace has exactly one point representative.
-Subspaces are the echelon :class:`~bft.gf.Subspace` values of the
-underlying GF(q)^(n+1); their projective dimension is ``pdim``.
+
+The core representation is a :class:`Geometry` per space.  A point is an
+id, its index in the lexicographic list ``points_of(space)``, and a
+subspace is an int mask over point ids: meet is ``&``, containment is
+``a & b == b``, the rank is read off the popcount, and a join is a union
+of lines, each line computed once from coordinates as {a + lambda b}.
+The echelon :class:`~bft.gf.Subspace` values of GF(q)^(n+1) are the
+outside view; the geometry translates masks to canonical RREF rows and
+back for file I/O, reports and semilinear-map input.
 
 The dual space is materialized concretely: a hyperplane of P corresponds
 to the point of the dual space given by the normalized row spanning its
@@ -16,9 +23,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
-from .gf import GF, FieldError, Subspace
+from .gf import GF, Subspace
 
 
 class MapError(ValueError):
@@ -82,29 +89,195 @@ def points_of(space: ProjSpace) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def bits(mask: int):
+    """The point ids of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class Geometry:
+    """PG(n, q) on point ids and subspace masks; ``Geometry.of(space)``
+    returns the one instance per space.
+
+    Ids are computed from coordinates arithmetically, and lines, point
+    perps and canonical rows are cached on first use, so work on one
+    apartment builds only the part of the space that apartment touches.
+    """
+
+    _instances: dict = {}
+
+    def __init__(self, space: ProjSpace):
+        self.space = space
+        q, m = space.q, space.ambient
+        self.size = (q**m - 1) // (q - 1)
+        self.full = (1 << self.size) - 1
+        # the number of points whose first nonzero coordinate is right of k
+        self._offset = [(q ** (m - 1 - k) - 1) // (q - 1) for k in range(m)]
+        self._rank_of_size = {(q**r - 1) // (q - 1): r for r in range(m + 1)}
+        self._ids: dict = {}
+        self._lines: dict = {}
+        # a line mask takes size/8 bytes: keep at most ~64 MB of them
+        self._line_slots = (1 << 29) // self.size
+        self._masks: dict = {}  # canonical rows -> mask
+
+    @classmethod
+    def of(cls, space: ProjSpace) -> "Geometry":
+        geo = cls._instances.get(space)
+        if geo is None:
+            geo = cls._instances[space] = cls(space)
+        return geo
+
+    # ------------------------------------------------------------- points
+
+    def id_of(self, vector) -> int:
+        """The id of the point spanned by a nonzero vector."""
+        key = tuple(vector)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = self._id(normalize_point(self.space, key))
+        return i
+
+    def _id(self, v) -> int:
+        """The id of a nonzero vector of valid codes, scaled as it goes."""
+        gf, q = self.space.gf, self.space.q
+        lead = next(k for k, x in enumerate(v) if x)
+        scale = gf.mul[gf.inv[v[lead]]]
+        i = 0
+        for x in v[lead + 1 :]:
+            i = i * q + scale[x]
+        return i + self._offset[lead]
+
+    @cache
+    def point(self, i: int) -> tuple[int, ...]:
+        """The normalized coordinates of point id ``i``."""
+        q, m = self.space.q, self.space.ambient
+        lead = next(k for k in range(m) if i >= self._offset[k])
+        tail, digits = i - self._offset[lead], []
+        for _ in range(m - 1 - lead):
+            tail, x = divmod(tail, q)
+            digits.append(x)
+        return (0,) * lead + (1,) + tuple(reversed(digits))
+
+    def base(self, ids) -> "Base":
+        """The base on independent point ids (not checked)."""
+        return Base(self.space, tuple(self.point(i) for i in sorted(ids)))
+
+    # ---------------------------------------------------------- subspaces
+
+    def rank(self, mask: int) -> int:
+        """Linear dimension of a subspace mask, from its point count."""
+        return self._rank_of_size[mask.bit_count()]
+
+    def line(self, a: int, b: int) -> int:
+        """The mask of the line through distinct points a and b."""
+        key = a * self.size + b
+        mask = self._lines.get(key)
+        if mask is None:
+            add, mul = self.space.gf.add, self.space.gf.mul
+            u, v = self.point(a), self.point(b)
+            mask = 1 << a | 1 << b
+            for lam in range(1, self.space.q):
+                mask |= 1 << self._id([add[x][mul[lam][y]] for x, y in zip(u, v)])
+            if len(self._lines) < self._line_slots:
+                self._lines[key] = self._lines[b * self.size + a] = mask
+        return mask
+
+    def join_point(self, mask: int, p: int) -> int:
+        """span(S, p): S with every line from p to a point of S."""
+        if mask >> p & 1:
+            return mask
+        out = mask | 1 << p
+        for x in bits(mask):
+            out |= self.line(p, x)
+        return out
+
+    def join(self, a: int, b: int) -> int:
+        for p in bits(b & ~a):
+            a = self.join_point(a, p)
+        return a
+
+    def span(self, ids) -> int:
+        mask = 0
+        for p in ids:
+            mask = self.join_point(mask, p)
+        return mask
+
+    def is_independent(self, ids) -> bool:
+        """No point lies in the span of the ones before it.  The span of
+        the whole set is never built: for a base it is the full space."""
+        ids = list(ids)
+        mask = 0
+        for k, p in enumerate(ids):
+            if mask >> p & 1:
+                return False
+            if k + 1 < len(ids):
+                mask = self.join_point(mask, p)
+        return True
+
+    @cache
+    def perp(self, p: int) -> int:
+        """The hyperplane of points orthogonal to point p."""
+        gf, v = self.space.gf, self.point(p)
+        mask = 0
+        for i in range(self.size):
+            if not gf.dot(self.point(i), v):
+                mask |= 1 << i
+        return mask
+
+    @cache
+    def annihilator(self, mask: int) -> int:
+        """The mask of the annihilator: the meet of the perps of its points."""
+        out = self.full
+        for p in bits(mask):
+            out &= self.perp(p)
+        return out
+
+    # ------------------------------------------------------ RREF views
+
+    @cache
+    def rows(self, mask: int) -> tuple[tuple[int, ...], ...]:
+        """The canonical RREF rows of a subspace mask.
+
+        The pivot columns are the leading columns of the points, and row i
+        is the one point whose pivot coordinates form the i-th unit vector.
+        """
+        pts = [self.point(i) for i in bits(mask)]
+        pivots = {p.index(1) for p in pts}
+        units = [p for p in pts if sum(1 for c in pivots if p[c]) == 1]
+        rows = tuple(sorted(units, key=lambda p: p.index(1)))
+        self._masks[rows] = mask
+        return rows
+
+    @cache
+    def subspace(self, mask: int) -> Subspace:
+        """The interned :class:`Subspace` value of a mask."""
+        return Subspace(self.space.gf, self.space.ambient, self.rows(mask))
+
+    def mask_of(self, sub: Subspace) -> int:
+        """The mask of a :class:`Subspace` of this space."""
+        if sub.gf != self.space.gf or sub.ambient != self.space.ambient:
+            raise ValueError("subspace does not live in this space")
+        mask = self._masks.get(sub.rows)
+        if mask is None:
+            mask = self._masks[sub.rows] = self.span(map(self.id_of, sub.rows))
+        return mask
+
+
 def span_points(space: ProjSpace, points) -> Subspace:
     return space.subspace(list(points))
 
 
 def is_independent(space: ProjSpace, points) -> bool:
-    pts = list(points)
-    return span_points(space, pts).rank == len(pts)
+    geo = Geometry.of(space)
+    return geo.is_independent(geo.id_of(p) for p in points)
 
 
 def points_of_subspace(space: ProjSpace, sub: Subspace) -> tuple[tuple[int, ...], ...]:
     """The points lying in a subspace, sorted lexicographically."""
-    if sub.gf != space.gf or sub.ambient != space.ambient:
-        raise ValueError("subspace does not live in this space")
-    gf, out = space.gf, set()
-    for coeffs in itertools.product(range(space.q), repeat=sub.rank):
-        if not any(coeffs):
-            continue
-        v = [0] * space.ambient
-        for c, row in zip(coeffs, sub.rows):
-            if c:
-                v = [gf.add[x][gf.mul[c][y]] for x, y in zip(v, row)]
-        out.add(normalize_point(space, v))
-    return tuple(sorted(out))
+    geo = Geometry.of(space)
+    return tuple(map(geo.point, bits(geo.mask_of(sub))))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from bft.chamber_maps import ChamberMap, analyze, classify, induce
 from bft.combinatorics import (
     UndefinedCountError,
     closed_form,
-    complement_family,
     copoint_family,
     disposition,
     intersection_count,

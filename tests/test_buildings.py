@@ -6,14 +6,13 @@ and the fact that a trace of an apartment has 2^(n+1) - 2 subspaces
 (the proper nonempty subsets of the base).
 """
 
-import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from bft.buildings import (
-    Apartment,
+    APARTMENT_CACHE_SIZE,
     Chamber,
     ScaleError,
     adjacent,
@@ -29,9 +28,7 @@ from bft.buildings import (
     trace_of,
 )
 from bft.projective import (
-    Base,
     ProjSpace,
-    points_of,
     residue,
     standard_base,
 )
@@ -87,7 +84,7 @@ def test_check_chamber_rejects_bad_chains():
     c = chambers_of(PG22)[0]
     with pytest.raises(ValueError):
         check_chamber(PG32, c)
-    broken = Chamber((c.parts[1], c.parts[1]))
+    broken = Chamber.of(PG22, (c.parts[1], c.parts[1]))
     with pytest.raises(ValueError):
         check_chamber(PG22, broken)
 
@@ -210,6 +207,17 @@ def test_base_cap_and_force():
         all_bases(ProjSpace.of(5, 2))
     with pytest.raises(ScaleError):
         all_bases(ProjSpace.of(2, 4))
+
+
+def test_exhaustive_sweep_keeps_the_apartment_cache_bounded():
+    from bft.chamber_maps import induce, preserves_apartments
+    from bft.projective import Semilinear
+
+    eye = tuple(tuple(int(r == c) for c in range(4)) for r in range(4))
+    check = preserves_apartments(induce(Semilinear.of(PG32, PG32, eye)))
+    assert check.ok and check.checked == 840 > APARTMENT_CACHE_SIZE
+    assert apartment_of.cache_info().currsize <= APARTMENT_CACHE_SIZE
+    assert apartment_of.cache_info().maxsize == APARTMENT_CACHE_SIZE
 
 
 def test_apartments_containing():

@@ -13,7 +13,6 @@ from bft.chamber_maps import (
     ReconstructionError,
     analyze,
     classify,
-    dual_point,
     induce,
     main_lemma_decompose,
     preserves_apartments,

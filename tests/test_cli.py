@@ -252,23 +252,41 @@ def test_map_analyze_rejects_k_below_one(capsys, tmp_path, k):
     assert "--k must be at least 1" in err
 
 
+def _bft_subprocess(*argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bft.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "bft.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_map_analyze_exhaustive_over_cap_exits_2(tmp_path):
     out_path = str(tmp_path / "pg24.json")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bft.__file__)))
-
-    def bft_cli(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "bft.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-
-    made = bft_cli("map", "induce", "--n", "2", "--q", "4", "--matrix", IDENTITY,
-                   "--out", out_path)
+    made = _bft_subprocess("map", "induce", "--n", "2", "--q", "4",
+                           "--matrix", IDENTITY, "--out", out_path)
     assert made.returncode == 0
-    done = bft_cli("map", "analyze", out_path, "--mode", "exhaustive")
+    done = _bft_subprocess("map", "analyze", out_path, "--mode", "exhaustive")
     assert done.returncode == 2 and done.stdout == ""
     assert "Traceback" not in done.stderr
     assert "use --mode sample" in done.stderr
+
+
+def test_map_induce_unwritable_out_exits_2(tmp_path):
+    out_path = str(tmp_path / "missing-dir" / "x.json")
+    done = _bft_subprocess("map", "induce", "--n", "2", "--q", "2",
+                           "--matrix", IDENTITY, "--out", out_path)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "cannot write" in done.stderr
+
+
+def test_map_analyze_non_utf8_file_exits_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "chamber-map/1", "note": "caf\xe9"}')
+    done = _bft_subprocess("map", "analyze", str(path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "malformed chamber-map file" in done.stderr
 
 
 def test_map_analyze_runs_each_stage_once(capsys, tmp_path, monkeypatch):

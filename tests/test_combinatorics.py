@@ -18,7 +18,6 @@ import pytest
 
 from bft.buildings import apartment_of, chamber_of_perm
 from bft.combinatorics import (
-    FamilyConsistencyError,
     UndefinedCountError,
     classify_adjacent_family,
     closed_form,

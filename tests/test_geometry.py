@@ -1,0 +1,208 @@
+"""The mask core against the RREF oracle, on the ladder of spaces.
+
+Every fast path of :class:`bft.projective.Geometry` (point ids, join, meet,
+containment, annihilator, rank, canonical rows) and of the chamber layer
+built on it (``chambers_of``, apartments, ``iter_bases``, the sampled
+bases of ``preserves_apartments``, ``induce``) is compared with a slow
+reference that works on :class:`bft.gf.Subspace` values and ``rref`` only.
+The reference walks are the implementations the mask core replaced.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from bft.buildings import apartment_of, chambers_of, iter_bases
+from bft.chamber_maps import _random_base, induce
+from bft.gf import GF, Subspace
+from bft.projective import (
+    Base,
+    Geometry,
+    ProjSpace,
+    Semilinear,
+    dual_subspace,
+    points_of,
+)
+from conftest import random_invertible
+
+LADDER = [(2, 2), (3, 2), (2, 9), (3, 3), (4, 2)]
+LADDER_IDS = [f"PG{n}{q}" for n, q in LADDER]
+
+
+# ------------------------------------------------------------------ oracle
+
+
+def oracle_mask(space, sub: Subspace) -> int:
+    """The point set of a subspace by membership tests, as an id mask."""
+    mask = 0
+    for i, p in enumerate(points_of(space)):
+        if sub.contains_vector(p):
+            mask |= 1 << i
+    return mask
+
+
+def oracle_chambers(space):
+    """Depth-first lexicographic chain walk on RREF subspaces."""
+    pts = points_of(space)
+    out = []
+
+    def walk(chain):
+        last = chain[-1]
+        if last.pdim == space.n - 1:
+            out.append(tuple(s.rows for s in chain))
+            return
+        nxt = {}
+        for p in pts:
+            if not last.contains_vector(p):
+                t = last.extended_by(p)
+                nxt.setdefault(t.rows, t)
+        for key in sorted(nxt):
+            walk(chain + [nxt[key]])
+
+    for p in pts:
+        walk([space.point_space(p)])
+    return out
+
+
+def oracle_chamber_of_perm(base: Base, perm):
+    current = base.space.point_space(base.points[perm[0]])
+    parts = [current]
+    for idx in perm[1:-1]:
+        current = current.extended_by(base.points[idx])
+        parts.append(current)
+    return tuple(s.rows for s in parts)
+
+
+def oracle_bases(space):
+    m = space.ambient
+    for combo in itertools.combinations(points_of(space), m):
+        if Subspace.span(space.gf, m, combo).rank == m:
+            yield combo
+
+
+def random_subspaces(space, rng, count):
+    pts = points_of(space)
+    subs = [Subspace.zero(space.gf, space.ambient), Subspace.full(space.gf, space.ambient)]
+    while len(subs) < count:
+        k = rng.randint(1, space.ambient)
+        subs.append(space.subspace(rng.sample(pts, k)))
+    return subs
+
+
+# --------------------------------------------------------------- mask ops
+
+
+@pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
+def test_point_ids_follow_points_of(n, q):
+    space = ProjSpace.of(n, q)
+    geo = Geometry.of(space)
+    assert geo is Geometry.of(ProjSpace.of(n, q))
+    pts = points_of(space)
+    assert geo.size == len(pts)
+    assert [geo.point(i) for i in range(geo.size)] == list(pts)
+    assert [geo.id_of(p) for p in pts] == list(range(geo.size))
+    # any nonzero multiple names the same point
+    gf = space.gf
+    for p in pts[:: max(1, len(pts) // 20)]:
+        for c in range(1, q):
+            assert geo.id_of([gf.mul[c][x] for x in p]) == geo.id_of(p)
+
+
+@pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
+def test_mask_ops_match_subspace_ops(n, q):
+    space = ProjSpace.of(n, q)
+    geo = Geometry.of(space)
+    rng = random.Random(n * 10 + q)
+    subs = random_subspaces(space, rng, 14)
+    masks = [oracle_mask(space, s) for s in subs]
+    for sub, mask in zip(subs, masks):
+        assert geo.rank(mask) == sub.rank
+        assert geo.rows(mask) == sub.rows
+        assert geo.subspace(mask) == sub
+        assert geo.mask_of(sub) == mask
+        assert geo.annihilator(mask) == oracle_mask(space, sub.annihilator())
+        ids = [i for i in range(geo.size) if mask >> i & 1]
+        assert geo.span(ids) == mask
+    for (a, ma), (b, mb) in itertools.product(zip(subs, masks), repeat=2):
+        assert geo.join(ma, mb) == oracle_mask(space, a.join(b))
+        assert ma & mb == oracle_mask(space, a.meet(b))
+        assert (ma & mb == mb) == a.contains(b)
+
+
+@pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
+def test_lines_and_independence_match_rref(n, q):
+    space = ProjSpace.of(n, q)
+    geo = Geometry.of(space)
+    pts = points_of(space)
+    rng = random.Random(q * 10 + n)
+    for _ in range(30):
+        a, b = rng.sample(range(geo.size), 2)
+        line = geo.line(a, b)
+        assert line == oracle_mask(space, space.subspace([pts[a], pts[b]]))
+        assert line.bit_count() == q + 1
+        ids = rng.sample(range(geo.size), rng.randint(2, space.ambient))
+        rank = space.subspace([pts[i] for i in ids]).rank
+        assert geo.is_independent(ids) == (rank == len(ids))
+
+
+# ---------------------------------------------------------- chamber layer
+
+
+@pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
+def test_chambers_of_matches_the_rref_walk(n, q):
+    space = ProjSpace.of(n, q)
+    assert [c.sort_key() for c in chambers_of(space)] == oracle_chambers(space)
+
+
+@pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
+def test_apartments_match_chamber_of_perm_on_rref(n, q):
+    space = ProjSpace.of(n, q)
+    rng = random.Random(7)
+    bases = list(itertools.islice(iter_bases(space, force=True), 3))
+    bases += [_random_base(space, rng) for _ in range(3)]
+    for base in bases:
+        ap = apartment_of(base)
+        expected = [oracle_chamber_of_perm(base, perm) for perm in ap.perms]
+        assert [c.sort_key() for c in ap.chambers] == expected
+        assert len(ap.chamber_set) == len(expected)
+
+
+@pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
+def test_iter_bases_matches_rref_independence(n, q):
+    space = ProjSpace.of(n, q)
+    # the whole sequence on the small spaces, a long prefix on the others
+    limit = None if len(points_of(space)) <= 15 else 4000
+    got = [b.points for b in itertools.islice(iter_bases(space, force=True), limit)]
+    assert got == list(itertools.islice(oracle_bases(space), limit))
+
+
+@pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
+def test_sampled_bases_are_those_of_the_coordinate_sampler(n, q):
+    space = ProjSpace.of(n, q)
+    fast, slow = random.Random(5), random.Random(5)
+    pts = list(points_of(space))
+    for _ in range(25):
+        while True:
+            chosen = slow.sample(pts, space.ambient)
+            if space.subspace(chosen).rank == space.ambient:
+                break
+        assert _random_base(space, fast) == Base.of(space, chosen)
+
+
+@pytest.mark.parametrize(
+    "n,q,target_q", [(2, 2, 4), (3, 2, 2), (2, 3, 9), (2, 9, 9)],
+    ids=["PG22-PG24", "PG32", "PG23-PG29", "PG29"],
+)
+def test_induce_matches_componentwise_rref_images(n, q, target_q):
+    source, target = ProjSpace.of(n, q), ProjSpace.of(n, target_q)
+    matrix = random_invertible(GF.of(q), n + 1, random.Random(n + q))
+    semi = Semilinear.of(source, target, matrix)
+    chambers = chambers_of(source)[:: max(1, len(chambers_of(source)) // 60)]
+    for dual in (False, True):
+        f = induce(semi, dual=dual)
+        for c in chambers:
+            parts = [semi.apply_subspace(part) for part in c.parts]
+            if dual:
+                parts = [dual_subspace(target, part) for part in reversed(parts)]
+            assert f(c).parts == tuple(parts)

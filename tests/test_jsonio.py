@@ -58,6 +58,16 @@ def test_decode_chamber_rejects_bad_data():
         decode_chamber(PG22, [[[0, 1, 0]], [[1, 0, 0], [0, 0, 1]]])  # no chain
 
 
+def test_decode_chamber_rejects_bool_codes():
+    good = encode_chamber(chambers_of(PG22)[0])
+    as_bools = json.loads(json.dumps(good).replace("1", "true").replace("0", "false"))
+    assert as_bools == good  # True == 1: only the JSON types differ
+    with pytest.raises(FormatError, match="invalid subspace encoding"):
+        decode_chamber(PG22, as_bools)
+    with pytest.raises(FormatError):
+        decode_chamber(PG22, [[[False, True, False]], good[1]])
+
+
 # --------------------------------------------------------------------- maps
 
 

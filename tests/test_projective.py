@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from bft.gf import GF, Subspace
+from bft.gf import GF
 from bft.projective import (
     Base,
     MapError,
