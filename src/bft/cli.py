@@ -26,7 +26,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from math import factorial, prod
+from math import factorial
 
 from .buildings import ScaleError, apartment_of
 from .chamber_maps import analyze, induce
@@ -47,6 +47,7 @@ from .combinatorics import (
     residual_family,
     star_intersections,
 )
+from .counts import apartment_count, chamber_count, gaussian_binomial, point_count
 from .gf import SUPPORTED_ORDERS, FieldError
 from .jsonio import FormatError, dump_map, encode_chamber, load_map, parse_rows
 from .projective import Base, MapError, ProjSpace, Semilinear, standard_base
@@ -124,28 +125,6 @@ def _emit(report: RunReport, fmt: str) -> None:
 
 def _fail(message: str) -> None:
     sys.stderr.write(message.rstrip() + "\n")
-
-
-# ------------------------------------------------------------ count formulas
-
-
-def point_count(n: int, q: int) -> int:
-    return (q ** (n + 1) - 1) // (q - 1)
-
-
-def gaussian_binomial(m: int, k: int, q: int) -> int:
-    num = prod(q ** (m - i) - 1 for i in range(k))
-    den = prod(q ** (i + 1) - 1 for i in range(k))
-    return num // den
-
-
-def chamber_count(n: int, q: int) -> int:
-    return prod((q**k - 1) // (q - 1) for k in range(2, n + 2))
-
-
-def apartment_count(n: int, q: int) -> int:
-    frames = prod((q ** (n + 1) - q**i) // (q - 1) for i in range(n + 1))
-    return frames // factorial(n + 1)
 
 
 # ------------------------------------------------------------------ helpers

@@ -15,6 +15,11 @@ list of field codes.  ``pairs`` is sorted by source chamber, covers every
 source chamber exactly once, and round-trips byte-identically through
 ``dump_map``/``load_map``.
 
+``dump_map`` writes exactly the bytes of
+``json.dumps(encode_map(f), indent=2) + "\n"`` without building that
+document: json renders the header and each distinct subspace once, and the
+pairs are joined from those fragments and written one pair at a time.
+
 All validation problems raise :class:`FormatError` with a message naming
 the offending entry.
 """
@@ -25,8 +30,9 @@ import json
 from functools import lru_cache
 from pathlib import Path
 
-from .buildings import Chamber, chambers_of, check_chamber
+from .buildings import Chamber, check_chamber
 from .chamber_maps import ChamberMap
+from .counts import chamber_count
 from .gf import SUPPORTED_ORDERS, Subspace
 from .projective import Geometry, ProjSpace
 
@@ -126,9 +132,10 @@ def _decode_space(entry, label: str) -> ProjSpace:
     if not isinstance(entry, dict) or "n" not in entry or "q" not in entry:
         raise FormatError(f"{label} must be an object with 'n' and 'q'")
     n, q = entry["n"], entry["q"]
-    if not isinstance(n, int) or n < 2:
+    # type(x) is int: JSON 2.0 and true compare equal to ints but are not ints
+    if type(n) is not int or n < 2:
         raise FormatError(f"{label} dimension must be an integer >= 2, got {n!r}")
-    if q not in SUPPORTED_ORDERS:
+    if type(q) is not int or q not in SUPPORTED_ORDERS:
         raise FormatError(
             f"{label} order {q!r} unsupported; supported: "
             + ", ".join(map(str, SUPPORTED_ORDERS))
@@ -136,14 +143,28 @@ def _decode_space(entry, label: str) -> ProjSpace:
     return ProjSpace.of(n, q)
 
 
-def encode_map(f: ChamberMap, dual: bool = False) -> dict:
-    pairs = sorted(f.table.items(), key=lambda kv: kv[0].sort_key())
+def _header(f: ChamberMap, dual: bool) -> dict:
     return {
         "schema": SCHEMA,
         "source": _space_entry(f.source),
         "target": _space_entry(f.target, dual=dual),
-        "pairs": [[encode_chamber(a), encode_chamber(b)] for a, b in pairs],
     }
+
+
+def _sorted_pairs(f: ChamberMap) -> list:
+    return sorted(f.table.items(), key=lambda kv: kv[0].sort_key())
+
+
+def encode_map(f: ChamberMap, dual: bool = False) -> dict:
+    return {
+        **_header(f, dual),
+        "pairs": [[encode_chamber(a), encode_chamber(b)] for a, b in _sorted_pairs(f)],
+    }
+
+
+# PG(n, q) has more than 2**n chambers, so no file lists them all beyond this
+# dimension; it is refused before chamber_count multiplies n large factors.
+_MAX_FILE_DIMENSION = 64
 
 
 def decode_map(data) -> ChamberMap:
@@ -160,6 +181,16 @@ def decode_map(data) -> ChamberMap:
     pairs = data.get("pairs")
     if not isinstance(pairs, list):
         raise FormatError("'pairs' must be a list")
+    if source.n > _MAX_FILE_DIMENSION:
+        raise FormatError(
+            f"{source!r} has over 2**{_MAX_FILE_DIMENSION} chambers; "
+            f"{len(pairs)} pairs cannot cover them"
+        )
+    # Pairs with distinct, valid source chambers number at most the chamber
+    # count, so at least that many of them make the file complete.
+    short = chamber_count(source.n, source.q) - len(pairs)
+    if short > 0:
+        raise FormatError(f"{short} source chambers are missing a pair")
     table = {}
     for entry in pairs:
         if not isinstance(entry, list) or len(entry) != 2:
@@ -168,15 +199,37 @@ def decode_map(data) -> ChamberMap:
         if key in table:
             raise FormatError(f"duplicate source chamber {key!r}")
         table[key] = decode_chamber(target, entry[1])
-    missing = set(chambers_of(source)) - table.keys()
-    if missing:
-        raise FormatError(f"{len(missing)} source chambers are missing a pair")
     return ChamberMap(source, target, table)
 
 
+# A subspace sits at depth 4 of the file: file > pairs > pair > chamber.
+_PART_INDENT = "\n" + " " * 8
+
+
 def dump_map(f: ChamberMap, path, dual: bool = False) -> None:
-    text = json.dumps(encode_map(f, dual=dual), indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    head = json.dumps({**_header(f, dual), "pairs": []}, indent=2)
+    fragments = {}
+
+    def chamber(c: Chamber) -> str:
+        parts = []
+        for mask in c.masks:
+            key = (c.geometry, mask)
+            text = fragments.get(key)
+            if text is None:
+                rows = c.geometry.rows(mask)
+                text = fragments[key] = json.dumps(rows, indent=2).replace(
+                    "\n", _PART_INDENT
+                )
+            parts.append(text)
+        return "[" + _PART_INDENT + ("," + _PART_INDENT).join(parts) + "\n      ]"
+
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(head[: -len("]\n}")])  # ... "pairs": [
+        sep = "\n    "
+        for a, b in _sorted_pairs(f):
+            out.write(f"{sep}[\n      {chamber(a)},\n      {chamber(b)}\n    ]")
+            sep = ",\n    "
+        out.write("\n  ]\n}\n")
 
 
 def load_map(path) -> ChamberMap:
@@ -186,4 +239,6 @@ def load_map(path) -> ChamberMap:
         raise FormatError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nested too deeply") from exc
     return decode_map(data)

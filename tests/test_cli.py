@@ -252,11 +252,11 @@ def test_map_analyze_rejects_k_below_one(capsys, tmp_path, k):
     assert "--k must be at least 1" in err
 
 
-def _bft_subprocess(*argv):
+def _bft_subprocess(*argv, timeout=120):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bft.__file__)))
     return subprocess.run(
         [sys.executable, "-m", "bft.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -287,6 +287,32 @@ def test_map_analyze_non_utf8_file_exits_2(tmp_path):
     assert done.returncode == 2 and done.stdout == ""
     assert "Traceback" not in done.stderr
     assert "malformed chamber-map file" in done.stderr
+
+
+@pytest.mark.parametrize("n, q", [(30, 2), (6, 9)])
+def test_map_analyze_short_file_of_a_large_space_exits_2(tmp_path, n, q):
+    """The pair count is checked before any chamber of the space is built."""
+    path = tmp_path / "empty.json"
+    space = {"n": n, "q": q}
+    path.write_text(json.dumps(
+        {"schema": "chamber-map/1", "source": space, "target": space, "pairs": []}
+    ))
+    done = _bft_subprocess("map", "analyze", str(path), timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "source chambers are missing a pair" in done.stderr
+
+
+def test_map_analyze_float_order_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "map.json"
+    run(capsys, "map", "induce", "--n", "2", "--q", "2", "--matrix", IDENTITY,
+        "--out", str(out_path))
+    data = json.loads(out_path.read_text())
+    data["source"]["q"] = 2.0
+    out_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "map", "analyze", str(out_path))
+    assert code == 2 and out == ""
+    assert "malformed chamber-map file" in err and "order 2.0 unsupported" in err
 
 
 def test_map_analyze_runs_each_stage_once(capsys, tmp_path, monkeypatch):

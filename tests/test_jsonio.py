@@ -1,11 +1,19 @@
 """Chamber-map files: encoding, validation, byte-stable round trips."""
 
+import contextlib
+import io
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from bft.buildings import chambers_of
-from bft.chamber_maps import induce
+from bft.chamber_maps import ChamberMap, induce
+from bft.cli import main
 from bft.jsonio import (
     SCHEMA,
     FormatError,
@@ -96,6 +104,18 @@ def test_decode_map_validation():
         decode_map({**data, "source": {"n": 2, "q": 6}})
     with pytest.raises(FormatError, match="dimensions differ"):
         decode_map({**data, "target": {"n": 3, "q": 2, "dual": False}})
+    # 2.0 == 2 and true == 1, but only a JSON integer names a dimension or order
+    for bad in ({"n": 2, "q": 2.0}, {"n": 2.0, "q": 2}, {"n": 2, "q": True},
+                {"n": True, "q": 2}):
+        with pytest.raises(FormatError, match="source"):
+            decode_map({**data, "source": bad})
+        with pytest.raises(FormatError, match="target"):
+            decode_map({**data, "target": {**bad, "dual": False}})
+    # a short file is refused by its pair count, before any chamber is read
+    for n, q in ((30, 2), (6, 9), (10**9, 2)):
+        space = {"n": n, "q": q}
+        with pytest.raises(FormatError, match="source chambers|cannot cover"):
+            decode_map({**data, "source": space, "target": space})
 
 
 def test_dump_load_byte_stable(tmp_path):
@@ -114,3 +134,104 @@ def test_load_rejects_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(FormatError):
         load_map(p)
+
+
+def test_load_rejects_deep_nesting(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(FormatError, match="nested too deeply"):
+        load_map(p)
+
+
+# ------------------------------------------------------------ writer oracle
+
+
+def _semilinear(n, q, target_q, seed):
+    """A seeded semilinear map PG(n, q) -> PG(n, target_q)."""
+    source, target = ProjSpace.of(n, q), ProjSpace.of(n, target_q)
+    rng = random.Random(seed)
+    while True:
+        matrix = [[rng.randrange(q) for _ in range(n + 1)] for _ in range(n + 1)]
+        try:
+            return Semilinear.of(source, target, matrix)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize(
+    "n, q, target_q, dual",
+    [(2, 2, 2, False), (3, 2, 2, True), (2, 3, 9, False), (2, 4, 4, True),
+     (3, 3, 3, True)],
+    ids=["PG22", "PG32-dual", "PG23-to-PG29", "PG24-dual", "PG33-dual"],
+)
+def test_dump_map_matches_json_oracle(tmp_path, n, q, target_q, dual):
+    f = induce(_semilinear(n, q, target_q, seed=n * q), dual=dual)
+    path = tmp_path / "map.json"
+    dump_map(f, path, dual=dual)
+    expected = json.dumps(encode_map(f, dual=dual), indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+# ----------------------------------------------------------------- fuzzing
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False)
+    | st.integers(-(2**70), 2**70) | st.sampled_from([2, 3, 4, 9, 30, 10**9])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "q", "dual", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+VALID = encode_map(identity_map())
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid PG(2,2) map file with one subtree replaced by random JSON,
+    with pairs dropped or duplicated, or with two images swapped."""
+    data = json.loads(json.dumps(VALID))
+    kind = draw(st.sampled_from(["replace", "drop", "duplicate", "swap"]))
+    pairs = data["pairs"]
+    index = st.integers(0, len(pairs) - 1)
+    if kind == "drop":
+        del pairs[draw(index)]
+    elif kind == "duplicate":
+        pairs.append(pairs[draw(index)])
+    elif kind == "swap":
+        a, b = pairs[draw(index)], pairs[draw(index)]
+        a[1], b[1] = b[1], a[1]
+    else:
+        parent, key = None, None
+        node = data
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 5)):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(list(keys)))
+            node = parent[key]
+        value = draw(JSON_VALUES)
+        if parent is None:
+            data = value
+        else:
+            parent[key] = value
+    return json.dumps(data)
+
+
+@settings(max_examples=100, deadline=2000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_files())
+@example('{"schema": "chamber-map/1", "source": {"n": 30, "q": 2}, '
+         '"target": {"n": 30, "q": 2}, "pairs": []}')
+@example(json.dumps({**VALID, "source": {"n": 2, "q": 2.0}}))
+@example("[" * 100000 + "]" * 100000)
+def test_load_map_and_analyze_survive_mutated_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            assert isinstance(load_map(path), ChamberMap)
+        except FormatError:
+            pass
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["map", "analyze", str(path)])
+    assert code in (0, 1, 2)
