@@ -278,7 +278,9 @@ def trace_of(chambers) -> frozenset[Subspace]:
     return frozenset(part for c in chambers for part in c.parts)
 
 
-def _check_base_cap(space: ProjSpace, force: bool):
+def check_base_cap(space: ProjSpace, force: bool = False) -> None:
+    """Raise :class:`ScaleError` unless every base of ``space`` may be
+    enumerated."""
     max_n, max_q = BASE_ENUM_CAP
     if not force and (space.n > max_n or space.q > max_q):
         raise ScaleError(
@@ -295,7 +297,7 @@ def iter_bases(space: ProjSpace, force: bool = False):
     dependent prefix, so it yields the independent (n+1)-subsets in the
     lexicographic order of ``itertools.combinations``.
     """
-    _check_base_cap(space, force)
+    check_base_cap(space, force)
     geo = Geometry.of(space)
     last = space.ambient - 1
 

@@ -21,9 +21,12 @@ The analysis direction asks: given only the table, was it induced?
   (direct) or an (n-1)-component (dual).  It also rebuilds the hyperplane
   map ``h``, checks ``h`` is determined by ``g``, checks incidence, and
   checks the whole table is componentwise induced by ``g``.
-* ``analyze`` runs the whole procedure once: the apartment check, the
-  reconstruction, the strong-embedding check of the point map, and one of
-  five labels.  ``classify`` returns just the label.
+* ``analyze`` runs the whole procedure once.  It reconstructs the point
+  map and checks that it is a strong embedding; when both pass, every
+  apartment is preserved by the converse of the main theorem, so the
+  apartment verdict is certified without a sweep.  Only when either fails
+  does it sweep apartments, to find a witness base.  ``classify`` returns
+  just the label.
 
 Failures carry witnesses (a base whose apartment breaks, or a pair of flags
 whose images disagree) rather than a bare boolean.
@@ -43,6 +46,7 @@ from .buildings import (
     all_bases,
     apartment_of,
     chambers_of,
+    check_base_cap,
     check_chamber,
     iter_bases,
 )
@@ -53,6 +57,7 @@ from .combinatorics import (
     copoint_family,
     point_family,
 )
+from .counts import apartment_count
 from .gf import Subspace
 from .projective import (
     Base,
@@ -91,6 +96,7 @@ LABELS = (
     "strong-embedding-direct",
     "strong-embedding-dual",
     "not-apartment-preserving",
+    "apartment-preserving-not-induced",
 )
 
 
@@ -193,11 +199,16 @@ def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
 
 @dataclass(frozen=True)
 class ApartmentCheck:
+    """The apartment verdict.  ``certified`` records that it was proved by
+    reconstruction rather than swept; it is provenance, so it takes no part
+    in equality."""
+
     ok: bool
     mode: str
     checked: int
     witness_base: Optional[Base] = None
     witness_image: Optional[frozenset] = None
+    certified: bool = field(default=False, compare=False)
 
 
 def _image_apartment(f: ChamberMap, ap: Apartment):
@@ -232,6 +243,17 @@ def _random_base(space: ProjSpace, rng: random.Random) -> Base:
             return geo.base(chosen)
 
 
+def _check_mode(space: ProjSpace, mode: str, k: int) -> None:
+    """Refuse a sweep that could not run: an unknown mode, ``k < 1``, or an
+    exhaustive sweep beyond the base cap (:class:`ScaleError`)."""
+    if mode == "exhaustive":
+        check_base_cap(space)
+    elif mode != "sample":
+        raise ValueError(f"unknown mode {mode!r}")
+    elif k < 1:
+        raise ValueError(f"sample mode needs k >= 1, got {k}")
+
+
 def preserves_apartments(
     f: ChamberMap,
     mode: str = "exhaustive",
@@ -245,15 +267,12 @@ def preserves_apartments(
     The first failing base is returned as a witness together with the
     offending image chamber set.
     """
+    _check_mode(f.source, mode, k)
     if mode == "exhaustive":
         bases = all_bases(f.source)
-    elif mode == "sample":
-        if k < 1:
-            raise ValueError(f"sample mode needs k >= 1, got {k}")
+    else:
         rng = random.Random(seed)
         bases = [_random_base(f.source, rng) for _ in range(k)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     for checked, base in enumerate(bases, start=1):
         candidate, image_set = _image_apartment(f, apartment_of(base))
         if candidate is None:
@@ -588,17 +607,27 @@ def analyze(
 ) -> Analysis:
     """Decide once where a chamber map comes from.
 
-    Apartment preservation is checked first (exhaustively when the source is
-    at most PG(3, 3), by ``k`` seeded samples otherwise); failures stop at
-    ``"not-apartment-preserving"``.  Otherwise the point map is
-    reconstructed and checked to be a strong embedding, and surjectivity
-    decides collineation versus strong embedding.
+    The point map is reconstructed and checked to be a strong embedding;
+    surjectivity then decides collineation versus strong embedding.  Both
+    passing certifies that every apartment is preserved, by the converse of
+    the main theorem: a chamber of the apartment A(B) is the chain of prefix
+    spans of an ordering of B, and as f is componentwise induced by the
+    strong embedding g (which spans g(S) from g of any base of S, see
+    :func:`verify_strong_embedding`), its image is the chain of prefix spans
+    of the same ordering of g(B).  These images are distinct, so they are
+    all (n+1)! chambers of A(g(B)).  The dual case is the same with
+    annihilators.
+
+    Only when the certificate fails are apartments swept (exhaustively when
+    the source is at most PG(3, 3), by ``k`` seeded samples otherwise), to
+    find a witness base for ``"not-apartment-preserving"``.  An exhaustive
+    sweep that finds none contradicts the theorem and is labelled
+    ``"apartment-preserving-not-induced"``; a passing sample proves nothing,
+    so sample mode keeps ``"not-apartment-preserving"``.
     """
     if mode is None:
         mode = "exhaustive" if f.source.n <= 3 and f.source.q <= 3 else "sample"
-    check = preserves_apartments(f, mode=mode, k=k, seed=seed)
-    if not check.ok:
-        return Analysis(check, "not-apartment-preserving")
+    _check_mode(f.source, mode, k)
     try:
         decomposition = reconstruct(f)
         if decomposition.kind == "direct":
@@ -614,7 +643,15 @@ def analyze(
                 witness=verdict.failures,
             )
     except AnalysisError as exc:
+        check = preserves_apartments(f, mode=mode, k=k, seed=seed)
+        if not check.ok:
+            return Analysis(check, "not-apartment-preserving")
+        if mode == "exhaustive":
+            return Analysis(check, "apartment-preserving-not-induced", error=exc)
         return Analysis(check, "not-apartment-preserving", error=exc)
+    check = ApartmentCheck(
+        True, mode, apartment_count(f.source.n, f.source.q), certified=True
+    )
     surjective = len(set(point_map.values())) == len(points_of(f.target))
     head = "collineation" if surjective else "strong-embedding"
     return Analysis(check, f"{head}-{decomposition.kind}", decomposition, point_map)

@@ -6,8 +6,13 @@ Commands::
     bft apartment --n 2 --q 2 [--base "0,0,1;0,1,0;1,0,0"]
     bft lemmas --n 3 --q 2 [--all | --case K] [--force]
     bft map induce --n 2 --q 2 --matrix "1,0,0;0,1,0;0,0,1" [--target-q Q]
-                   [--dual] --out FILE
+                   [--dual] [--force] --out FILE
     bft map analyze FILE [--mode exhaustive|sample] [--k K] [--seed S]
+
+``map analyze`` certifies its verdict by reconstructing the point map and
+checking it is a strong embedding; only a map that fails that is swept
+apartment by apartment (all of them, or ``--k`` seeded samples), to find a
+witness base.
 
 Exit codes are stable across commands: 0 when every check passes, 1 when a
 mathematical check fails (the first witness is printed to stderr), 2 for
@@ -54,7 +59,7 @@ from .projective import Base, MapError, ProjSpace, Semilinear, standard_base
 
 __all__ = ["main", "RunReport", "CheckRow"]
 
-RANK_CAP = 5  # single-apartment sweeps beyond this need --force
+RANK_CAP = 5  # dimensions beyond this need --force
 
 
 # ------------------------------------------------------------- run reports
@@ -130,7 +135,7 @@ def _fail(message: str) -> None:
 # ------------------------------------------------------------------ helpers
 
 
-def _check_space_args(n: int, q: int) -> str | None:
+def _check_space_args(n: int, q: int, force: bool = True) -> str | None:
     if n < 2:
         return f"projective dimension must be at least 2, got {n}"
     if q not in SUPPORTED_ORDERS:
@@ -138,6 +143,8 @@ def _check_space_args(n: int, q: int) -> str | None:
             f"unsupported field order {q}; supported: "
             + ", ".join(map(str, SUPPORTED_ORDERS))
         )
+    if n > RANK_CAP and not force:
+        return f"dimension {n} exceeds the cap {RANK_CAP}; use --force"
     return None
 
 
@@ -173,12 +180,9 @@ def cmd_space(args) -> int:
 
 
 def cmd_apartment(args) -> int:
-    problem = _check_space_args(args.n, args.q)
+    problem = _check_space_args(args.n, args.q, args.force)
     if problem:
         _fail(problem)
-        return 2
-    if args.n > RANK_CAP and not args.force:
-        _fail(f"dimension {args.n} exceeds the cap {RANK_CAP}; use --force")
         return 2
     space = ProjSpace.of(args.n, args.q)
     try:
@@ -312,12 +316,9 @@ def _structural_rows(ap, n, q):
 
 
 def cmd_lemmas(args) -> int:
-    problem = _check_space_args(args.n, args.q)
+    problem = _check_space_args(args.n, args.q, args.force)
     if problem:
         _fail(problem)
-        return 2
-    if args.n > RANK_CAP and not args.force:
-        _fail(f"dimension {args.n} exceeds the cap {RANK_CAP}; use --force")
         return 2
     n, q = args.n, args.q
     ap = apartment_of(standard_base(ProjSpace.of(n, q)))
@@ -341,7 +342,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_map_induce(args) -> int:
-    problem = _check_space_args(args.n, args.q)
+    problem = _check_space_args(args.n, args.q, args.force)
     if problem:
         _fail(problem)
         return 2
@@ -426,13 +427,13 @@ def cmd_map_analyze(args) -> int:
         },
         seed=args.seed,
     )
-    report.add(
-        "apartments-preserved",
-        True,
-        check.ok,
-        check.ok,
-        f"{check.checked} apartments checked ({check.mode})",
-    )
+    if check.certified:
+        note = f"{check.checked} apartments preserved " + (
+            "(certified: induced by a strong embedding)"
+        )
+    else:
+        note = f"{check.checked} apartments checked ({check.mode})"
+    report.add("apartments-preserved", True, check.ok, check.ok, note)
     decomposition = result.decomposition
     if decomposition is not None:
         direct = decomposition.kind == "direct"
@@ -452,12 +453,7 @@ def cmd_map_analyze(args) -> int:
                 key=lambda kv: kv[0].points,
             )
         ]
-    report.add(
-        "classification",
-        "induced",
-        result.label,
-        result.label != "not-apartment-preserving",
-    )
+    report.add("classification", "induced", result.label, decomposition is not None)
     _emit(report, args.format)
     if result.error is not None:
         _fail(f"reconstruction failed: {result.error}")
@@ -526,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--matrix", required=True)
     pi.add_argument("--dual", action="store_true")
     pi.add_argument("--out", required=True)
+    pi.add_argument("--force", action="store_true")
     pi.set_defaults(func=cmd_map_induce)
 
     pa = map_sub.add_parser("analyze", help="classify a chamber-map file")

@@ -4,15 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bft.buildings import all_bases, apartment_of, chambers_of
 from bft.chamber_maps import (
+    AnalysisError,
     ApartmentCheck,
     ChamberMap,
     DecompositionError,
     ReconstructionError,
     analyze,
     classify,
+    dual_point,
     induce,
     main_lemma_decompose,
     preserves_apartments,
@@ -38,6 +41,7 @@ PG23 = ProjSpace.of(2, 3)
 PG32 = ProjSpace.of(3, 2)
 PG24 = ProjSpace.of(2, 4)
 PG34 = ProjSpace.of(3, 4)
+PG29 = ProjSpace.of(2, 9)
 
 
 def identity_semi(space):
@@ -357,3 +361,118 @@ def test_restriction_to_point_stars_respects_residue_apartments():
                 c for c in apartment_of(image_base).chambers if c.point == image_point
             }
             assert got == expected
+
+
+# ----------------------------------------- certified verdict vs sweep first
+
+
+def sweep_first(f):
+    """The oracle: sweep every apartment, and only if all are preserved
+    reconstruct the point map and check it is a strong embedding."""
+    check = preserves_apartments(f, "exhaustive")
+    if not check.ok:
+        return check, "not-apartment-preserving"
+    try:
+        d = reconstruct(f)
+    except AnalysisError:
+        return check, "not-apartment-preserving"
+    point_map = d.g
+    if d.kind == "dual":
+        point_map = {p: dual_point(f.target, hyp) for p, hyp in d.g.items()}
+    if not verify_strong_embedding(f.source, f.target, point_map).ok:
+        return check, "not-apartment-preserving"
+    onto = len(set(point_map.values())) == len(points_of(f.target))
+    return check, f"{'collineation' if onto else 'strong-embedding'}-{d.kind}"
+
+
+def perturbed(f, kind, rng):
+    """``f`` with images moved: all shuffled, two swapped, two chambers on
+    one point and one hyperplane swapped, or one image replaced."""
+    chambers = chambers_of(f.source)
+    table = dict(f.table)
+    if kind == "shuffle":
+        images = [table[c] for c in chambers]
+        rng.shuffle(images)
+        table = dict(zip(chambers, images))
+    elif kind == "replace":
+        table[rng.choice(chambers)] = rng.choice(chambers_of(f.target))
+    else:
+        a = rng.choice(chambers)
+        same_flag_ends = kind == "swap-same-ends"
+        b = rng.choice([
+            c for c in chambers
+            if c != a
+            and (c.point == a.point and c.hyperplane == a.hyperplane) == same_flag_ends
+        ])
+        table[a], table[b] = table[b], table[a]
+    return ChamberMap(f.source, f.target, table)
+
+
+def assert_matches_sweep_first(f):
+    result = analyze(f, mode="exhaustive")
+    check, label = sweep_first(f)
+    assert result.label == label
+    # ok, mode, checked, and on negatives the witness base and image
+    assert result.check == check
+    assert result.check.certified == (result.decomposition is not None)
+
+
+DIFFERENTIAL_SPACES = [
+    (PG22, PG22, False), (PG22, PG22, True),
+    (PG23, PG23, False), (PG23, PG23, True),
+    (PG32, PG32, False), (PG32, PG32, True),
+    (PG22, PG24, False), (PG23, PG29, False),
+]
+
+
+@pytest.mark.parametrize(
+    "source,target,dual", DIFFERENTIAL_SPACES,
+    ids=[f"PG{s.n}{s.q}-PG{t.n}{t.q}{'-dual' * d}" for s, t, d in DIFFERENTIAL_SPACES],
+)
+def test_certified_verdict_matches_sweep_first(source, target, dual):
+    rng = random.Random(source.n * 100 + source.q * 10 + target.q + dual)
+    matrix = random_invertible(source.gf, source.ambient, rng)
+    f = induce(Semilinear.of(source, target, matrix), dual=dual)
+    kinds = ["shuffle", "swap"] + ["swap-same-ends"] * (source.n > 2)
+    for g in [f] + [perturbed(f, kind, rng) for kind in kinds]:
+        assert_matches_sweep_first(g)
+
+
+def test_swap_on_one_point_and_hyperplane_is_caught_by_the_table_check():
+    """Two chambers that share their point and their hyperplane, outside the
+    five apartments ``reconstruct`` decomposes: the stars agree, so only the
+    componentwise check of every chamber rejects the map, and the sweep
+    still finds its witness."""
+    f = identity_map(PG32)
+    decomposed = set().union(
+        *(apartment_of(b).chamber_set for b in all_bases(PG32)[:5])
+    )
+    free = [c for c in chambers_of(PG32) if c not in decomposed]
+    a, b = next(
+        (a, b) for a, b in itertools.combinations(free, 2)
+        if a.point == b.point and a.hyperplane == b.hyperplane
+    )
+    table = dict(f.table)
+    table[a], table[b] = table[b], table[a]
+    g = ChamberMap(PG32, PG32, table)
+    result = analyze(g, mode="exhaustive")
+    assert result.label == "not-apartment-preserving" and result.error is None
+    assert not result.check.certified and result.check.checked > 5
+    assert result.check == preserves_apartments(g)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    space=st.sampled_from([PG22, PG23]),
+    dual=st.booleans(),
+    kind=st.sampled_from([None, "shuffle", "swap", "replace"]),
+    seed=st.integers(0, 2**16),
+)
+def test_certified_verdict_matches_sweep_first_under_perturbation(
+    space, dual, kind, seed
+):
+    rng = random.Random(seed)
+    matrix = random_invertible(space.gf, space.ambient, rng)
+    f = induce(Semilinear.of(space, space, matrix), dual=dual)
+    assert_matches_sweep_first(f if kind is None else perturbed(f, kind, rng))

@@ -315,13 +315,102 @@ def test_map_analyze_float_order_exits_2(capsys, tmp_path):
     assert "malformed chamber-map file" in err and "order 2.0 unsupported" in err
 
 
+@pytest.mark.parametrize("mode, label", [
+    ("exhaustive", "apartment-preserving-not-induced"),
+    ("sample", "not-apartment-preserving"),
+])
+def test_map_analyze_labels_a_preserving_map_that_fails_reconstruction(
+    capsys, tmp_path, monkeypatch, mode, label
+):
+    """A full sweep that passes while reconstruction fails contradicts the
+    theorem, and is never reported as a pass; a passing sample proves
+    nothing, so it keeps the negative label."""
+    from bft import chamber_maps
+
+    out_path = str(tmp_path / "map.json")
+    run(capsys, "map", "induce", "--n", "2", "--q", "2", "--matrix", IDENTITY,
+        "--out", out_path)
+
+    def refuse(f):
+        raise chamber_maps.ReconstructionError("refused")
+
+    monkeypatch.setattr(chamber_maps, "reconstruct", refuse)
+    code, report, err = run_json(capsys, "map", "analyze", out_path, "--mode", mode)
+    assert code == 1 and not report["passed"]
+    rows = {r["name"]: r for r in report["checks"]}
+    assert rows["apartments-preserved"]["pass"]
+    assert rows["apartments-preserved"]["note"] == (
+        f"{28 if mode == 'exhaustive' else 50} apartments checked ({mode})"
+    )
+    assert rows["classification"] == {
+        "name": "classification", "expected": "induced", "actual": label, "pass": False,
+    }
+    assert "reconstruction failed: refused" in err
+
+
+def test_map_analyze_certified_note(capsys, tmp_path):
+    out_path = str(tmp_path / "map.json")
+    run(capsys, "map", "induce", "--n", "2", "--q", "3", "--matrix", IDENTITY,
+        "--out", out_path)
+    for argv in ([], ["--mode", "sample", "--k", "3"]):
+        code, report, _ = run_json(capsys, "map", "analyze", out_path, *argv)
+        assert code == 0
+        row = report["checks"][0]
+        assert row["name"] == "apartments-preserved" and row["pass"]
+        assert row["note"] == (
+            "234 apartments preserved (certified: induced by a strong embedding)"
+        )
+        assert report["params"]["mode"] == ("sample" if argv else "exhaustive")
+
+
+def test_map_induce_over_rank_cap_exits_2(tmp_path):
+    identity = ";".join(
+        ",".join("1" if r == c else "0" for c in range(31)) for r in range(31)
+    )
+    done = _bft_subprocess("map", "induce", "--n", "30", "--q", "2",
+                           "--matrix", identity, "--out", str(tmp_path / "x.json"),
+                           timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "dimension 30 exceeds the cap 5; use --force" in done.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_map_induce_accepts_force_in_cap(capsys, tmp_path):
+    out_path = str(tmp_path / "map.json")
+    code, report, _ = run_json(capsys, "map", "induce", "--n", "2", "--q", "2",
+                               "--matrix", IDENTITY, "--force", "--out", out_path)
+    assert code == 0 and report["checks"][0]["actual"] == 21
+
+
+def test_map_analyze_truncated_files_exit_2(tmp_path):
+    """Any prefix of a valid file is malformed: exit 2, never a traceback."""
+    full = tmp_path / "map.json"
+    made = _bft_subprocess("map", "induce", "--n", "2", "--q", "2",
+                           "--matrix", IDENTITY, "--out", str(full))
+    assert made.returncode == 0
+    data = full.read_bytes()
+    for cut in (0, 1, 10, 40, 100, len(data) // 2, len(data) - 20, len(data) - 2):
+        path = tmp_path / f"cut{cut}.json"
+        path.write_bytes(data[:cut])
+        done = _bft_subprocess("map", "analyze", str(path))
+        assert done.returncode == 2 and done.stdout == "", cut
+        assert "Traceback" not in done.stderr, cut
+        assert "malformed chamber-map file" in done.stderr, cut
+
+
 def test_map_analyze_runs_each_stage_once(capsys, tmp_path, monkeypatch):
-    """The apartment sweep and the reconstruction run once per analysis."""
+    """Reconstruction runs once per analysis; the apartment sweep runs only
+    when the certificate fails, and then once."""
     from bft import buildings, chamber_maps
 
     out_path = str(tmp_path / "pg32.json")
     run(capsys, "map", "induce", "--n", "3", "--q", "2",
         "--matrix", "1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1", "--out", out_path)
+    data = json.load(open(out_path))
+    data["pairs"][0][1], data["pairs"][1][1] = data["pairs"][1][1], data["pairs"][0][1]
+    swapped_path = tmp_path / "swapped.json"
+    swapped_path.write_text(json.dumps(data))
     calls = {}
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bft"]
     for owner, name in [
@@ -330,7 +419,6 @@ def test_map_analyze_runs_each_stage_once(capsys, tmp_path, monkeypatch):
         (buildings, "all_bases"),
     ]:
         original = getattr(owner, name)
-        calls[name] = 0
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
@@ -340,12 +428,18 @@ def test_map_analyze_runs_each_stage_once(capsys, tmp_path, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+
+    calls.update(preserves_apartments=0, reconstruct=0, all_bases=0)
     code, report, _ = run_json(capsys, "map", "analyze", out_path)
     assert code == 0
     assert report["checks"][-1]["actual"] == "collineation-direct"
-    assert calls["preserves_apartments"] == 1
-    assert calls["reconstruct"] == 1
-    assert calls["all_bases"] <= 1
+    assert calls == {"preserves_apartments": 0, "reconstruct": 1, "all_bases": 0}
+
+    calls.update(preserves_apartments=0, reconstruct=0, all_bases=0)
+    code, report, _ = run_json(capsys, "map", "analyze", str(swapped_path))
+    assert code == 1
+    assert report["checks"][-1]["actual"] == "not-apartment-preserving"
+    assert calls["preserves_apartments"] == 1 and calls["reconstruct"] == 1
 
 
 def test_reports_are_byte_identical(capsys, tmp_path):

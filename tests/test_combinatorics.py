@@ -12,6 +12,7 @@ Independent oracles:
 
 import itertools
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -269,6 +270,32 @@ def test_enumerated_counts_case6_n4():
         if disposition(p1, p2) == 6
     }
     assert values == {30}  # 5!/4
+
+
+# complement_family(i, j) is the permutations with pos(i) < pos(j), so each
+# overlap is the share of orderings of the named indices that meet both:
+OVERLAP_SHARE = {
+    1: Fraction(0),  # (i, j), (j, i): pos(i) < pos(j) < pos(i) never holds
+    2: Fraction(1, 3),  # (i, j), (i, m): i first of {i, j, m}
+    3: Fraction(1, 3),  # (i, j), (k, j): j last of {i, j, k}
+    4: Fraction(1, 6),  # (i, j), (k, i): the one order k, i, j of three
+    5: Fraction(1, 6),  # (i, j), (j, m): the one order i, j, m of three
+    6: Fraction(1, 4),  # (i, j), (k, m): two independent halves
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_enumerated_overlaps_match_the_order_oracle(n):
+    """The overlap oracle: every enumerated count is (n+1)! times its share.
+    Case 6 has no instance at n = 2.  The recorded ``closed_form`` table is
+    left alone: its case 6 stays red in ``test_counting_sweep``."""
+    ap = apartment_of(standard_base(ProjSpace.of(n, 2)))
+    expected = {
+        case: {factorial(n + 1) * share}
+        for case, share in OVERLAP_SHARE.items()
+        if case < 6 or n > 2
+    }
+    assert _counts_by_case(ap, n) == expected
 
 
 def test_closed_form_table():
