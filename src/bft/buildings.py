@@ -199,7 +199,6 @@ class Apartment:
             Chamber(geo, [spans[s] for s in prefixes]) for _, prefixes in table
         )
         self.chamber_set = frozenset(self.chambers)
-        self._memo: dict = {}
 
     @cached_property
     def chamber_by_perm(self) -> dict:
@@ -233,34 +232,8 @@ class Apartment:
         except KeyError:
             raise ValueError("chamber does not belong to this apartment") from None
 
-    def positions(self):
-        """Aligned with ``perms``: tuple p with p[i] = position of base
-        point i in the ordering (0 first, n last)."""
-        if "pos" not in self._memo:
-            out = []
-            for perm in self.perms:
-                pos = [0] * len(perm)
-                for k, idx in enumerate(perm):
-                    pos[idx] = k
-                out.append(tuple(pos))
-            self._memo["pos"] = tuple(out)
-        return self._memo["pos"]
-
-    def prefix_sets(self):
-        """Aligned with ``perms``: the chamber's subspaces as index
-        sets, i.e. the n proper prefixes of the ordering."""
-        if "prefix" not in self._memo:
-            n = self.space.n
-            out = []
-            for perm in self.perms:
-                out.append(tuple(frozenset(perm[: k + 1]) for k in range(n)))
-            self._memo["prefix"] = tuple(out)
-        return self._memo["prefix"]
-
     def trace(self) -> frozenset[Subspace]:
-        if "trace" not in self._memo:
-            self._memo["trace"] = trace_of(self.chambers)
-        return self._memo["trace"]
+        return trace_of(self.chambers)
 
 
 # A bound, so an exhaustive sweep over tens of thousands of bases holds a

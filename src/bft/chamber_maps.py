@@ -43,7 +43,6 @@ from .buildings import (
     Apartment,
     Chamber,
     ScaleError,
-    all_bases,
     apartment_of,
     chambers_of,
     check_base_cap,
@@ -269,15 +268,16 @@ def preserves_apartments(
     """
     _check_mode(f.source, mode, k)
     if mode == "exhaustive":
-        bases = all_bases(f.source)
+        bases = iter_bases(f.source)
     else:
         rng = random.Random(seed)
         bases = [_random_base(f.source, rng) for _ in range(k)]
+    checked = 0
     for checked, base in enumerate(bases, start=1):
         candidate, image_set = _image_apartment(f, apartment_of(base))
         if candidate is None:
             return ApartmentCheck(False, mode, checked, base, image_set)
-    return ApartmentCheck(True, mode, len(bases), None, None)
+    return ApartmentCheck(True, mode, checked, None, None)
 
 
 def main_lemma_decompose(f: ChamberMap, base: Base):

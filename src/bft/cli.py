@@ -9,10 +9,11 @@ Commands::
                    [--dual] [--force] --out FILE
     bft map analyze FILE [--mode exhaustive|sample] [--k K] [--seed S]
 
-``map analyze`` certifies its verdict by reconstructing the point map and
-checking it is a strong embedding; only a map that fails that is swept
-apartment by apartment (all of them, or ``--k`` seeded samples), to find a
-witness base.
+The commands only parse, call the library and render: ``lemmas`` runs the
+battery of :mod:`bft.lemmas`.  ``map analyze`` certifies its verdict by
+reconstructing the point map and checking it is a strong embedding; only a
+map that fails that is swept apartment by apartment (all of them, or
+``--k`` seeded samples), to find a witness base.
 
 Exit codes are stable across commands: 0 when every check passes, 1 when a
 mathematical check fails (the first witness is printed to stderr), 2 for
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 import time
@@ -35,26 +35,10 @@ from math import factorial
 
 from .buildings import ScaleError, apartment_of
 from .chamber_maps import analyze, induce
-from .combinatorics import (
-    classify_adjacent_family,
-    closed_form,
-    complement_adjacent,
-    complement_chamber,
-    complement_family,
-    copoint_family,
-    disposition,
-    intersection_count,
-    is_exact,
-    is_exact_by_search,
-    max_inexact_family,
-    point_copoint_family,
-    point_family,
-    residual_family,
-    star_intersections,
-)
 from .counts import apartment_count, chamber_count, gaussian_binomial, point_count
 from .gf import SUPPORTED_ORDERS, FieldError
 from .jsonio import FormatError, dump_map, encode_chamber, load_map, parse_rows
+from .lemmas import CheckRow, case_row, structural_rows
 from .projective import Base, MapError, ProjSpace, Semilinear, standard_base
 
 __all__ = ["main", "RunReport", "CheckRow"]
@@ -63,15 +47,6 @@ RANK_CAP = 5  # dimensions beyond this need --force
 
 
 # ------------------------------------------------------------- run reports
-
-
-@dataclass
-class CheckRow:
-    name: str
-    expected: object
-    actual: object
-    passed: bool
-    note: str = ""
 
 
 @dataclass
@@ -204,131 +179,19 @@ def cmd_apartment(args) -> int:
     return 0 if report.passed() else 1
 
 
-def _case_row(ap, n, case):
-    """One battery row: enumerated overlap vs closed form for one case."""
-    pairs = [(i, j) for i in range(n + 1) for j in range(n + 1) if i != j]
-    found = {}
-    for p1, p2 in itertools.permutations(pairs, 2):
-        if disposition(p1, p2) != case:
-            continue
-        count = intersection_count(ap, p1, p2)
-        found.setdefault(count, (p1, p2))
-    if case == 6 and n == 2:
-        return CheckRow(
-            "case-6-overlap",
-            "undefined",
-            "unrealizable" if not found else sorted(found),
-            not found,
-            "no four distinct indices exist at n=2",
-        )
-    expected = closed_form(n, case)
-    values = sorted(found)
-    actual = values[0] if len(values) == 1 else values
-    passed = values == [expected]
-    note = ""
-    if not passed:
-        value, (p1, p2) = next(
-            (v, w) for v, w in sorted(found.items()) if v != expected
-        )
-        note = f"pairs {p1} and {p2} overlap in {value} chambers"
-    return CheckRow(f"case-{case}-overlap", expected, actual, passed, note)
-
-
-def _structural_rows(ap, n, q):
-    rows = []
-    pairs = [(i, j) for i in range(n + 1) for j in range(n + 1) if i != j]
-
-    ok = True
-    for i, j in pairs:
-        head = point_family(ap, i) | copoint_family(ap, j)
-        tail = residual_family(ap, i, j)
-        ok = ok and not (head & tail) and head | tail == complement_family(ap, i, j)
-    rows.append(CheckRow("complement-decomposition", True, ok, ok))
-
-    ok = all(
-        {complement_chamber(ap, c) for c in complement_family(ap, i, j)}
-        == complement_family(ap, j, i)
-        for i, j in pairs
-    )
-    rows.append(CheckRow("complement-involution", True, ok, ok))
-
-    if n == 2:
-        ok = all(not residual_family(ap, i, j) for i, j in pairs)
-        rows.append(CheckRow("residual-empty", True, ok, ok))
-    else:
-        ok = True
-        for i, j in pairs:
-            res = residual_family(ap, i, j)
-            rest = [t for t in range(n + 1) if t not in (i, j)]
-            for k in rest:
-                ok = ok and len(point_family(ap, k) & res) == (n - 2) * factorial(n - 1) // 2
-                ok = ok and len(copoint_family(ap, k) & res) == (n - 2) * factorial(n - 1) // 2
-            for k, m in itertools.permutations(rest, 2):
-                ok = ok and len(point_copoint_family(ap, m, k) & res) == factorial(n - 1) // 2
-        rows.append(CheckRow("residual-split", True, ok, ok))
-
-    ok = all(
-        star_intersections(ap, i) == (point_family(ap, i), copoint_family(ap, i))
-        for i in range(n + 1)
-    )
-    rows.append(CheckRow("star-intersections", True, ok, ok))
-
-    n1, n2, n4 = closed_form(n, 1), closed_form(n, 2), closed_form(n, 4)
-    bad = {n1, n4} | ({closed_form(n, 6)} if n >= 3 else set())
-    ok = n2 not in bad
-    rows.append(CheckRow("count-distinctness", True, ok, ok))
-
-    if n >= 5:
-        ok = (n2 - closed_form(n, 6)) * 12 == factorial(n - 1) * (n * n + n - 24)
-        rows.append(CheckRow("difference-identity", True, ok, ok))
-
-    if n <= 5:
-        classified = 0
-        for family in itertools.combinations(pairs, n):
-            if all(
-                complement_adjacent(a, b)
-                for a, b in itertools.combinations(family, 2)
-            ):
-                classify_adjacent_family(family)
-                classified += 1
-        rows.append(
-            CheckRow("adjacent-families", 2 * (n + 1), classified, classified == 2 * (n + 1))
-        )
-
-    if n == 2 and q <= 3:
-        inexact_sets = []
-        xs = {frozenset(max_inexact_family(ap, i, j)) for i, j in pairs}
-        ok = True
-        chambers = ap.chambers
-        for bits in range(2 ** len(chambers)):
-            subset = frozenset(c for t, c in enumerate(chambers) if bits >> t & 1)
-            exact = is_exact(ap, subset)
-            ok = ok and exact == is_exact_by_search(ap, subset)
-            ok = ok and exact == (not any(subset <= x for x in xs))
-            if not exact and all(
-                is_exact(ap, subset | {c}) for c in ap.chamber_set - subset
-            ):
-                inexact_sets.append(subset)
-        ok = ok and set(inexact_sets) == xs
-        rows.append(CheckRow("maximal-inexact-classification", True, ok, ok))
-
-    return rows
-
-
 def cmd_lemmas(args) -> int:
     problem = _check_space_args(args.n, args.q, args.force)
     if problem:
         _fail(problem)
         return 2
     n, q = args.n, args.q
-    ap = apartment_of(standard_base(ProjSpace.of(n, q)))
     cases = [args.case] if args.case else list(range(1, 7))
     report = RunReport(
         "lemmas", {"n": n, "q": q, "cases": cases, "all": args.case is None}
     )
-    report.checks.extend(_case_row(ap, n, c) for c in cases)
+    report.checks.extend(case_row(n, c) for c in cases)
     if args.case is None:
-        report.checks.extend(_structural_rows(ap, n, q))
+        report.checks.extend(structural_rows(n, q))
     _emit(report, args.format)
     failure = report.first_failure()
     if failure:

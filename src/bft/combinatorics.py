@@ -2,9 +2,11 @@
 
 Fix an apartment on a base p_0, ..., p_n.  Each of its chambers corresponds
 to a permutation ``perm`` of ``0..n`` (the order in which base points enter
-the flag), so every family below is really a set of permutations; the
-functions return the matching chambers.  Indices are 0-based positions into
-the base, so valid indices are ``range(n + 1)``.
+the flag), so every family below is really a set of permutations.  Each
+``*_bits(n, ...)`` enumerates one over all (n+1)! permutations, once per n
+and indices, as an int whose bit k is ``Apartment.perms[k]``; each
+``*_family(ap, ...)`` reads those bits off as chambers of ``ap``.  Indices
+are 0-based positions into the base, so valid indices are ``range(n + 1)``.
 
 Families, for distinct indices i, j:
 
@@ -21,8 +23,8 @@ Families, for distinct indices i, j:
 ``intersection_count`` measures overlaps of two complement families by
 enumeration; ``closed_form`` returns the predicted cardinality for each of
 the six relative dispositions of the two index pairs.  The two are compared
-by tests and by the ``lemmas`` CLI command; disagreements are reported, not
-patched over.
+by tests and by the lemma battery (:mod:`bft.lemmas`); disagreements are
+reported, not patched over.
 
 An *exact* subset of an apartment is one contained in no other apartment.
 ``is_exact_by_search`` decides this literally by searching all apartments;
@@ -33,10 +35,16 @@ intersection of the trace members through p_i must be the point p_i alone.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 
-from .buildings import Apartment, Chamber, apartments_containing
+from .buildings import (
+    APARTMENT_CACHE_SIZE,
+    Apartment,
+    Chamber,
+    _perm_prefixes,
+    apartments_containing,
+)
 from .projective import Geometry
 
 __all__ = [
@@ -69,90 +77,120 @@ class FamilyConsistencyError(RuntimeError):
     """A mutually adjacent family fits neither the row nor the column shape."""
 
 
-def _check_index(ap: Apartment, *indices):
-    n = ap.base.space.n
+def _check_index(n: int, *indices):
     for i in indices:
         if not 0 <= i <= n:
             raise ValueError(f"index {i} out of range 0..{n}")
 
 
-def _check_pair(ap: Apartment, i: int, j: int):
-    _check_index(ap, i, j)
+def _check_pair(n: int, i: int, j: int):
+    _check_index(n, i, j)
     if i == j:
         raise ValueError(f"indices must be distinct, got ({i}, {j})")
 
 
-def _select(ap: Apartment, keep) -> frozenset[Chamber]:
-    """Chambers of ``ap`` whose position vector satisfies ``keep``."""
-    return frozenset(
-        ap.chambers[k] for k, pos in enumerate(ap.positions()) if keep(pos)
-    )
+@lru_cache(maxsize=None)
+def _positions(n: int) -> tuple[tuple[int, ...], ...]:
+    """The position vector of each permutation: pos[i] is where i stands,
+    0 first and n last."""
+    perms = (perm for perm, _ in _perm_prefixes(n + 1))
+    return tuple(tuple(map(perm.index, range(n + 1))) for perm in perms)
+
+
+def _flags(kept) -> int:
+    """One truth value per permutation, in order, as a bitset."""
+    return int("".join(map("01".__getitem__, map(bool, kept)))[::-1], 2)
 
 
 @lru_cache(maxsize=None)
-def point_family(ap: Apartment, i: int) -> frozenset[Chamber]:
+def point_bits(n: int, i: int) -> int:
     """Chambers whose 0-component is the i-th base point.  Size n!."""
-    _check_index(ap, i)
-    return _select(ap, lambda pos: pos[i] == 0)
+    _check_index(n, i)
+    return _flags(pos[i] == 0 for pos in _positions(n))
 
 
 @lru_cache(maxsize=None)
-def copoint_family(ap: Apartment, i: int) -> frozenset[Chamber]:
-    """Chambers whose hyperplane does not contain the i-th base point.
-
-    Equivalently: chambers through the complementary hyperplane
-    span(base - {p_i}).  Size n!.
-    """
-    _check_index(ap, i)
-    n = ap.base.space.n
-    return _select(ap, lambda pos: pos[i] == n)
+def copoint_bits(n: int, i: int) -> int:
+    """Chambers whose hyperplane, span(base - {p_i}), omits p_i.  Size n!."""
+    _check_index(n, i)
+    return _flags(pos[i] == n for pos in _positions(n))
 
 
 @lru_cache(maxsize=None)
-def point_copoint_family(ap: Apartment, i: int, j: int) -> frozenset[Chamber]:
+def point_copoint_bits(n: int, i: int, j: int) -> int:
     """Chambers through p_i whose hyperplane omits p_j.
 
     Size (n-1)! when i != j; empty when i == j (a point cannot lie outside
     every hyperplane of its own chamber).
     """
-    _check_index(ap, i, j)
-    n = ap.base.space.n
-    return _select(ap, lambda pos: pos[i] == 0 and pos[j] == n)
+    _check_index(n, i, j)
+    return _flags(pos[i] == 0 and pos[j] == n for pos in _positions(n))
 
 
 @lru_cache(maxsize=None)
-def residual_family(ap: Apartment, i: int, j: int) -> frozenset[Chamber]:
+def residual_bits(n: int, i: int, j: int) -> int:
     """Chambers placing i and j strictly inside the permutation, i first.
 
     In positions: 0 < pos(i) < pos(j) < n.  Empty when n == 2 (there is no
     room for two interior indices).
     """
-    _check_pair(ap, i, j)
-    n = ap.base.space.n
-    return _select(ap, lambda pos: 0 < pos[i] < pos[j] < n)
+    _check_pair(n, i, j)
+    return _flags(0 < pos[i] < pos[j] < n for pos in _positions(n))
 
 
 @lru_cache(maxsize=None)
-def max_inexact_family(ap: Apartment, i: int, j: int) -> frozenset[Chamber]:
+def _prefix_meets(n: int, i: int) -> tuple[int, ...]:
+    """For each permutation, the meet of its proper prefixes that contain i,
+    as an index bitmask (all of 0..n when no proper prefix contains i)."""
+    return tuple(
+        reduce(int.__and__, (p for p in prefixes if p >> i & 1), (1 << n + 1) - 1)
+        for _, prefixes in _perm_prefixes(n + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def max_inexact_bits(n: int, i: int, j: int) -> int:
     """Chambers all of whose components contain both of p_i, p_j or miss p_i.
 
     Checked literally on the component prefix sets: every proper prefix P of
-    the permutation must satisfy ``{i, j} <= P or i not in P``.
+    the permutation must satisfy ``{i, j} <= P or i not in P``, that is, j
+    lies in every proper prefix that contains i.
     """
-    _check_pair(ap, i, j)
-    pair = {i, j}
-    out = []
-    for k, prefixes in enumerate(ap.prefix_sets()):
-        if all(pair <= p or i not in p for p in prefixes):
-            out.append(ap.chambers[k])
-    return frozenset(out)
+    _check_pair(n, i, j)
+    return _flags(map((1 << j).__and__, _prefix_meets(n, i)))
 
 
 @lru_cache(maxsize=None)
-def complement_family(ap: Apartment, i: int, j: int) -> frozenset[Chamber]:
-    """The apartment minus ``max_inexact_family(ap, i, j)``."""
-    _check_pair(ap, i, j)
-    return ap.chamber_set - max_inexact_family(ap, i, j)
+def complement_bits(n: int, i: int, j: int) -> int:
+    """The apartment minus ``max_inexact_bits(n, i, j)``."""
+    return (1 << factorial(n + 1)) - 1 ^ max_inexact_bits(n, i, j)
+
+
+def _chambers(ap: Apartment, bits: int) -> frozenset[Chamber]:
+    """A bitset read off as chambers of ``ap``: bit k is ``ap.chambers[k]``."""
+    flags = bin(bits)[:1:-1]  # flags[k] is bit k
+    return frozenset(ap.chambers[k] for k, b in enumerate(flags) if b == "1")
+
+
+def _chamber_view(bits_of):
+    """The chamber family of ``bits_of`` in one apartment.  Only these views
+    are cached per apartment, for at most APARTMENT_CACHE_SIZE keys."""
+
+    @lru_cache(maxsize=APARTMENT_CACHE_SIZE)
+    def family(ap: Apartment, *indices: int) -> frozenset[Chamber]:
+        return _chambers(ap, bits_of(ap.space.n, *indices))
+
+    family.__name__ = family.__qualname__ = bits_of.__name__[:-4] + "family"
+    family.__doc__ = bits_of.__doc__
+    return family
+
+
+point_family = _chamber_view(point_bits)
+copoint_family = _chamber_view(copoint_bits)
+point_copoint_family = _chamber_view(point_copoint_bits)
+residual_family = _chamber_view(residual_bits)
+max_inexact_family = _chamber_view(max_inexact_bits)
+complement_family = _chamber_view(complement_bits)
 
 
 def complement_chamber(ap: Apartment, chamber: Chamber) -> Chamber:
@@ -174,7 +212,7 @@ def d_transform(ap: Apartment, i: int, j: int, chamber: Chamber) -> Chamber:
     complement inside ``point_copoint_family(k, m)`` for k, m outside
     {i, j}.
     """
-    _check_pair(ap, i, j)
+    _check_pair(ap.space.n, i, j)
     perm = ap.perm_of_chamber(chamber)
     swap = {i: j, j: i}
     return ap.chamber_of_perm(tuple(swap.get(v, v) for v in perm))
@@ -221,9 +259,8 @@ def disposition(pair1, pair2) -> int:
 def intersection_count(ap: Apartment, pair1, pair2) -> int:
     """|complement_family(pair1) & complement_family(pair2)| by enumeration."""
     disposition(pair1, pair2)  # validates the pairs
-    first = complement_family(ap, *pair1)
-    second = complement_family(ap, *pair2)
-    return len(first & second)
+    n = ap.space.n
+    return (complement_bits(n, *pair1) & complement_bits(n, *pair2)).bit_count()
 
 
 def closed_form(n: int, case: int) -> int:
@@ -263,23 +300,24 @@ def complement_adjacent(pair1, pair2) -> bool:
     return disposition(pair1, pair2) in (2, 3)
 
 
+def star_bits(n: int, i: int) -> tuple[int, int]:
+    """The meets of ``complement_bits(n, i, j)`` and of
+    ``complement_bits(n, j, i)`` over j != i."""
+    others = [j for j in range(n + 1) if j != i]
+    first = reduce(int.__and__, (complement_bits(n, i, j) for j in others))
+    return first, reduce(int.__and__, (complement_bits(n, j, i) for j in others))
+
+
 def star_intersections(ap: Apartment, i: int):
     """Intersections of all complement families anchored at i.
 
     Returns the pair ``(meet of complement_family(i, j) over j != i,
     meet of complement_family(j, i) over j != i)``; these are expected to be
     ``point_family(i)`` and ``copoint_family(i)`` and are computed purely by
-    enumeration so tests can compare.
+    enumeration (as the meets of :func:`star_bits`) so tests can compare.
     """
-    _check_index(ap, i)
-    n = ap.base.space.n
-    others = [j for j in range(n + 1) if j != i]
-    first = frozenset(ap.chamber_set)
-    second = frozenset(ap.chamber_set)
-    for j in others:
-        first &= complement_family(ap, i, j)
-        second &= complement_family(ap, j, i)
-    return first, second
+    first, second = star_bits(ap.space.n, i)
+    return _chambers(ap, first), _chambers(ap, second)
 
 
 def classify_adjacent_family(pairs):

@@ -32,6 +32,7 @@ from bft.projective import (
     residue,
     standard_base,
 )
+from lemma_oracle import positions, prefix_sets
 
 PG22 = ProjSpace.of(2, 2)
 PG32 = ProjSpace.of(3, 2)
@@ -189,8 +190,8 @@ def test_chamber_of_perm_prefix_structure():
 def test_positions_and_prefix_sets():
     ap = apartment_of(standard_base(PG22))
     k = ap.perms.index((2, 0, 1))
-    assert ap.positions()[k] == (1, 2, 0)
-    assert ap.prefix_sets()[k] == (frozenset({2}), frozenset({0, 2}))
+    assert positions(ap)[k] == (1, 2, 0)
+    assert prefix_sets(ap)[k] == (frozenset({2}), frozenset({0, 2}))
 
 
 # ------------------------------------------------------------------- bases

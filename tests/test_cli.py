@@ -122,6 +122,46 @@ def test_lemmas_reports_case6_mismatch(capsys):
     assert "FAIL case-6-overlap" in err
 
 
+def test_lemmas_builds_no_apartment_above_n2(capsys, monkeypatch):
+    """The battery counts permutation bitsets; only the n = 2, q <= 3
+    classification row needs the chambers of a real apartment."""
+    from bft import buildings
+
+    built = []
+    original, init = buildings.apartment_of, buildings.Apartment.__init__
+
+    def counted(base):
+        built.append(base)
+        return original(base)
+
+    def counted_init(self, base):
+        built.append(base)
+        init(self, base)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bft":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(buildings.Apartment, "__init__", counted_init)
+    code, report, _ = run_json(capsys, "lemmas", "--n", "4", "--q", "9", "--all")
+    assert code == 1
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["case-6-overlap"]
+    assert built == []
+    code, report, _ = run_json(capsys, "lemmas", "--n", "2", "--q", "3", "--all")
+    assert code == 0 and report["checks"][-1]["name"] == "maximal-inexact-classification"
+    assert built
+
+
+def test_lemmas_n6_q9_force_finishes_quickly():
+    done = _bft_subprocess("lemmas", "--n", "6", "--q", "9", "--all", "--force",
+                           timeout=10)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["case-6-overlap"]
+
+
 def test_lemmas_csv_format(capsys):
     code, out, _ = run(
         capsys, "lemmas", "--n", "2", "--q", "2", "--case", "1", "--format", "csv"
@@ -440,6 +480,7 @@ def test_map_analyze_runs_each_stage_once(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert report["checks"][-1]["actual"] == "not-apartment-preserving"
     assert calls["preserves_apartments"] == 1 and calls["reconstruct"] == 1
+    assert calls["all_bases"] == 0  # the sweep walks iter_bases lazily
 
 
 def test_reports_are_byte_identical(capsys, tmp_path):

@@ -38,6 +38,7 @@ from bft.combinatorics import (
     star_intersections,
 )
 from bft.projective import Base, ProjSpace, standard_base
+from lemma_oracle import positions, prefix_sets
 
 AP2 = apartment_of(standard_base(ProjSpace.of(2, 2)))
 AP3 = apartment_of(standard_base(ProjSpace.of(3, 2)))
@@ -133,7 +134,7 @@ def test_complement_family_is_order_half():
         for i, j in pairs_of(n):
             by_order = {
                 ap.chambers[k]
-                for k, pos in enumerate(ap.positions())
+                for k, pos in enumerate(positions(ap))
                 if pos[i] < pos[j]
             }
             assert complement_family(ap, i, j) == by_order
@@ -174,7 +175,7 @@ def test_complement_chamber_literal_definition():
     base = AP3.base
     space = base.space
     for c in AP3.chambers:
-        prefixes = [set(p) for p in AP3.prefix_sets()[AP3.perms.index(AP3.perm_of_chamber(c))]]
+        prefixes = [set(p) for p in prefix_sets(AP3)[AP3.perms.index(AP3.perm_of_chamber(c))]]
         expected = [
             space.subspace([base.points[t] for t in range(4) if t not in pref])
             for pref in reversed(prefixes)

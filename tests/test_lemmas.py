@@ -1,0 +1,74 @@
+"""The lemma battery on permutation bitsets against the frozenset oracle.
+
+``lemma_oracle`` is the battery as it ran on the chambers of a real
+apartment; ``bft.lemmas`` must give the same rows (name, expected, actual,
+pass and note) from the bitsets of ``bft.combinatorics``.
+"""
+
+import itertools
+
+import pytest
+
+import lemma_oracle as oracle
+from bft import combinatorics, lemmas
+from bft.buildings import APARTMENT_CACHE_SIZE, all_bases, apartment_of
+from bft.projective import ProjSpace, standard_base
+
+FAMILIES = (
+    "point_family",
+    "copoint_family",
+    "point_copoint_family",
+    "residual_family",
+    "max_inexact_family",
+    "complement_family",
+)
+
+
+@pytest.mark.parametrize(
+    "n,q", [(n, q) for n in (2, 3, 4, 5) for q in (2, 3)] + [(6, 2)]
+)
+def test_battery_matches_the_frozenset_oracle(n, q):
+    ap = apartment_of(standard_base(ProjSpace.of(n, q)))
+    for case in range(1, 7):
+        assert lemmas.case_row(n, case) == oracle.case_row(ap, n, case)
+    assert lemmas.structural_rows(n, q) == oracle.structural_rows(ap, n, q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_apartment_families_match_the_oracle(n):
+    ap = apartment_of(standard_base(ProjSpace.of(n, 3)))
+    for i, j in itertools.product(range(n + 1), repeat=2):
+        for name in FAMILIES:
+            if i == j and name != "point_copoint_family":
+                continue
+            args = (i, j)[: 1 if name in ("point_family", "copoint_family") else 2]
+            got = getattr(combinatorics, name)(ap, *args)
+            assert got == getattr(oracle, name)(ap, *args), (name, args)
+    for i in range(n + 1):
+        assert combinatorics.star_intersections(ap, i) == oracle.star_intersections(ap, i)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_adjacent_families_match_the_subset_filter(n):
+    pairs = [(i, j) for i in range(n + 1) for j in range(n + 1) if i != j]
+    expected = [
+        family
+        for family in itertools.combinations(pairs, n)
+        if all(
+            combinatorics.complement_adjacent(a, b)
+            for a, b in itertools.combinations(family, 2)
+        )
+    ]
+    assert list(lemmas._adjacent_families(n, pairs)) == expected
+
+
+def test_apartment_family_caches_are_bounded():
+    bases = all_bases(ProjSpace.of(3, 2))[: APARTMENT_CACHE_SIZE + 20]
+    for base in bases:
+        ap = apartment_of(base)
+        combinatorics.point_family(ap, 0)
+        combinatorics.complement_family(ap, 0, 1)
+    for name in FAMILIES:
+        info = getattr(combinatorics, name).cache_info()
+        assert info.maxsize == APARTMENT_CACHE_SIZE
+        assert info.currsize <= APARTMENT_CACHE_SIZE
