@@ -139,7 +139,19 @@ class ChamberMap:
         if extra:
             raise MapError(f"table has {len(extra)} unknown source chambers")
         for image in self.table.values():
-            check_chamber(target, image)
+            try:
+                check_chamber(target, image)
+            except ValueError as exc:
+                raise MapError(f"invalid image chamber: {exc}") from exc
+
+    @classmethod
+    def _trusted(cls, source: ProjSpace, target: ProjSpace, table: dict):
+        """A map on a table its caller guarantees: equal dimensions, every
+        chamber of ``source`` once, each mapped to a chamber of ``target``.
+        None of it is checked again."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.table = source, target, table
+        return f
 
     def __call__(self, chamber: Chamber) -> Chamber:
         return self.table[chamber]
@@ -176,6 +188,8 @@ def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
     ``dual=True`` the images are replaced by their annihilators and the flag
     is read backwards, so points and hyperplanes trade places.  Each point
     is mapped once; a component's image is the span of its points' images.
+    The table covers ``chambers_of(semi.source)`` and a nonsingular map
+    sends flags to flags, so the map is built without checking it again.
     """
     source, target = Geometry.of(semi.source), Geometry.of(semi.target)
     point_image = [
@@ -193,7 +207,7 @@ def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
         if dual:
             masks.reverse()
         table[chamber] = Chamber(target, masks)
-    return ChamberMap(semi.source, semi.target, table)
+    return ChamberMap._trusted(semi.source, semi.target, table)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Fix an apartment on a base p_0, ..., p_n.  Each of its chambers corresponds
 to a permutation ``perm`` of ``0..n`` (the order in which base points enter
 the flag), so every family below is really a set of permutations.  Each
-``*_bits(n, ...)`` enumerates one over all (n+1)! permutations, once per n
-and indices, as an int whose bit k is ``Apartment.perms[k]``; each
+``*_bits(n, ...)`` is one, as an int whose bit k is ``Apartment.perms[k]``,
+computed for all (n+1)! permutations at once on byte lanes (one byte per
+permutation, see ``_equals``) and cached per n and indices; each
 ``*_family(ap, ...)`` reads those bits off as chambers of ``ap``.  Indices
 are 0-based positions into the base, so valid indices are ``range(n + 1)``.
 
@@ -42,7 +43,6 @@ from .buildings import (
     APARTMENT_CACHE_SIZE,
     Apartment,
     Chamber,
-    _perm_prefixes,
     apartments_containing,
 )
 from .projective import Geometry
@@ -89,31 +89,78 @@ def _check_pair(n: int, i: int, j: int):
         raise ValueError(f"indices must be distinct, got ({i}, {j})")
 
 
+# The (n+1)! permutations of 0..n, in ``itertools.permutations`` order, are
+# held as byte lanes, one byte per permutation: byte k of lane c is the element
+# at position c of permutation k.  ``bytes.translate`` reads values off a lane,
+# and a lane read as a big int (byte k at bits 8k..8k+7) is combined with
+# others byte by byte: & | ^ on 0/1 lanes, and SWAR comparisons on lanes of
+# small values.  ``_bits`` turns a 0/1 lane into the family's bitset.
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 @lru_cache(maxsize=None)
-def _positions(n: int) -> tuple[tuple[int, ...], ...]:
-    """The position vector of each permutation: pos[i] is where i stands,
-    0 first and n last."""
-    perms = (perm for perm, _ in _perm_prefixes(n + 1))
-    return tuple(tuple(map(perm.index, range(n + 1))) for perm in perms)
+def _ones(n: int) -> int:
+    """The lane with every byte 1."""
+    return int.from_bytes(b"\1" * factorial(n + 1), "little")
 
 
-def _flags(kept) -> int:
-    """One truth value per permutation, in order, as a bitset."""
-    return int("".join(map("01".__getitem__, map(bool, kept)))[::-1], 2)
+@lru_cache(maxsize=None)
+def _equals(n: int) -> tuple[tuple[int, ...], ...]:
+    """``_equals(n)[c][i]``: the 0/1 lane of "position c holds i"."""
+    m = n + 1
+    flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(m))))
+    equals = [bytes(x == i for x in range(256)) for i in range(m)]
+    return tuple(
+        tuple(int.from_bytes(flat[c::m].translate(eq), "little") for eq in equals)
+        for c in range(m)
+    )
+
+
+@lru_cache(maxsize=None)
+def _position_lanes(n: int) -> tuple[int, ...]:
+    """``_position_lanes(n)[i]``: the lane of pos(i), where i stands, 0 first
+    and n last."""
+    at = _equals(n)
+    return tuple(sum(c * at[c][i] for c in range(n + 1)) for i in range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def _prefix_lanes(n: int) -> tuple[tuple[int, ...], ...]:
+    """The proper prefix sets: ``_prefix_lanes(n)[L - 1][i]`` is the 0/1 lane
+    of "i is among the first L elements", for L = 1..n."""
+    out, members = [], (0,) * (n + 1)
+    for at in _equals(n)[:-1]:
+        members = tuple(map(int.__or__, members, at))
+        out.append(members)
+    return tuple(out)
+
+
+def _less(n: int, a: int, b: int) -> int:
+    """The 0/1 lane of a < b, for lanes of values below 128: the high bit of
+    each byte of (b + 128) - a - 1 is set iff b > a, and no byte borrows."""
+    ones = _ones(n)
+    return ((b | ones << 7) - a - ones) >> 7 & ones
+
+
+def _bits(n: int, lane: int) -> int:
+    """A 0/1 lane as a bitset: bit k is byte k."""
+    flags = lane.to_bytes(factorial(n + 1), "little").translate(_DIGITS)
+    return int(flags[::-1], 2)
 
 
 @lru_cache(maxsize=None)
 def point_bits(n: int, i: int) -> int:
     """Chambers whose 0-component is the i-th base point.  Size n!."""
     _check_index(n, i)
-    return _flags(pos[i] == 0 for pos in _positions(n))
+    return _bits(n, _equals(n)[0][i])
 
 
 @lru_cache(maxsize=None)
 def copoint_bits(n: int, i: int) -> int:
     """Chambers whose hyperplane, span(base - {p_i}), omits p_i.  Size n!."""
     _check_index(n, i)
-    return _flags(pos[i] == n for pos in _positions(n))
+    return _bits(n, _equals(n)[n][i])
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +171,8 @@ def point_copoint_bits(n: int, i: int, j: int) -> int:
     every hyperplane of its own chamber).
     """
     _check_index(n, i, j)
-    return _flags(pos[i] == 0 and pos[j] == n for pos in _positions(n))
+    at = _equals(n)
+    return _bits(n, at[0][i] & at[n][j])
 
 
 @lru_cache(maxsize=None)
@@ -135,17 +183,9 @@ def residual_bits(n: int, i: int, j: int) -> int:
     room for two interior indices).
     """
     _check_pair(n, i, j)
-    return _flags(0 < pos[i] < pos[j] < n for pos in _positions(n))
-
-
-@lru_cache(maxsize=None)
-def _prefix_meets(n: int, i: int) -> tuple[int, ...]:
-    """For each permutation, the meet of its proper prefixes that contain i,
-    as an index bitmask (all of 0..n when no proper prefix contains i)."""
-    return tuple(
-        reduce(int.__and__, (p for p in prefixes if p >> i & 1), (1 << n + 1) - 1)
-        for _, prefixes in _perm_prefixes(n + 1)
-    )
+    pos, last = _position_lanes(n), n * _ones(n)
+    inside = _less(n, 0, pos[i]) & _less(n, pos[j], last)
+    return _bits(n, inside & _less(n, pos[i], pos[j]))
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +197,10 @@ def max_inexact_bits(n: int, i: int, j: int) -> int:
     lies in every proper prefix that contains i.
     """
     _check_pair(n, i, j)
-    return _flags(map((1 << j).__and__, _prefix_meets(n, i)))
+    lane = ones = _ones(n)
+    for members in _prefix_lanes(n):
+        lane &= members[j] | ones ^ members[i]
+    return _bits(n, lane)
 
 
 @lru_cache(maxsize=None)

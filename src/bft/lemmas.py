@@ -7,11 +7,13 @@ the :class:`CheckRow` values of :func:`case_row` and :func:`structural_rows`.
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from operator import itemgetter
 
-from .buildings import _perm_prefixes, apartment_of
+from .buildings import apartment_of
 from .combinatorics import (
+    _ones,
     classify_adjacent_family,
     closed_form,
     complement_adjacent,
@@ -40,13 +42,21 @@ class CheckRow:
     note: str = ""
 
 
+@lru_cache(maxsize=None)
+def _pairs_by_case(n: int) -> dict[int, tuple]:
+    """The ordered pairs of distinct index pairs, by ``disposition`` case,
+    each case in ``itertools.permutations`` order."""
+    pairs = [(i, j) for i in range(n + 1) for j in range(n + 1) if i != j]
+    by_case = {case: [] for case in range(1, 7)}
+    for p1, p2 in itertools.permutations(pairs, 2):
+        by_case[disposition(p1, p2)].append((p1, p2))
+    return {case: tuple(found) for case, found in by_case.items()}
+
+
 def case_row(n: int, case: int) -> CheckRow:
     """One battery row: enumerated overlap vs closed form for one case."""
-    pairs = [(i, j) for i in range(n + 1) for j in range(n + 1) if i != j]
     found = {}
-    for p1, p2 in itertools.permutations(pairs, 2):
-        if disposition(p1, p2) != case:
-            continue
+    for p1, p2 in _pairs_by_case(n).get(case, ()):
         count = (complement_bits(n, *p1) & complement_bits(n, *p2)).bit_count()
         found.setdefault(count, (p1, p2))
     if case == 6 and n == 2:
@@ -66,13 +76,30 @@ def case_row(n: int, case: int) -> CheckRow:
     return CheckRow(f"case-{case}-overlap", expected, actual, passed, note)
 
 
-def _reversal(n: int):
-    """``complement_chamber`` on bitsets: it reverses every permutation."""
-    perms = [perm for perm, _ in _perm_prefixes(n + 1)]
-    index = {perm: k for k, perm in enumerate(perms)}
-    # bit k of the image is the bit of permutation k reversed, MSB first
-    pick = itemgetter(*(index[perm[::-1]] for perm in reversed(perms)))
-    return lambda bits: int("".join(pick(format(bits, f"0{len(perms)}b")[::-1])), 2)
+@lru_cache(maxsize=None)
+def _reversal(n: int) -> itemgetter:
+    """``complement_chamber`` on permutation indices: it reverses every
+    permutation.  Applied to a sequence indexed by permutation, it reads each
+    entry at the reversed permutation; the index map is looked up once per n."""
+    rank = dict(zip(itertools.permutations(range(n + 1)), itertools.count()))
+    reverse = itemgetter(slice(None, None, -1))
+    return itemgetter(*map(rank.__getitem__, map(reverse, rank)))
+
+
+def _membership_lanes(n: int, families) -> list[bytes]:
+    """Permutation bitsets as byte lanes, eight to a lane: bit b of byte k of
+    lane g says whether permutation k is in family 8g + b."""
+    size, ones = factorial(n + 1), _ones(n)
+    # read big-endian, the binary digits put bit k in byte k, as 0x30 or 0x31
+    lanes = [
+        int.from_bytes(format(bits, f"0{size}b").encode(), "big") & ones
+        for bits in families
+    ]
+    packed = (
+        sum(lane << b for b, lane in enumerate(lanes[g : g + 8]))
+        for g in range(0, len(lanes), 8)
+    )
+    return [lane.to_bytes(size, "little") for lane in packed]
 
 
 def _adjacent_families(n: int, candidates, family=()):
@@ -99,10 +126,9 @@ def structural_rows(n: int, q: int) -> list[CheckRow]:
     rows.append(CheckRow("complement-decomposition", True, ok, ok))
 
     reverse = _reversal(n)
-    ok = all(
-        reverse(complement_bits(n, i, j)) == complement_bits(n, j, i)
-        for i, j in pairs
-    )
+    images = _membership_lanes(n, [complement_bits(n, i, j) for i, j in pairs])
+    expected = _membership_lanes(n, [complement_bits(n, j, i) for i, j in pairs])
+    ok = all(bytes(reverse(lane)) == want for lane, want in zip(images, expected))
     rows.append(CheckRow("complement-involution", True, ok, ok))
 
     if n == 2:

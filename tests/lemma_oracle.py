@@ -5,16 +5,22 @@ family is a frozenset of the chambers of a real apartment, selected by its
 position vector or its prefix sets, and every overlap is a set
 intersection.  ``positions`` and ``prefix_sets`` are the per-apartment tables
 the families were read from.
+
+The ``*_bits`` functions are the oracle for the byte-lane families of
+:mod:`bft.combinatorics`: the same bitsets, built by one predicate call per
+permutation from its position vector or its proper prefix sets.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 
-from bft.buildings import Apartment, Chamber
+from bft.buildings import Apartment, Chamber, _perm_prefixes
 from bft.combinatorics import (
+    _check_index,
+    _check_pair,
     classify_adjacent_family,
     closed_form,
     complement_adjacent,
@@ -24,6 +30,83 @@ from bft.combinatorics import (
     is_exact_by_search,
 )
 from bft.lemmas import CheckRow
+
+
+# ------------------------------------------------ per-permutation bitsets
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int) -> tuple[tuple[int, ...], ...]:
+    """The position vector of each permutation: pos[i] is where i stands,
+    0 first and n last."""
+    perms = (perm for perm, _ in _perm_prefixes(n + 1))
+    return tuple(tuple(map(perm.index, range(n + 1))) for perm in perms)
+
+
+def _flags(kept) -> int:
+    """One truth value per permutation, in order, as a bitset."""
+    return int("".join(map("01".__getitem__, map(bool, kept)))[::-1], 2)
+
+
+@lru_cache(maxsize=None)
+def point_bits(n: int, i: int) -> int:
+    """Chambers whose 0-component is the i-th base point.  Size n!."""
+    _check_index(n, i)
+    return _flags(pos[i] == 0 for pos in _positions(n))
+
+
+@lru_cache(maxsize=None)
+def copoint_bits(n: int, i: int) -> int:
+    """Chambers whose hyperplane, span(base - {p_i}), omits p_i.  Size n!."""
+    _check_index(n, i)
+    return _flags(pos[i] == n for pos in _positions(n))
+
+
+@lru_cache(maxsize=None)
+def point_copoint_bits(n: int, i: int, j: int) -> int:
+    """Chambers through p_i whose hyperplane omits p_j.
+
+    Size (n-1)! when i != j; empty when i == j (a point cannot lie outside
+    every hyperplane of its own chamber).
+    """
+    _check_index(n, i, j)
+    return _flags(pos[i] == 0 and pos[j] == n for pos in _positions(n))
+
+
+@lru_cache(maxsize=None)
+def residual_bits(n: int, i: int, j: int) -> int:
+    """Chambers placing i and j strictly inside the permutation, i first.
+
+    In positions: 0 < pos(i) < pos(j) < n.  Empty when n == 2 (there is no
+    room for two interior indices).
+    """
+    _check_pair(n, i, j)
+    return _flags(0 < pos[i] < pos[j] < n for pos in _positions(n))
+
+
+@lru_cache(maxsize=None)
+def _prefix_meets(n: int, i: int) -> tuple[int, ...]:
+    """For each permutation, the meet of its proper prefixes that contain i,
+    as an index bitmask (all of 0..n when no proper prefix contains i)."""
+    return tuple(
+        reduce(int.__and__, (p for p in prefixes if p >> i & 1), (1 << n + 1) - 1)
+        for _, prefixes in _perm_prefixes(n + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def max_inexact_bits(n: int, i: int, j: int) -> int:
+    """Chambers all of whose components contain both of p_i, p_j or miss p_i.
+
+    Checked literally on the component prefix sets: every proper prefix P of
+    the permutation must satisfy ``{i, j} <= P or i not in P``, that is, j
+    lies in every proper prefix that contains i.
+    """
+    _check_pair(n, i, j)
+    return _flags(map((1 << j).__and__, _prefix_meets(n, i)))
+
+
+# ------------------------------------------------ frozenset families
 
 
 @lru_cache(maxsize=None)

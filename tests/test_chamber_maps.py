@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bft.buildings import all_bases, apartment_of, chambers_of
+from bft.buildings import Chamber, all_bases, apartment_of, chambers_of
 from bft.chamber_maps import (
     AnalysisError,
     ApartmentCheck,
@@ -85,6 +85,31 @@ def test_chamber_map_validation():
     table[chambers_of(PG32)[0]] = chs[0]
     with pytest.raises(MapError):
         ChamberMap(PG22, PG22, table)
+    point, line = chs[0].masks
+    skew = next(c.masks[1] for c in chs if not c.masks[1] & point)
+    for image in (
+        chambers_of(PG32)[0],  # a chamber of another space
+        Chamber(chs[0].geometry, (line, point)),  # pdims out of order
+        Chamber(chs[0].geometry, (point, skew)),  # a point off the line
+    ):
+        table = dict(zip(chs, chs))
+        table[chs[5]] = image
+        with pytest.raises(MapError, match="invalid image"):
+            ChamberMap(PG22, PG22, table)
+
+
+@pytest.mark.parametrize(
+    "source,target", [(PG22, PG22), (PG23, PG23), (PG32, PG32), (PG22, PG24)],
+)
+def test_induced_tables_pass_the_public_checks(source, target):
+    """``induce`` builds its map without the constructor's checks; the
+    table it builds passes them."""
+    semi = Semilinear.of(
+        source, target, random_invertible(source.gf, source.ambient, random.Random(5))
+    )
+    for dual in (False, True):
+        f = induce(semi, dual=dual)
+        assert ChamberMap(source, target, f.table).table == f.table
 
 
 def test_identity_induces_identity():
@@ -325,6 +350,28 @@ def test_analyze_record():
     assert unsampled.label == "not-apartment-preserving"
     with pytest.raises(ReconstructionError):
         classify(swapped_identity(PG23), mode="sample", k=1, seed=1)
+
+
+INDUCED_SPACES = [(PG22, PG22), (PG23, PG23), (PG32, PG32), (PG22, PG24), (PG23, PG29)]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["direct", "dual"])
+@pytest.mark.parametrize(
+    "source,target", INDUCED_SPACES,
+    ids=[f"PG{s.n}{s.q}-PG{t.n}{t.q}" for s, t in INDUCED_SPACES],
+)
+def test_collineation_label_iff_surjective(source, target, dual):
+    """The abstract's last sentence: the embedding that induces f is a
+    collineation if f is surjective.  Over induced maps, the label says
+    collineation exactly when the chamber map is onto."""
+    rng = random.Random(source.n * 100 + source.q * 10 + target.q)
+    matrix = random_invertible(source.gf, source.ambient, rng)
+    f = induce(Semilinear.of(source, target, matrix), dual=dual)
+    label = analyze(f).label
+    assert label.endswith("-dual" if dual else "-direct")
+    assert label.startswith("collineation-") == f.is_surjective()
+    # both sides of the equivalence occur: only the subfield embeddings miss
+    assert f.is_surjective() == (source.q == target.q)
 
 
 def test_classify_dual_collineation_gf3():

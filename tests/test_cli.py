@@ -162,6 +162,15 @@ def test_lemmas_n6_q9_force_finishes_quickly():
     assert [c["name"] for c in report["checks"] if not c["pass"]] == ["case-6-overlap"]
 
 
+def test_lemmas_n7_force_finishes_quickly():
+    done = _bft_subprocess("lemmas", "--n", "7", "--q", "2", "--all", "--force",
+                           timeout=10)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["case-6-overlap"]
+
+
 def test_lemmas_csv_format(capsys):
     code, out, _ = run(
         capsys, "lemmas", "--n", "2", "--q", "2", "--case", "1", "--format", "csv"

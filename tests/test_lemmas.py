@@ -72,3 +72,21 @@ def test_apartment_family_caches_are_bounded():
         info = getattr(combinatorics, name).cache_info()
         assert info.maxsize == APARTMENT_CACHE_SIZE
         assert info.currsize <= APARTMENT_CACHE_SIZE
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_permutation_bits_match_the_literal_definitions(n):
+    """Each byte-lane family equals the per-permutation predicate it
+    computes, for every valid index tuple."""
+    indices = range(n + 1)
+    for i in indices:
+        for name in ("point_bits", "copoint_bits"):
+            assert getattr(combinatorics, name)(n, i) == getattr(oracle, name)(n, i)
+        for j in indices:
+            got = combinatorics.point_copoint_bits(n, i, j)
+            assert got == oracle.point_copoint_bits(n, i, j), (i, j)
+            if i == j:
+                continue
+            for name in ("residual_bits", "max_inexact_bits"):
+                got = getattr(combinatorics, name)(n, i, j)
+                assert got == getattr(oracle, name)(n, i, j), (name, i, j)
