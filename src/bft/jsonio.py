@@ -10,15 +10,21 @@ A chamber-map file looks like::
     }
 
 where a chamber is a list of subspaces (one per projective dimension,
-ascending), a subspace is a list of reduced-row-echelon rows, and a row is a
-list of field codes.  ``pairs`` is sorted by source chamber, covers every
-source chamber exactly once, and round-trips byte-identically through
+ascending), a subspace is a list of linearly independent rows, and a row is
+a list of field codes.  ``dump_map`` writes the reduced-row-echelon rows and
+sorts ``pairs`` by source chamber; ``pairs`` covers every source chamber
+exactly once, and a file round-trips byte-identically through
 ``dump_map``/``load_map``.
 
 ``dump_map`` writes exactly the bytes of
 ``json.dumps(encode_map(f), indent=2) + "\n"`` without building that
 document: json renders the header and each distinct subspace once, and the
 pairs are joined from those fragments and written one pair at a time.
+
+``decode_map`` checks each distinct subspace encoding of a file once, into
+a mask with no row reduction, through a memo local to the call; chains are
+checked on the masks, and the map is built without the public
+:class:`ChamberMap` constructor's second pass.
 
 All validation problems raise :class:`FormatError` with a message naming
 the offending entry.
@@ -27,13 +33,13 @@ the offending entry.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
-from .buildings import Chamber, check_chamber
+from .buildings import Chamber
 from .chamber_maps import ChamberMap
 from .counts import chamber_count
-from .gf import SUPPORTED_ORDERS, Subspace
+from .gf import SUPPORTED_ORDERS
 from .projective import Geometry, ProjSpace
 
 __all__ = [
@@ -78,47 +84,61 @@ def encode_chamber(chamber: Chamber) -> list:
     return [[list(row) for row in rows] for rows in chamber.sort_key()]
 
 
-@lru_cache(maxsize=4096)
-def _decode_part(space: ProjSpace, rows: tuple) -> int:
-    """The mask of one subspace given by rows of field codes; a file names
-    each subspace many times, so each distinct encoding is checked once."""
-    listed = [list(row) for row in rows]
-    for row in rows:
-        for x in row:
-            if not 0 <= x < space.q:
-                raise FormatError(f"code {x} out of range for GF({space.q}) in {listed!r}")
-    sub = Subspace.span(space.gf, space.ambient, rows)
-    if sub.rank != len(rows):
-        raise FormatError(f"dependent rows in subspace encoding {listed!r}")
-    return Geometry.of(space).mask_of(sub)
+def _part_mask(geo: Geometry, part) -> int:
+    """The mask of a subspace encoding, checked in full: the span of its
+    row points, which must be independent (they need not be in RREF)."""
+    space = geo.space
+    # type(x) is int: JSON true/false decode to bools, which are ints
+    if not (isinstance(part, list) and part and all(
+        isinstance(row, list) and len(row) == space.ambient
+        and all(type(x) is int for x in row) for row in part
+    )):
+        raise FormatError(f"invalid subspace encoding: {part!r}")
+    for x in chain.from_iterable(part):
+        if not 0 <= x < space.q:
+            raise FormatError(f"code {x} out of range for GF({space.q}) in {part!r}")
+    # a zero row names no point; mask 0 then fails the rank test
+    mask = geo.span(map(geo.id_of, part)) if all(map(any, part)) else 0
+    if geo.rank(mask) != len(part):
+        raise FormatError(f"dependent rows in subspace encoding {part!r}")
+    return mask
+
+
+def _decode_chamber(geo: Geometry, data, memo: dict) -> Chamber:
+    """A chamber from its encoding; ``memo`` maps the subspace encodings
+    already checked in this space to their masks."""
+    n = geo.space.n
+    if not isinstance(data, list) or len(data) != n:
+        raise FormatError(f"a chamber must be a list of {n} subspaces, got {data!r}")
+    # JSON true and 1.0 equal 1 and hash like it, so the memo serves only
+    # chambers whose codes are all ints: a JSON part then hits it only if
+    # spelled exactly like the checked one
+    try:
+        clean = {int}.issuperset(map(type, chain.from_iterable(chain.from_iterable(data))))
+    except TypeError:
+        clean = False
+    masks = []
+    for part in data:
+        key = tuple(map(tuple, part)) if clean else None
+        mask = memo.get(key)
+        if mask is None:
+            mask = _part_mask(geo, part)
+            if clean:
+                memo[key] = mask
+        masks.append(mask)
+    # a checked part has rank len(part)
+    for k, part in enumerate(data):
+        if len(part) != k + 1:
+            raise FormatError(
+                f"not a chamber: expected pdim {k} at position {k}, got {len(part) - 1}"
+            )
+        if k and masks[k - 1] & ~masks[k]:
+            raise FormatError("not a chamber: chamber subspaces are not nested")
+    return Chamber(geo, masks)
 
 
 def decode_chamber(space: ProjSpace, data) -> Chamber:
-    if not isinstance(data, list) or len(data) != space.n:
-        raise FormatError(
-            f"a chamber must be a list of {space.n} subspaces, got {data!r}"
-        )
-    masks = []
-    for part in data:
-        # type(x) is int: JSON true/false decode to bools, which are ints
-        if (
-            not isinstance(part, list)
-            or not part
-            or not all(
-                isinstance(row, list)
-                and len(row) == space.ambient
-                and all(type(x) is int for x in row)
-                for row in part
-            )
-        ):
-            raise FormatError(f"invalid subspace encoding: {part!r}")
-        masks.append(_decode_part(space, tuple(map(tuple, part))))
-    chamber = Chamber(Geometry.of(space), masks)
-    try:
-        check_chamber(space, chamber)
-    except ValueError as exc:
-        raise FormatError(f"not a chamber: {exc}") from exc
-    return chamber
+    return _decode_chamber(Geometry.of(space), data, {})
 
 
 def _space_entry(space: ProjSpace, dual=None) -> dict:
@@ -191,15 +211,20 @@ def decode_map(data) -> ChamberMap:
     short = chamber_count(source.n, source.q) - len(pairs)
     if short > 0:
         raise FormatError(f"{short} source chambers are missing a pair")
+    source_geo, target_geo = Geometry.of(source), Geometry.of(target)
+    source_memo = {}
+    target_memo = source_memo if target_geo is source_geo else {}
     table = {}
     for entry in pairs:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"each pair must be [chamber, chamber], got {entry!r}")
-        key = decode_chamber(source, entry[0])
+        key = _decode_chamber(source_geo, entry[0], source_memo)
         if key in table:
             raise FormatError(f"duplicate source chamber {key!r}")
-        table[key] = decode_chamber(target, entry[1])
-    return ChamberMap(source, target, table)
+        table[key] = _decode_chamber(target_geo, entry[1], target_memo)
+    # The keys are distinct chambers of source, at least chamber_count of
+    # them, so they are all of them once; every image is a target chamber.
+    return ChamberMap._trusted(source, target, table)
 
 
 # A subspace sits at depth 4 of the file: file > pairs > pair > chamber.

@@ -6,6 +6,7 @@ the :class:`CheckRow` values of :func:`case_row` and :func:`structural_rows`.
 """
 
 import itertools
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -80,10 +81,23 @@ def case_row(n: int, case: int) -> CheckRow:
 def _reversal(n: int) -> itemgetter:
     """``complement_chamber`` on permutation indices: it reverses every
     permutation.  Applied to a sequence indexed by permutation, it reads each
-    entry at the reversed permutation; the index map is looked up once per n."""
-    rank = dict(zip(itertools.permutations(range(n + 1)), itertools.count()))
-    reverse = itemgetter(slice(None, None, -1))
-    return itemgetter(*map(rank.__getitem__, map(reverse, rank)))
+    entry at the reversed permutation.
+
+    An index k is a Lehmer code: position c adds (n - c)! times the number
+    of later entries below s_c, the digit (k // (n - c)!) % (n + 1 - c).
+    Reversed, s_d counts the earlier entries below it, s_d minus its digit,
+    at weight d!; the indices are summed for all k at once on 32-bit lanes.
+    """
+    m, size = n + 1, factorial(n + 1)
+    flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(m))))
+    lane, index = bytearray(4 * size), 0
+    for d in range(1, m):
+        run = factorial(n - d)
+        lane[::4] = flat[d::m]
+        value = int.from_bytes(lane, "little")
+        lane[::4] = b"".join(bytes([v]) * run for v in range(m - d)) * (size // run // (m - d))
+        index += factorial(d) * (value - int.from_bytes(lane, "little"))
+    return itemgetter(*struct.unpack(f"<{size}I", index.to_bytes(4 * size, "little")))
 
 
 def _membership_lanes(n: int, families) -> list[bytes]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, reduce
 from math import factorial
+from operator import itemgetter
 
 from bft.buildings import Apartment, Chamber, _perm_prefixes
 from bft.combinatorics import (
@@ -104,6 +105,14 @@ def max_inexact_bits(n: int, i: int, j: int) -> int:
     """
     _check_pair(n, i, j)
     return _flags(map((1 << j).__and__, _prefix_meets(n, i)))
+
+
+def reversal(n: int) -> itemgetter:
+    """The reversal gather of :mod:`bft.lemmas`, looked up in a dict keyed
+    by every permutation tuple."""
+    rank = dict(zip(itertools.permutations(range(n + 1)), itertools.count()))
+    reverse = itemgetter(slice(None, None, -1))
+    return itemgetter(*map(rank.__getitem__, map(reverse, rank)))
 
 
 # ------------------------------------------------ frozenset families

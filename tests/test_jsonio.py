@@ -4,10 +4,13 @@ import contextlib
 import io
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
+import jsonio_oracle as oracle
 import pytest
+from conftest import random_invertible
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +80,14 @@ def test_decode_chamber_rejects_bool_codes():
 
 
 # --------------------------------------------------------------------- maps
+
+
+def test_decode_chamber_accepts_independent_rows_not_in_rref():
+    c = decode_chamber(PG22, [[[1, 0, 0]], [[1, 1, 0], [0, 1, 0]]])
+    assert c == decode_chamber(PG22, [[[1, 0, 0]], [[1, 0, 0], [0, 1, 0]]])
+    assert c == oracle.decode_chamber(PG22, [[[1, 0, 0]], [[1, 1, 0], [0, 1, 0]]])
+    with pytest.raises(FormatError, match="dependent rows"):
+        decode_chamber(PG22, [[[1, 0, 0]], [[1, 1, 0], [0, 0, 0]]])  # zero row
 
 
 def test_map_round_trip_and_schema():
@@ -172,6 +183,165 @@ def test_dump_map_matches_json_oracle(tmp_path, n, q, target_q, dual):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+# ------------------------------------------------------------ reader oracle
+
+
+def _outcome(decode, data):
+    """The decoded table as ordered items, or the FormatError message."""
+    try:
+        return list(decode(data).table.items())
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def _gf_sum(gf, codes):
+    total = 0
+    for x in codes:
+        total = gf.add[total][x]
+    return total
+
+
+def _rebased(data, seed):
+    """The file with every subspace spelled by a random basis of it: rows
+    recombined by an invertible matrix, so mostly not in RREF."""
+    rng = random.Random(seed)
+    out = json.loads(json.dumps(data))
+    for pair in out["pairs"]:
+        for side, chamber in zip(("source", "target"), pair):
+            gf = ProjSpace.of(out[side]["n"], out[side]["q"]).gf
+            for k, part in enumerate(chamber):
+                matrix = random_invertible(gf, len(part), rng)
+                chamber[k] = [
+                    [_gf_sum(gf, (gf.mul[a][x] for a, x in zip(coeffs, column)))
+                     for column in zip(*part)]
+                    for coeffs in matrix
+                ]
+    return out
+
+
+def _corrupt(chamber, how, q):
+    """Break one chamber encoding in place, in one of the ways a reader
+    must report: the message names the first fault."""
+    point, line = chamber[0], chamber[1]
+    if how == "point-off-line":
+        pivots = {row.index(next(filter(None, row))) for row in line}
+        free = min(set(range(len(point[0]))) - pivots)  # e_free is off the line
+        chamber[0] = [[int(c == free) for c in range(len(point[0]))]]
+    elif how == "pdims-out-of-order":
+        chamber[0], chamber[1] = line, point
+    elif how == "dependent-rows":
+        line[1] = list(line[0])
+    elif how == "zero-row":
+        line[1] = [0] * len(line[1])
+    elif how == "code-out-of-range":
+        line[0][-1] = q
+
+
+VALID_PERTURBATIONS = ["induced", "shuffled", "swapped", "rebased"]
+CORRUPTIONS = ["point-off-line", "pdims-out-of-order", "dependent-rows", "zero-row",
+               "code-out-of-range"]
+
+
+@pytest.mark.parametrize("perturb", VALID_PERTURBATIONS + CORRUPTIONS)
+@pytest.mark.parametrize(
+    "n, q, target_q, dual",
+    [(2, 2, 2, False), (3, 2, 2, True), (2, 3, 9, False), (3, 3, 3, False)],
+    ids=["PG22", "PG32-dual", "PG23-to-PG29", "PG33"],
+)
+def test_decode_map_matches_the_oracle(n, q, target_q, dual, perturb):
+    f = induce(_semilinear(n, q, target_q, seed=n * q), dual=dual)
+    data = encode_map(f, dual=dual)
+    rng = random.Random(n * q)
+    pairs = data["pairs"]
+    if perturb == "shuffled":
+        images = [b for _, b in pairs]
+        rng.shuffle(images)
+        for pair, image in zip(pairs, images):
+            pair[1] = image
+        rng.shuffle(pairs)
+    elif perturb == "swapped":
+        a, b = rng.sample(pairs, 2)
+        a[1], b[1] = b[1], a[1]
+    elif perturb == "rebased":
+        data = _rebased(data, seed=n * q)
+    elif perturb in CORRUPTIONS:
+        # a chamber late in the file, whose parts were all read before
+        _corrupt(pairs[-2][rng.randrange(2)], perturb, target_q)
+    expected = _outcome(oracle.decode_map, data)
+    assert isinstance(expected, str) == (perturb in CORRUPTIONS)
+    assert _outcome(decode_map, data) == expected
+    if perturb == "induced":
+        assert dict(expected) == f.table
+
+
+def _spelled(text: str, spelling) -> str:
+    """The PG(2,2) identity file with the point [1,0,0] spelled otherwise in
+    the last source chamber that has it as its point."""
+    data = json.loads(text)
+    last = max(k for k, (a, _) in enumerate(data["pairs"]) if a[0] == [[1, 0, 0]])
+    data["pairs"][last][0][0] = spelling
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [[[True, False, False]], [[1.0, 0, 0]], [[1, False, 0]], ["[1, 0, 0]"],
+     [[[1], 0, 0]], [[[1, 0, 0]]]],
+    ids=["bools", "float", "one-bool", "string-row", "nested-code", "nested-row"],
+)
+def test_memoized_subspace_spelled_otherwise_is_rejected(tmp_path, capsys, spelling):
+    """The memo is keyed by value, and true == 1 == 1.0 with equal hashes:
+    a subspace that was read once as ints must not let a later spelling
+    with other JSON types through, nor an earlier one."""
+    text = _spelled(json.dumps(VALID), spelling)
+    for data in (json.loads(text),
+                 {**json.loads(text), "pairs": json.loads(text)["pairs"][::-1]}):
+        with pytest.raises(FormatError, match="invalid subspace encoding") as exc:
+            decode_map(data)
+        assert _outcome(oracle.decode_map, data) == f"FormatError: {exc.value}"
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    assert main(["map", "analyze", str(path)]) == 2
+    assert "invalid subspace encoding" in capsys.readouterr().err
+
+
+def test_load_map_runs_no_row_reduction_and_no_second_check(tmp_path, monkeypatch):
+    """The read path spans row points in the geometry: no rref, no
+    check_chamber, and no pass of the public ChamberMap constructor."""
+    from bft import buildings, gf
+
+    f = induce(_semilinear(3, 2, 2, seed=6), dual=True)
+    path = tmp_path / "pg32.json"
+    dump_map(f, path, dual=True)
+    calls = dict(rref=0, check_chamber=0, init=0)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bft"]
+    for owner, name in [(gf, "rref"), (buildings, "check_chamber")]:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    init = ChamberMap.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChamberMap, "__init__", counted_init)
+    g = load_map(path)
+    assert calls == dict(rref=0, check_chamber=0, init=0)
+    assert g.table == f.table
+    assert list(g.table) == sorted(chambers_of(f.source), key=lambda c: c.sort_key())
+    # the counters do count: the oracle reader takes the checking path
+    assert oracle.decode_map(json.loads(path.read_text())).table == f.table
+    assert calls["check_chamber"] > 0 and calls["init"] == 1
+
+
 # ----------------------------------------------------------------- fuzzing
 
 
@@ -235,3 +405,15 @@ def test_load_map_and_analyze_survive_mutated_files(text):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["map", "analyze", str(path)])
     assert code in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=2000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_files())
+@example(_spelled(json.dumps(VALID), [[True, False, False]]))
+def test_decode_map_matches_the_oracle_on_mutated_files(text):
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        return
+    assert _outcome(decode_map, data) == _outcome(oracle.decode_map, data)

@@ -6,6 +6,7 @@ pass and note) from the bitsets of ``bft.combinatorics``.
 """
 
 import itertools
+from math import factorial
 
 import pytest
 
@@ -90,3 +91,11 @@ def test_permutation_bits_match_the_literal_definitions(n):
             for name in ("residual_bits", "max_inexact_bits"):
                 got = getattr(combinatorics, name)(n, i, j)
                 assert got == getattr(oracle, name)(n, i, j), (name, i, j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_reversal_matches_the_permutation_dict(n):
+    """The Lehmer-code reversal reads the same index for every permutation
+    as the dict of permutation tuples."""
+    indices = range(factorial(n + 1))
+    assert lemmas._reversal(n)(indices) == oracle.reversal(n)(indices)
