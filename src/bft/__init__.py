@@ -14,12 +14,9 @@ from .projective import (
     Base,
     ProjSpace,
     Semilinear,
-    dual_base,
-    extend_to_base,
     is_independent,
     normalize_point,
     points_of,
-    residue,
     span_points,
     standard_base,
 )
@@ -33,7 +30,6 @@ from .buildings import (
     apartments_containing,
     chambers_of,
     common_apartment,
-    trace_of,
 )
 from .combinatorics import (
     FamilyConsistencyError,

@@ -25,13 +25,7 @@ import itertools
 from functools import cached_property, lru_cache
 
 from .gf import Subspace
-from .projective import (
-    Base,
-    Geometry,
-    ProjSpace,
-    Residue,
-    bits,
-)
+from .projective import Base, Geometry, ProjSpace, bits
 
 # Default ceilings for exhaustive sweeps; pass force=True to go beyond.
 BASE_ENUM_CAP = (4, 3)  # (max n, max q) for enumerating every base
@@ -232,9 +226,6 @@ class Apartment:
         except KeyError:
             raise ValueError("chamber does not belong to this apartment") from None
 
-    def trace(self) -> frozenset[Subspace]:
-        return trace_of(self.chambers)
-
 
 # A bound, so an exhaustive sweep over tens of thousands of bases holds a
 # fixed number of apartments; a sweep uses each apartment right away.
@@ -244,11 +235,6 @@ APARTMENT_CACHE_SIZE = 256
 @lru_cache(maxsize=APARTMENT_CACHE_SIZE)
 def apartment_of(base: Base) -> Apartment:
     return Apartment(base)
-
-
-def trace_of(chambers) -> frozenset[Subspace]:
-    """The set of subspaces occurring in any of the given chambers."""
-    return frozenset(part for c in chambers for part in c.parts)
 
 
 def check_base_cap(space: ProjSpace, force: bool = False) -> None:
@@ -293,45 +279,30 @@ def all_bases(space: ProjSpace, force: bool = False) -> tuple[Base, ...]:
     return tuple(iter_bases(space, force))
 
 
-class BuildingIndex:
-    """Chamber/apartment incidence for one space, built once.
-
-    ``base_ids_by_chamber[c]`` is the frozenset of indices into
-    ``bases`` whose apartment contains c; intersecting those sets
-    answers containment queries quickly.
-    """
-
-    def __init__(self, space: ProjSpace, force: bool = False):
-        self.space = space
-        self.bases = all_bases(space, force)
-        self.apartment_sets = tuple(
-            apartment_of(b).chamber_set for b in self.bases
-        )
-        by_chamber: dict[Chamber, set[int]] = {c: set() for c in chambers_of(space)}
-        for k, chs in enumerate(self.apartment_sets):
-            for c in chs:
-                by_chamber[c].add(k)
-        self.base_ids_by_chamber = {c: frozenset(s) for c, s in by_chamber.items()}
-        self.id_by_base = {b: k for k, b in enumerate(self.bases)}
-
-
 @lru_cache(maxsize=None)
-def building_index(space: ProjSpace, force: bool = False) -> BuildingIndex:
-    return BuildingIndex(space, force)
+def _base_ids_by_chamber(space: ProjSpace, force: bool) -> dict:
+    """Each chamber -> the frozenset of indices into ``all_bases(space)``
+    whose apartment contains it."""
+    by_chamber: dict[Chamber, set[int]] = {c: set() for c in chambers_of(space)}
+    for k, base in enumerate(all_bases(space, force)):
+        for c in apartment_of(base).chambers:
+            by_chamber[c].add(k)
+    return {c: frozenset(s) for c, s in by_chamber.items()}
 
 
 def apartments_containing(space: ProjSpace, chambers, force: bool = False):
     """All bases whose apartment contains every given chamber."""
-    idx = building_index(space, force)
+    bases = all_bases(space, force)
     chs = list(chambers)
     if not chs:
-        return idx.bases
+        return bases
+    by_chamber = _base_ids_by_chamber(space, force)
     try:
-        sets = [idx.base_ids_by_chamber[c] for c in chs]
+        sets = [by_chamber[c] for c in chs]
     except KeyError:
         raise ValueError("not a chamber of this space") from None
     ids = frozenset.intersection(*sets)
-    return tuple(idx.bases[i] for i in sorted(ids))
+    return tuple(bases[i] for i in sorted(ids))
 
 
 def common_apartment(c1: Chamber, c2: Chamber) -> Base:
@@ -364,11 +335,3 @@ def common_apartment(c1: Chamber, c2: Chamber) -> Base:
     if c1 not in apt.chamber_set or c2 not in apt.chamber_set:
         raise AssertionError("common apartment construction failed its postcondition")
     return base
-
-
-def residue_chamber(res: Residue, chamber: Chamber) -> Chamber:
-    """Project a chamber through the residue point to a chamber of the
-    quotient space (the first subspace is dropped)."""
-    if chamber.point != res.point:
-        raise ValueError("chamber does not pass through the residue point")
-    return Chamber.of(res.space, [res.project(p) for p in chamber.parts[1:]])

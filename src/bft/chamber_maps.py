@@ -165,9 +165,6 @@ class ChamberMap:
     def image_chambers(self) -> frozenset[Chamber]:
         return frozenset(self.table.values())
 
-    def is_injective(self) -> bool:
-        return len(self.image_chambers()) == len(self.table)
-
     def is_surjective(self) -> bool:
         return self.image_chambers() == set(chambers_of(self.target))
 
@@ -395,9 +392,6 @@ class Decomposition:
     g: dict  # source point -> target point (direct) or target hyperplane
     h: dict  # source hyperplane -> target hyperplane (direct) or point
     sigma_by_base: dict = field(default_factory=dict)
-
-    def g_image_size(self) -> int:
-        return len(set(self.g.values()))
 
 
 def reconstruct(f: ChamberMap) -> Decomposition:

@@ -172,8 +172,8 @@ def cmd_apartment(args) -> int:
     report.add("chambers", factorial(args.n + 1), len(ap), len(ap) == factorial(args.n + 1))
     report.details["base"] = _encode_base(base)
     report.details["chambers"] = [
-        {"perm": list(perm), "parts": encode_chamber(ap.chamber_of_perm(perm))}
-        for perm in ap.perms
+        {"perm": list(perm), "parts": encode_chamber(chamber)}
+        for perm, chamber in zip(ap.perms, ap.chambers)
     ]
     _emit(report, args.format)
     return 0 if report.passed() else 1

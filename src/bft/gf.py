@@ -24,7 +24,6 @@ building itself is computed on those masks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
@@ -313,29 +312,3 @@ class Subspace:
                 v[pc] = neg[row[fc]]
             basis.append(v)
         return Subspace.span(self.gf, self.ambient, basis)
-
-
-def all_subspaces(gf: GF, ambient: int):
-    """Every subspace of GF(q)^ambient, the zero and full ones included.
-
-    Breadth-first span closure; only usable at desk scale (GF(2)^4 has
-    67 subspaces).
-    """
-    vectors = [
-        v for v in itertools.product(range(gf.q), repeat=ambient) if any(v)
-    ]
-    zero = Subspace.zero(gf, ambient)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        fresh = []
-        for s in frontier:
-            for v in vectors:
-                if s.contains_vector(v):
-                    continue
-                t = s.extended_by(v)
-                if t not in seen:
-                    seen.add(t)
-                    fresh.append(t)
-        frontier = fresh
-    return sorted(seen, key=lambda s: (s.rank, s.rows))

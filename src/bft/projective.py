@@ -314,24 +314,6 @@ def standard_base(space: ProjSpace) -> Base:
     )
 
 
-def extend_to_base(space: ProjSpace, points=()) -> Base:
-    """Complete an independent point set to a base, scanning candidate
-    points in lexicographic order and keeping each one that raises the
-    rank.  Deterministic; the input points are kept."""
-    pts = [normalize_point(space, p) for p in points]
-    if not is_independent(space, pts):
-        raise ValueError("cannot extend a dependent point set to a base")
-    current = span_points(space, pts)
-    for cand in points_of(space):
-        if len(pts) == space.ambient:
-            break
-        if current.contains_vector(cand):
-            continue
-        pts.append(cand)
-        current = current.extended_by(cand)
-    return Base.of(space, pts)
-
-
 # ---------------------------------------------------------------- duality
 
 
@@ -343,63 +325,6 @@ def dual_subspace(space: ProjSpace, sub: Subspace) -> Subspace:
     if sub.gf != space.gf or sub.ambient != space.ambient:
         raise ValueError("subspace does not live in this space")
     return sub.annihilator()
-
-
-def dual_base(space: ProjSpace, base: Base) -> Base:
-    """The base of the dual space formed by the annihilators of the
-    hyperplanes spanned by all-but-one base point.
-
-    The i-th dual base point is orthogonal to every base point except
-    the i-th, so the construction is involutive up to normalization.
-    """
-    duals = []
-    for i in range(space.ambient):
-        others = base.points[:i] + base.points[i + 1 :]
-        ann = span_points(space, others).annihilator()
-        duals.append(normalize_point(space, ann.rows[0]))
-    return Base.of(space, duals)
-
-
-# ---------------------------------------------------------------- residue
-
-
-@dataclass(frozen=True)
-class Residue:
-    """The quotient geometry of all subspaces through a fixed point.
-
-    Realized as PG(n-1, q) on the coordinates away from the point's
-    pivot column.  ``project`` is a pdim-lowering bijection from the
-    subspaces through the point onto the subspaces of the quotient.
-    """
-
-    parent: ProjSpace
-    point: tuple[int, ...]
-    space: ProjSpace
-    pivot: int
-
-    def project(self, sub: Subspace) -> Subspace:
-        if not sub.contains_vector(self.point):
-            raise ValueError("subspace does not pass through the residue point")
-        gf = self.parent.gf
-        rows = []
-        for r in sub.rows:
-            c = r[self.pivot]
-            if c:
-                r = tuple(
-                    gf.add[x][gf.neg[gf.mul[c][y]]] for x, y in zip(r, self.point)
-                )
-            rows.append(r[: self.pivot] + r[self.pivot + 1 :])
-        return Subspace.span(gf, self.space.ambient, rows)
-
-
-def residue(space: ProjSpace, point) -> Residue:
-    if space.n < 3:
-        raise ValueError(
-            "the residue of a point is a projective space only for n >= 3"
-        )
-    p = normalize_point(space, point)
-    pivot = next(c for c, x in enumerate(p) if x)
-    return Residue(space, p, ProjSpace(space.n - 1, space.gf), pivot)
 
 
 # ------------------------------------------------------------- semilinear
@@ -465,7 +390,3 @@ class Semilinear:
             self.target.ambient,
             [self.apply_vector(r) for r in sub.rows],
         )
-
-    def is_surjective_on_points(self) -> bool:
-        # sigma surjective onto GF(q') makes the map a collineation
-        return len(set(self.sigma)) == self.target.q

@@ -2,8 +2,8 @@
 
 Independent oracles used here: the flag-count product
 prod_{k=2..n+1} (q^k - 1)/(q - 1), the ordered-frame count for bases,
-and the fact that a trace of an apartment has 2^(n+1) - 2 subspaces
-(the proper nonempty subsets of the base).
+and the fact that the chambers of an apartment hold 2^(n+1) - 2 distinct
+subspaces (the spans of the proper nonempty subsets of the base).
 """
 
 import random
@@ -24,14 +24,8 @@ from bft.buildings import (
     check_chamber,
     common_apartment,
     panels_of,
-    residue_chamber,
-    trace_of,
 )
-from bft.projective import (
-    ProjSpace,
-    residue,
-    standard_base,
-)
+from bft.projective import ProjSpace, standard_base
 from lemma_oracle import positions, prefix_sets
 
 PG22 = ProjSpace.of(2, 2)
@@ -151,8 +145,8 @@ def test_apartment_sizes_and_trace():
     ap3 = apartment_of(standard_base(PG32))
     assert len(ap2) == 6 and len(ap2.chamber_set) == 6
     assert len(ap3) == 24 and len(ap3.chamber_set) == 24
-    assert len(ap2.trace()) == 2**3 - 2
-    assert len(ap3.trace()) == 2**4 - 2
+    assert len({m for c in ap2.chambers for m in c.masks}) == 2**3 - 2
+    assert len({m for c in ap3.chambers for m in c.masks}) == 2**4 - 2
 
 
 def test_apartment_chambers_are_chambers_of_the_space():
@@ -274,30 +268,3 @@ def test_common_apartment_random_pairs_pg32():
 def test_common_apartment_is_deterministic():
     chs = chambers_of(PG32)
     assert common_apartment(chs[10], chs[200]) == common_apartment(chs[10], chs[200])
-
-
-# ---------------------------------------------------------------- residues
-
-
-def test_residue_star_is_a_full_flag_set():
-    p = (0, 0, 0, 1)
-    res = residue(PG32, p)
-    star = [c for c in chambers_of(PG32) if c.point == p]
-    assert len(star) == 21
-    images = {residue_chamber(res, c) for c in star}
-    assert images == set(chambers_of(res.space))
-
-
-def test_residue_chamber_rejects_other_points():
-    res = residue(PG32, (0, 0, 0, 1))
-    other = next(c for c in chambers_of(PG32) if c.point != (0, 0, 0, 1))
-    with pytest.raises(ValueError):
-        residue_chamber(res, other)
-
-
-def test_trace_of_subset():
-    ap = apartment_of(standard_base(PG22))
-    sub = ap.chambers[:2]
-    tr = trace_of(sub)
-    assert all(part in tr for c in sub for part in c.parts)
-    assert len(tr) <= 4

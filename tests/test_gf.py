@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bft.gf import GF, SUPPORTED_ORDERS, FieldError, Subspace, all_subspaces, rref
+from bft.buildings import chambers_of
+from bft.gf import GF, SUPPORTED_ORDERS, FieldError, Subspace, rref
+from bft.projective import ProjSpace
 
 ALL_FIELDS = [GF.of(q) for q in SUPPORTED_ORDERS]
 
@@ -227,15 +229,24 @@ def test_mismatched_operands_rejected():
         a.meet(c)
 
 
+def _subspaces_of_gf2_4():
+    """Every subspace of GF(2)^4: zero, the parts of the chambers of
+    PG(3,2) (each proper nonzero subspace lies in some maximal flag), and
+    the full space."""
+    parts = {part for c in chambers_of(ProjSpace.of(3, 2)) for part in c.parts}
+    gf = GF.of(2)
+    return [Subspace.zero(gf, 4), *parts, Subspace.full(gf, 4)]
+
+
 def test_gf2_4_has_67_subspaces():
-    subs = all_subspaces(GF.of(2), 4)
+    subs = _subspaces_of_gf2_4()
     assert len(subs) == 67
     by_rank = {r: sum(1 for s in subs if s.rank == r) for r in range(5)}
     assert by_rank == {0: 1, 1: 15, 2: 35, 3: 15, 4: 1}
 
 
 def test_annihilator_involution_and_reversal_on_gf2_4():
-    subs = all_subspaces(GF.of(2), 4)
+    subs = _subspaces_of_gf2_4()
     for s in subs:
         assert s.annihilator().annihilator() == s
         assert s.annihilator().rank == 4 - s.rank

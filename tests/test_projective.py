@@ -1,8 +1,8 @@
-"""Projective spaces, bases, duality, residues, semilinear maps.
+"""Projective spaces, bases, duality, semilinear maps.
 
 Frozen expectations derived by hand: point counts (q^(n+1)-1)/(q-1),
-the greedy base completions over PG(2,2), and the annihilator rows of
-the nonstandard base {e1, e2, (1,1,1)}.
+the lexicographic order of the points of PG(2,2), and the images of the
+subfield inclusion and the Frobenius map on PG(2,4).
 """
 
 import random
@@ -15,14 +15,11 @@ from bft.projective import (
     MapError,
     ProjSpace,
     Semilinear,
-    dual_base,
     dual_subspace,
-    extend_to_base,
     is_independent,
     normalize_point,
     points_of,
     points_of_subspace,
-    residue,
     span_points,
     standard_base,
 )
@@ -96,27 +93,6 @@ def test_base_rejects_bad_input():
         Base.of(PG22, [(0, 0, 1), (0, 1, 0), (0, 0, 1)])
 
 
-def test_extend_to_base_greedy_from_empty():
-    # greedy lexicographic scan picks e3, e2, e1
-    assert extend_to_base(PG22).points == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-
-
-def test_extend_to_base_keeps_given_points():
-    b = extend_to_base(PG22, [(1, 1, 1)])
-    assert b.points == ((0, 0, 1), (0, 1, 0), (1, 1, 1))
-    full = standard_base(PG32)
-    assert extend_to_base(PG32, full.points) == full
-
-
-def test_extend_to_base_rejects_dependent_seed():
-    with pytest.raises(ValueError):
-        extend_to_base(PG22, [(0, 0, 1), (0, 1, 0), (0, 1, 1)])
-
-
-def test_extend_is_deterministic():
-    assert extend_to_base(PG32, [(1, 1, 1, 0)]) == extend_to_base(PG32, [(1, 1, 1, 0)])
-
-
 # ----------------------------------------------------------------- duality
 
 
@@ -125,63 +101,6 @@ def test_dual_subspace_degrees_and_involution():
     d = dual_subspace(PG32, line)
     assert d.pdim == PG32.n - line.pdim - 1
     assert dual_subspace(PG32, d) == line
-
-
-def test_dual_base_of_standard_base_is_standard():
-    b = standard_base(PG22)
-    assert dual_base(PG22, b).points == b.points
-
-
-def test_dual_base_hand_example():
-    b = Base.of(PG22, [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
-    # annihilators of the three 2-point spans, solved by hand
-    assert dual_base(PG22, b).points == ((0, 0, 1), (0, 1, 1), (1, 0, 1))
-
-
-def test_dual_base_involution_as_a_set():
-    b = Base.of(PG22, [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
-    assert dual_base(PG22, dual_base(PG22, b)).points == b.points
-
-
-# ----------------------------------------------------------------- residue
-
-
-def test_residue_shape_and_counts():
-    res = residue(PG32, (0, 0, 0, 1))
-    assert res.space == PG22
-    lines_through = [
-        span_points(PG32, [(0, 0, 0, 1), p])
-        for p in points_of(PG32)
-        if p != (0, 0, 0, 1)
-    ]
-    images = {res.project(ln) for ln in lines_through}
-    assert len(images) == 7  # the 7 points of the PG(2,2) quotient
-    assert all(s.pdim == 0 for s in images)
-
-
-def test_residue_preserves_inclusion_and_is_injective_on_planes():
-    p = (1, 0, 1, 0)
-    res = residue(PG32, p)
-    line = span_points(PG32, [p, (0, 1, 0, 0)])
-    plane = line.extended_by((0, 0, 0, 1))
-    assert res.project(plane).contains(res.project(line))
-    planes = set()
-    for s in (
-        span_points(PG32, [p, (0, 1, 0, 0), (0, 0, 0, 1)]),
-        span_points(PG32, [p, (0, 1, 0, 0), (0, 0, 1, 1)]),
-        span_points(PG32, [p, (0, 0, 1, 0), (0, 0, 0, 1)]),
-    ):
-        planes.add(res.project(s))
-    assert len(planes) == 3
-    assert all(s.pdim == 1 for s in planes)
-
-
-def test_residue_rejects_outside_subspace_and_planes():
-    res = residue(PG32, (0, 0, 0, 1))
-    with pytest.raises(ValueError):
-        res.project(span_points(PG32, [(1, 0, 0, 0), (0, 1, 0, 0)]))
-    with pytest.raises(ValueError):
-        residue(PG22, (0, 0, 1))
 
 
 # --------------------------------------------------------------- semilinear
@@ -198,7 +117,7 @@ def test_identity_map_fixes_points():
     f = Semilinear.of(PG22, PG22, _identity(PG22))
     for p in points_of(PG22):
         assert f.apply_point(p) == p
-    assert f.is_surjective_on_points()
+    assert len({f.apply_point(p) for p in points_of(PG22)}) == len(points_of(PG22))
 
 
 def test_singular_matrix_rejected():
@@ -222,15 +141,14 @@ def test_subfield_inclusion_hits_7_of_21_points():
     images = {f.apply_point(p) for p in points_of(PG22)}
     assert len(images) == 7
     assert images < set(points_of(pg24))
-    assert not f.is_surjective_on_points()
+    assert len(images) < len(points_of(pg24))
 
 
 def test_frobenius_semilinear_map_on_pg24():
     pg24 = ProjSpace.of(2, 4)
     f = Semilinear.of(pg24, pg24, _identity(pg24), sigma=GF.of(4).frobenius())
     images = {f.apply_point(p) for p in points_of(pg24)}
-    assert len(images) == 21
-    assert f.is_surjective_on_points()
+    assert len(images) == len(points_of(pg24)) == 21
     assert f.apply_point((1, 2, 0)) == (1, 3, 0)  # x -> x^2 sends code 2 to 3
 
 
