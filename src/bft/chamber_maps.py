@@ -18,9 +18,10 @@ The analysis direction asks: given only the table, was it induced?
   together with its orientation case (1 = direct, 2 = dual).
 * ``reconstruct`` rebuilds the point map ``g`` from chamber stars: all
   chambers through a point must map to chambers sharing a 0-component
-  (direct) or an (n-1)-component (dual).  It also rebuilds the hyperplane
-  map ``h``, checks ``h`` is determined by ``g``, checks incidence, and
-  checks the whole table is componentwise induced by ``g``.
+  (direct) or an (n-1)-component (dual).  It then checks once that the
+  whole table is componentwise induced by ``g``.
+* ``verify_strong_embedding`` checks that ``g`` is a strong embedding.
+  By the main theorem these two facts are the whole certificate.
 * ``analyze`` runs the whole procedure once.  It reconstructs the point
   map and checks that it is a strong embedding; when both pass, every
   apartment is preserved by the converse of the main theorem, so the
@@ -77,7 +78,6 @@ __all__ = [
     "ChamberMap",
     "ApartmentCheck",
     "Decomposition",
-    "StrongEmbeddingVerdict",
     "Analysis",
     "induce",
     "preserves_apartments",
@@ -112,7 +112,7 @@ class DecompositionError(AnalysisError):
 
 
 class ReconstructionError(AnalysisError):
-    """No single point/hyperplane map explains the chamber images."""
+    """No strong embedding's point map explains the chamber images."""
 
 
 class MixedKindError(ReconstructionError):
@@ -390,7 +390,6 @@ def _witness_pair(star, images, key):
 class Decomposition:
     kind: str  # "direct" or "dual"
     g: dict  # source point -> target point (direct) or target hyperplane
-    h: dict  # source hyperplane -> target hyperplane (direct) or point
     sigma_by_base: dict = field(default_factory=dict)
 
 
@@ -399,21 +398,23 @@ def reconstruct(f: ChamberMap) -> Decomposition:
 
     For every source point, the images of all chambers through it must share
     a 0-component (kind "direct") or an (n-1)-component (kind "dual"), the
-    kind being the same for every point.  The hyperplane map is recovered
-    the same way from chambers sharing a hyperplane, then three facts are
-    verified: the hyperplane map is determined by the point map (join of
-    point images, respectively meet of their image hyperplanes), incident
-    point/hyperplane pairs stay incident, and every chamber's image is
-    componentwise induced.  Violations raise :class:`ReconstructionError`
-    with a witness pair of chambers.
+    kind being the same for every point.  Then every chamber's image must be
+    componentwise induced by that point map ``g``: each component S goes to
+    span g(S) (direct), or the components, read backwards, are the meets
+    of the image hyperplanes of S (dual).  Violations raise
+    :class:`ReconstructionError` with a witness: two chambers, two points,
+    or a chamber and its image.
+
+    The table check also settles the hyperplanes, so no hyperplane map is
+    rebuilt: every chamber on a hyperplane H has the image component
+    induced(H), so the chambers on H agree and h(H) = induced(H); and
+    incidence holds, g(p) <= span g(H) (direct) and meet g(H) <= g(p) (dual).
     """
     source, target = Geometry.of(f.source), Geometry.of(f.target)
     table = f.table
     by_point = {}
-    by_hyperplane = {}
     for c in chambers_of(f.source):
         by_point.setdefault(c.masks[0], []).append(c)
-        by_hyperplane.setdefault(c.masks[-1], []).append(c)
 
     g, kinds = {}, {}
     for p, star in by_point.items():
@@ -449,26 +450,7 @@ def reconstruct(f: ChamberMap) -> Decomposition:
             witness=(direct_p, dual_p),
         )
     kind = distinct.pop()
-
-    h = {}
-    for hyp, star in by_hyperplane.items():
-        images = [table[c] for c in star]
-        if kind == "direct":
-            common = _common_value([c.masks[-1] for c in images])
-        else:
-            common = _common_value([c.masks[0] for c in images])
-        if common is None:
-            raise ReconstructionError(
-                f"chambers on hyperplane {star[0].hyperplane} do not share an "
-                "image component of the expected kind",
-                witness=(star[0], star[-1]),
-            )
-        h[hyp] = common
-
-    induced = _induced_parts(f, kind, g)
-    _verify_h_from_g(f, h, induced)
-    _verify_incidence(f, kind, g, h)
-    _verify_componentwise(f, kind, induced)
+    _verify_componentwise(f, kind, _induced_parts(f, kind, g))
 
     sigma_by_base = {}
     try:
@@ -481,7 +463,6 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     return Decomposition(
         kind=kind,
         g={_view(source, p): _view(target, v) for p, v in g.items()},
-        h={_view(source, k): _view(target, v) for k, v in h.items()},
         sigma_by_base=sigma_by_base,
     )
 
@@ -516,33 +497,6 @@ def _induced_parts(f: ChamberMap, kind: str, g: dict):
     return induced
 
 
-def _verify_h_from_g(f, h, induced):
-    source, target = Geometry.of(f.source), Geometry.of(f.target)
-    for hyp, value in h.items():
-        if value != induced(hyp):
-            raise ReconstructionError(
-                f"hyperplane map at {source.subspace(hyp)} is not induced by "
-                "the point map",
-                witness=(source.subspace(hyp), _view(target, value)),
-            )
-
-
-def _verify_incidence(f, kind, g, h):
-    geo = Geometry.of(f.source)
-    for hyp, value in h.items():
-        for p in bits(hyp):
-            image = g[1 << p]
-            # direct: the point image lies on the hyperplane image;
-            # dual: the hyperplane image passes through the point image
-            small, big = (image, value) if kind == "direct" else (value, image)
-            if small & big != small:
-                raise ReconstructionError(
-                    f"images of incident pair ({geo.point(p)}, "
-                    f"{geo.subspace(hyp)}) are not incident",
-                    witness=(geo.point(p), geo.subspace(hyp)),
-                )
-
-
 def _verify_componentwise(f, kind, induced):
     table = f.table
     for chamber in chambers_of(f.source):
@@ -556,16 +510,10 @@ def _verify_componentwise(f, kind, induced):
             )
 
 
-@dataclass(frozen=True)
-class StrongEmbeddingVerdict:
-    ok: bool
-    failures: tuple = ()
-
-
-def verify_strong_embedding(
-    source: ProjSpace, target: ProjSpace, g: dict
-) -> StrongEmbeddingVerdict:
-    """Check that a point map is a strong embedding.
+def verify_strong_embedding(source: ProjSpace, target: ProjSpace, g: dict) -> None:
+    """Check that a point map is a strong embedding, or raise
+    :class:`ReconstructionError` with a witness: the first point ``g``
+    misses, two points with one image, or the failing :class:`Subspace`.
 
     The test: ``g`` is total and injective, and rank span g(S) = rank S for
     every subspace S (each chamber component, and the whole space).  For
@@ -581,20 +529,27 @@ def verify_strong_embedding(
     This checks ~400 subspaces on PG(4, 2) instead of its 83,328 bases.
     """
     pts = points_of(source)
-    if set(g.keys()) != set(pts):
-        return StrongEmbeddingVerdict(False, ("map is not total on points",))
-    if len(set(g.values())) != len(pts):
-        return StrongEmbeddingVerdict(False, ("map is not injective",))
+    preimage = {}
+    for p in pts:
+        if p not in g:
+            raise ReconstructionError(f"map misses point {p}", witness=p)
+        other = preimage.setdefault(g[p], p)
+        if other != p:
+            raise ReconstructionError(
+                f"map is not injective: {other} and {p} share an image",
+                witness=(other, p),
+            )
     sgeo, tgeo = Geometry.of(source), Geometry.of(target)
     image_id = [tgeo.id_of(g[p]) for p in pts]
     masks = {m for c in chambers_of(source) for m in c.masks} | {sgeo.full}
-    for mask in sorted(masks, key=lambda m: (sgeo.rank(m), sgeo.rows(m))):
+    for mask in sorted(masks, key=lambda m: (sgeo.rank(m), m)):
         rank = sgeo.rank(mask)
         image_rank = tgeo.rank(tgeo.span(image_id[p] for p in bits(mask)))
         if image_rank != rank:
-            failure = f"subspace {sgeo.rows(mask)} of rank {rank} spans rank {image_rank}"
-            return StrongEmbeddingVerdict(False, (failure,))
-    return StrongEmbeddingVerdict(True)
+            raise ReconstructionError(
+                f"subspace {sgeo.rows(mask)} of rank {rank} spans rank {image_rank}",
+                witness=sgeo.subspace(mask),
+            )
 
 
 @dataclass(frozen=True)
@@ -644,12 +599,7 @@ def analyze(
             point_map = {
                 p: dual_point(f.target, hyp) for p, hyp in decomposition.g.items()
             }
-        verdict = verify_strong_embedding(f.source, f.target, point_map)
-        if not verdict.ok:
-            raise ReconstructionError(
-                f"reconstructed point map fails embedding checks: {verdict.failures}",
-                witness=verdict.failures,
-            )
+        verify_strong_embedding(f.source, f.target, point_map)
     except AnalysisError as exc:
         check = preserves_apartments(f, mode=mode, k=k, seed=seed)
         if not check.ok:

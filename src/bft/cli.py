@@ -113,6 +113,8 @@ def _fail(message: str) -> None:
 def _check_space_args(n: int, q: int, force: bool = True) -> str | None:
     if n < 2:
         return f"projective dimension must be at least 2, got {n}"
+    if n > 64:  # from n = 68 at q = 9, apartment_count has too many digits for str()
+        return f"projective dimension must be at most 64, got {n}"
     if q not in SUPPORTED_ORDERS:
         return (
             f"unsupported field order {q}; supported: "

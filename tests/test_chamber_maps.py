@@ -22,7 +22,7 @@ from bft.chamber_maps import (
     reconstruct,
     verify_strong_embedding,
 )
-from bft.gf import GF
+from bft.gf import GF, Subspace
 from bft.projective import (
     Base,
     MapError,
@@ -257,22 +257,57 @@ def test_reconstruct_rejects_random_bijection():
         reconstruct(random_bijection(PG22, 1))
 
 
+def test_reconstruct_names_the_first_chamber_not_induced():
+    """Two chambers on one point swap images: every point star agrees, and
+    the table check names the first chamber with its image."""
+    chs = chambers_of(PG22)
+    a = chs[0]
+    b = next(c for c in chs[1:] if c.point == a.point)
+    table = dict(identity_map(PG22).table)
+    table[a], table[b] = table[b], table[a]
+    with pytest.raises(ReconstructionError, match="componentwise") as info:
+        reconstruct(ChamberMap(PG22, PG22, table))
+    assert info.value.witness == (a, table[a])
+
+
 # ----------------------------------------------------------- strong embeddings
+
+
+def embeds(source, target, g) -> bool:
+    try:
+        verify_strong_embedding(source, target, g)
+    except ReconstructionError:
+        return False
+    return True
 
 
 def test_verify_strong_embedding_identity_and_constant():
     pts = points_of(PG22)
-    good = verify_strong_embedding(PG22, PG22, {p: p for p in pts})
-    assert good.ok and good.failures == ()
-    bad = verify_strong_embedding(PG22, PG22, {p: pts[0] for p in pts})
-    assert not bad.ok
-    assert any("injective" in msg for msg in bad.failures)
+    assert embeds(PG22, PG22, {p: p for p in pts})
+    with pytest.raises(ReconstructionError, match="injective") as info:
+        verify_strong_embedding(PG22, PG22, {p: pts[0] for p in pts})
+    assert info.value.witness == (pts[0], pts[1])
+
+
+def test_verify_strong_embedding_names_the_failing_subspace():
+    pts = points_of(PG22)
+    g = {p: p for p in pts}
+    g[pts[0]], g[pts[1]] = pts[1], pts[0]
+    with pytest.raises(ReconstructionError, match="spans rank 3") as info:
+        verify_strong_embedding(PG22, PG22, g)
+    assert isinstance(info.value.witness, Subspace)
+    assert info.value.witness.rank == 2
+    missing = dict(g)
+    del missing[pts[2]]
+    with pytest.raises(ReconstructionError, match="misses") as info:
+        verify_strong_embedding(PG22, PG22, missing)
+    assert info.value.witness == pts[2]
 
 
 def test_verify_strong_embedding_round_trip():
     semi = Semilinear.of(PG22, PG24, identity_semi(PG22).matrix)
     d = reconstruct(induce(semi))
-    assert verify_strong_embedding(PG22, PG24, d.g).ok
+    assert embeds(PG22, PG24, d.g)
 
 
 def oracle_strong_embedding(source, target, g) -> bool:
@@ -315,7 +350,7 @@ def test_verify_strong_embedding_matches_oracle(source, target):
         replaced[rng.choice(pts)] = rng.choice(target_pts)
         for point_map in (g, swapped, replaced):
             expected = oracle_strong_embedding(source, target, point_map)
-            assert verify_strong_embedding(source, target, point_map).ok == expected
+            assert embeds(source, target, point_map) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -425,7 +460,7 @@ def sweep_first(f):
     point_map = d.g
     if d.kind == "dual":
         point_map = {p: dual_point(f.target, hyp) for p, hyp in d.g.items()}
-    if not verify_strong_embedding(f.source, f.target, point_map).ok:
+    if not embeds(f.source, f.target, point_map):
         return check, "not-apartment-preserving"
     onto = len(set(point_map.values())) == len(points_of(f.target))
     return check, f"{'collineation' if onto else 'strong-embedding'}-{d.kind}"

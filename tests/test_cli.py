@@ -52,6 +52,16 @@ def test_space_rejects_small_dimension(capsys):
     assert "at least 2" in err
 
 
+def test_space_bounds_the_dimension(capsys):
+    """apartment_count(68, 9) has more digits than int -> str allows; every
+    dimension up to the bound prints."""
+    code, out, err = run(capsys, "space", "--n", "68", "--q", "9")
+    assert code == 2 and out == ""
+    assert "at most 64" in err and "Traceback" not in err
+    code, report, _ = run_json(capsys, "space", "--n", "64", "--q", "9")
+    assert code == 0 and report["checks"][-1]["name"] == "apartments"
+
+
 # ---------------------------------------------------------------- apartment
 
 
