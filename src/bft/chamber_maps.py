@@ -11,6 +11,7 @@ The analysis direction asks: given only the table, was it induced?
 * ``preserves_apartments`` checks that whole apartments land on whole
   apartments, recovering each candidate image apartment from the points of
   the image chambers (so the target never needs a full base enumeration).
+  It checks the bases it is given, or else every base of the source.
 * ``main_lemma_decompose`` works inside a single apartment: it transports
   each complement family through the map, identifies the image as a
   complement family of the image apartment, classifies the transported
@@ -25,9 +26,11 @@ The analysis direction asks: given only the table, was it induced?
 * ``analyze`` runs the whole procedure once.  It reconstructs the point
   map and checks that it is a strong embedding; when both pass, every
   apartment is preserved by the converse of the main theorem, so the
-  apartment verdict is certified without a sweep.  Only when either fails
-  does it sweep apartments, to find a witness base.  ``classify`` returns
-  just the label.
+  apartment verdict is certified without a sweep.  When either fails, the
+  failure's witness names where to look: the apartments through the
+  chambers, points, subspaces and bases it names are checked first, and
+  only if all of them are preserved are all apartments swept (within the
+  base cap).  ``classify`` returns just the label.
 
 Failures carry witnesses (a base whose apartment breaks, or a pair of flags
 whose images disagree) rather than a bare boolean.
@@ -36,7 +39,6 @@ whose images disagree) rather than a bare boolean.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -209,16 +211,15 @@ def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
 
 @dataclass(frozen=True)
 class ApartmentCheck:
-    """The apartment verdict.  ``certified`` records that it was proved by
-    reconstruction rather than swept; it is provenance, so it takes no part
-    in equality."""
+    """The apartment verdict.  ``path`` says how it was reached:
+    ``"certified"`` by reconstruction, ``"local"`` on the apartments a
+    witness points at, or ``"sweep"`` over every base of the source."""
 
     ok: bool
-    mode: str
+    path: str
     checked: int
     witness_base: Optional[Base] = None
     witness_image: Optional[frozenset] = None
-    certified: bool = field(default=False, compare=False)
 
 
 def _image_apartment(f: ChamberMap, ap: Apartment):
@@ -243,52 +244,63 @@ def _image_apartment(f: ChamberMap, ap: Apartment):
     return candidate, None
 
 
-def _random_base(space: ProjSpace, rng: random.Random) -> Base:
-    # sampling ids draws exactly as sampling the list points_of(space) would
-    geo = Geometry.of(space)
-    ids = range(geo.size)
-    while True:
-        chosen = rng.sample(ids, space.n + 1)
-        if geo.is_independent(chosen):
-            return geo.base(chosen)
+def preserves_apartments(f: ChamberMap, bases=None) -> ApartmentCheck:
+    """Check that the image of each apartment of ``bases`` is a target
+    apartment; by default ``bases`` is every base of the source (subject to
+    the enumeration cap), in the order of ``iter_bases``.
 
-
-def _check_mode(space: ProjSpace, mode: str, k: int) -> None:
-    """Refuse a sweep that could not run: an unknown mode, ``k < 1``, or an
-    exhaustive sweep beyond the base cap (:class:`ScaleError`)."""
-    if mode == "exhaustive":
-        check_base_cap(space)
-    elif mode != "sample":
-        raise ValueError(f"unknown mode {mode!r}")
-    elif k < 1:
-        raise ValueError(f"sample mode needs k >= 1, got {k}")
-
-
-def preserves_apartments(
-    f: ChamberMap,
-    mode: str = "exhaustive",
-    k: int = 50,
-    seed: int = 0,
-) -> ApartmentCheck:
-    """Check that the image of every tested apartment is a target apartment.
-
-    ``mode="exhaustive"`` sweeps every base of the source (subject to the
-    enumeration cap); ``mode="sample"`` tests ``k`` seeded random bases.
     The first failing base is returned as a witness together with the
     offending image chamber set.
     """
-    _check_mode(f.source, mode, k)
-    if mode == "exhaustive":
+    path = "sweep" if bases is None else "local"
+    if bases is None:
         bases = iter_bases(f.source)
-    else:
-        rng = random.Random(seed)
-        bases = [_random_base(f.source, rng) for _ in range(k)]
     checked = 0
     for checked, base in enumerate(bases, start=1):
         candidate, image_set = _image_apartment(f, apartment_of(base))
         if candidate is None:
-            return ApartmentCheck(False, mode, checked, base, image_set)
-    return ApartmentCheck(True, mode, checked, None, None)
+            return ApartmentCheck(False, path, checked, base, image_set)
+    return ApartmentCheck(True, path, checked)
+
+
+def _witness_bases(space: ProjSpace, witness):
+    """The bases of ``space`` a failed certificate's witness points at,
+    lazily and each once: a :class:`Base` it names as it is, then every
+    apartment through each chamber it names.  A chamber of ``space`` is
+    taken as it is, a point as the first chamber of its star, a
+    :class:`Subspace` as the first chamber over it; the rest is skipped.
+
+    A chamber V_0 < ... < V_{n-1} lies in the apartment of a base exactly
+    when the base has one point in each V_k minus V_{k-1}, with V_{-1} = 0
+    and V_n the whole space, so these are listed with no base enumeration.
+    """
+    geo = Geometry.of(space)
+    chambers, points = chambers_of(space), set(points_of(space))
+
+    def named(item):
+        if isinstance(item, Base):
+            yield item
+            return
+        if isinstance(item, tuple) and item not in points:
+            for part in item:
+                yield from named(part)
+            return
+        if isinstance(item, Subspace):
+            mask = geo.mask_of(item)
+            item = next(c for c in chambers if mask == geo.full or mask in c.masks)
+        elif item in points:
+            mask = 1 << geo.id_of(item)
+            item = next(c for c in chambers if c.masks[0] == mask)
+        if isinstance(item, Chamber) and item.geometry is geo:
+            chain = (0, *item.masks, geo.full)
+            layers = [bits(high & ~low) for low, high in zip(chain, chain[1:])]
+            yield from map(geo.base, itertools.product(*layers))
+
+    seen = set()
+    for base in named(witness):
+        if base not in seen:
+            seen.add(base)
+            yield base
 
 
 def main_lemma_decompose(f: ChamberMap, base: Base):
@@ -565,9 +577,7 @@ class Analysis:
     error: Optional[AnalysisError] = None
 
 
-def analyze(
-    f: ChamberMap, mode: Optional[str] = None, k: int = 50, seed: int = 0
-) -> Analysis:
+def analyze(f: ChamberMap) -> Analysis:
     """Decide once where a chamber map comes from.
 
     The point map is reconstructed and checked to be a strong embedding;
@@ -581,16 +591,15 @@ def analyze(
     all (n+1)! chambers of A(g(B)).  The dual case is the same with
     annihilators.
 
-    Only when the certificate fails are apartments swept (exhaustively when
-    the source is at most PG(3, 3), by ``k`` seeded samples otherwise), to
-    find a witness base for ``"not-apartment-preserving"``.  An exhaustive
-    sweep that finds none contradicts the theorem and is labelled
-    ``"apartment-preserving-not-induced"``; a passing sample proves nothing,
-    so sample mode keeps ``"not-apartment-preserving"``.
+    By the theorem, a map that fails the certificate does not preserve
+    apartments, and the failure's witness shows where: the apartments it
+    points at (see :func:`_witness_bases`) are checked first, for a witness
+    base of ``"not-apartment-preserving"``.  Only if all of them are
+    preserved are all apartments swept, within the base cap.  A sweep that
+    finds no witness contradicts the theorem and is labelled
+    ``"apartment-preserving-not-induced"``; beyond the cap the map keeps
+    ``"not-apartment-preserving"``.  Either way ``error`` is set.
     """
-    if mode is None:
-        mode = "exhaustive" if f.source.n <= 3 and f.source.q <= 3 else "sample"
-    _check_mode(f.source, mode, k)
     try:
         decomposition = reconstruct(f)
         if decomposition.kind == "direct":
@@ -601,25 +610,25 @@ def analyze(
             }
         verify_strong_embedding(f.source, f.target, point_map)
     except AnalysisError as exc:
-        check = preserves_apartments(f, mode=mode, k=k, seed=seed)
-        if not check.ok:
-            return Analysis(check, "not-apartment-preserving")
-        if mode == "exhaustive":
-            return Analysis(check, "apartment-preserving-not-induced", error=exc)
-        return Analysis(check, "not-apartment-preserving", error=exc)
-    check = ApartmentCheck(
-        True, mode, apartment_count(f.source.n, f.source.q), certified=True
-    )
+        check = preserves_apartments(f, _witness_bases(f.source, exc.witness))
+        if check.ok:
+            try:
+                check_base_cap(f.source)
+            except ScaleError:
+                return Analysis(check, "not-apartment-preserving", error=exc)
+            check = preserves_apartments(f)
+            if check.ok:
+                return Analysis(check, "apartment-preserving-not-induced", error=exc)
+        return Analysis(check, "not-apartment-preserving")
+    check = ApartmentCheck(True, "certified", apartment_count(f.source.n, f.source.q))
     surjective = len(set(point_map.values())) == len(points_of(f.target))
     head = "collineation" if surjective else "strong-embedding"
     return Analysis(check, f"{head}-{decomposition.kind}", decomposition, point_map)
 
 
-def classify(
-    f: ChamberMap, mode: Optional[str] = None, k: int = 50, seed: int = 0
-) -> str:
+def classify(f: ChamberMap) -> str:
     """The label of :func:`analyze`, raising the error that stopped it."""
-    result = analyze(f, mode=mode, k=k, seed=seed)
+    result = analyze(f)
     if result.error is not None:
         raise result.error
     return result.label

@@ -125,15 +125,22 @@ def _position_lanes(n: int) -> tuple[int, ...]:
     return tuple(sum(c * at[c][i] for c in range(n + 1)) for i in range(n + 1))
 
 
+def _prefixes(positions) -> tuple[tuple[int, ...], ...]:
+    """The prefix sets of ``positions`` (rows of ``_equals``, in the order
+    the permutation is read): entry L - 1, i is the 0/1 lane of "i is among
+    the first L positions read"."""
+    out, members = [], (0,) * len(positions[0])
+    for at in positions:
+        members = tuple(map(int.__or__, members, at))
+        out.append(members)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _prefix_lanes(n: int) -> tuple[tuple[int, ...], ...]:
     """The proper prefix sets: ``_prefix_lanes(n)[L - 1][i]`` is the 0/1 lane
     of "i is among the first L elements", for L = 1..n."""
-    out, members = [], (0,) * (n + 1)
-    for at in _equals(n)[:-1]:
-        members = tuple(map(int.__or__, members, at))
-        out.append(members)
-    return tuple(out)
+    return _prefixes(_equals(n)[:-1])
 
 
 def _less(n: int, a: int, b: int) -> int:
@@ -197,10 +204,15 @@ def max_inexact_bits(n: int, i: int, j: int) -> int:
     lies in every proper prefix that contains i.
     """
     _check_pair(n, i, j)
+    return _bits(n, _max_inexact_lane(n, _prefix_lanes(n), i, j))
+
+
+def _max_inexact_lane(n: int, prefixes, i: int, j: int) -> int:
+    """The 0/1 lane of "j is in every prefix of ``prefixes`` holding i"."""
     lane = ones = _ones(n)
-    for members in _prefix_lanes(n):
+    for members in prefixes:
         lane &= members[j] | ones ^ members[i]
-    return _bits(n, lane)
+    return lane
 
 
 @lru_cache(maxsize=None)

@@ -6,15 +6,16 @@ the :class:`CheckRow` values of :func:`case_row` and :func:`structural_rows`.
 """
 
 import itertools
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from operator import itemgetter
 
 from .buildings import apartment_of
 from .combinatorics import (
-    _ones,
+    _equals,
+    _max_inexact_lane,
+    _prefix_lanes,
+    _prefixes,
     classify_adjacent_family,
     closed_form,
     complement_adjacent,
@@ -77,45 +78,6 @@ def case_row(n: int, case: int) -> CheckRow:
     return CheckRow(f"case-{case}-overlap", expected, actual, passed, note)
 
 
-@lru_cache(maxsize=None)
-def _reversal(n: int) -> itemgetter:
-    """``complement_chamber`` on permutation indices: it reverses every
-    permutation.  Applied to a sequence indexed by permutation, it reads each
-    entry at the reversed permutation.
-
-    An index k is a Lehmer code: position c adds (n - c)! times the number
-    of later entries below s_c, the digit (k // (n - c)!) % (n + 1 - c).
-    Reversed, s_d counts the earlier entries below it, s_d minus its digit,
-    at weight d!; the indices are summed for all k at once on 32-bit lanes.
-    """
-    m, size = n + 1, factorial(n + 1)
-    flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(m))))
-    lane, index = bytearray(4 * size), 0
-    for d in range(1, m):
-        run = factorial(n - d)
-        lane[::4] = flat[d::m]
-        value = int.from_bytes(lane, "little")
-        lane[::4] = b"".join(bytes([v]) * run for v in range(m - d)) * (size // run // (m - d))
-        index += factorial(d) * (value - int.from_bytes(lane, "little"))
-    return itemgetter(*struct.unpack(f"<{size}I", index.to_bytes(4 * size, "little")))
-
-
-def _membership_lanes(n: int, families) -> list[bytes]:
-    """Permutation bitsets as byte lanes, eight to a lane: bit b of byte k of
-    lane g says whether permutation k is in family 8g + b."""
-    size, ones = factorial(n + 1), _ones(n)
-    # read big-endian, the binary digits put bit k in byte k, as 0x30 or 0x31
-    lanes = [
-        int.from_bytes(format(bits, f"0{size}b").encode(), "big") & ones
-        for bits in families
-    ]
-    packed = (
-        sum(lane << b for b, lane in enumerate(lanes[g : g + 8]))
-        for g in range(0, len(lanes), 8)
-    )
-    return [lane.to_bytes(size, "little") for lane in packed]
-
-
 def _adjacent_families(n: int, candidates, family=()):
     """Every n-set of pairwise ``complement_adjacent`` pairs among
     ``candidates``, in ``itertools.combinations`` order: a clique search that
@@ -139,10 +101,15 @@ def structural_rows(n: int, q: int) -> list[CheckRow]:
         ok = ok and not (head & tail) and head | tail == complement_bits(n, i, j)
     rows.append(CheckRow("complement-decomposition", True, ok, ok))
 
-    reverse = _reversal(n)
-    images = _membership_lanes(n, [complement_bits(n, i, j) for i, j in pairs])
-    expected = _membership_lanes(n, [complement_bits(n, j, i) for i, j in pairs])
-    ok = all(bytes(reverse(lane)) == want for lane, want in zip(images, expected))
+    # complement_chamber reverses each permutation, so read the prefixes of
+    # the reversed permutations off positions n, n-1, .., 1; a complement
+    # family is the rest of a max-inexact one, so comparing those decides it
+    reversed_prefixes = _prefixes(_equals(n)[:0:-1])
+    ok = all(
+        _max_inexact_lane(n, reversed_prefixes, i, j)
+        == _max_inexact_lane(n, _prefix_lanes(n), j, i)
+        for i, j in pairs
+    )
     rows.append(CheckRow("complement-involution", True, ok, ok))
 
     if n == 2:

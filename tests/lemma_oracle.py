@@ -108,8 +108,8 @@ def max_inexact_bits(n: int, i: int, j: int) -> int:
 
 
 def reversal(n: int) -> itemgetter:
-    """The reversal gather of :mod:`bft.lemmas`, looked up in a dict keyed
-    by every permutation tuple."""
+    """Reads, at each permutation index, the index of the reversed
+    permutation, looked up in a dict keyed by every permutation tuple."""
     rank = dict(zip(itertools.permutations(range(n + 1)), itertools.count()))
     reverse = itemgetter(slice(None, None, -1))
     return itemgetter(*map(rank.__getitem__, map(reverse, rank)))

@@ -242,7 +242,7 @@ def test_collineation_round_trip():
 def test_subfield_embedding():
     """The order-2 into order-4 inclusion is a non-surjective strong embedding."""
     semi = Semilinear.of(PG22, PG24, identity_matrix(3))
-    result = analyze(induce(semi), mode="exhaustive")
+    result = analyze(induce(semi))
     check, d = result.check, result.decomposition
     image = len(set(d.g.values()))
     ok = (

@@ -6,13 +6,21 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bft.buildings import Chamber, all_bases, apartment_of, chambers_of
+from bft import chamber_maps
+from bft.buildings import (
+    Chamber,
+    all_bases,
+    apartment_of,
+    chamber_of_perm,
+    chambers_of,
+)
 from bft.chamber_maps import (
     AnalysisError,
     ApartmentCheck,
     ChamberMap,
     DecompositionError,
     ReconstructionError,
+    _witness_bases,
     analyze,
     classify,
     dual_point,
@@ -42,6 +50,7 @@ PG32 = ProjSpace.of(3, 2)
 PG24 = ProjSpace.of(2, 4)
 PG34 = ProjSpace.of(3, 4)
 PG29 = ProjSpace.of(2, 9)
+PG33 = ProjSpace.of(3, 3)
 
 
 def identity_semi(space):
@@ -139,7 +148,7 @@ def test_induced_maps_send_apartments_to_apartments():
     semi = Semilinear.of(PG23, PG23, random_invertible(GF.of(3), 3, random.Random(11)))
     for f in (induce(semi), induce(semi, dual=True)):
         check = preserves_apartments(f)
-        assert check.ok and check.mode == "exhaustive" and check.checked == 234
+        assert check.ok and check.path == "sweep" and check.checked == 234
 
 
 # ------------------------------------------------------- apartment checking
@@ -147,7 +156,7 @@ def test_induced_maps_send_apartments_to_apartments():
 
 def test_preserves_apartments_identity_exhaustive():
     check = preserves_apartments(identity_map(PG22))
-    assert check == ApartmentCheck(True, "exhaustive", 28, None, None)
+    assert check == ApartmentCheck(True, "sweep", 28, None, None)
 
 
 def test_swapped_images_fail_with_witness():
@@ -165,15 +174,40 @@ def test_random_bijections_fail_for_all_seeds():
         assert not check.ok, f"seed {seed} unexpectedly preserves apartments"
 
 
-def test_sample_mode_is_deterministic():
-    f = identity_map(PG22)
-    a = preserves_apartments(f, mode="sample", k=5, seed=3)
-    b = preserves_apartments(f, mode="sample", k=5, seed=3)
-    assert a == b and a.ok and a.checked == 5
-    with pytest.raises(ValueError):
-        preserves_apartments(f, mode="bogus")
-    with pytest.raises(ValueError):
-        preserves_apartments(f, mode="sample", k=0)
+def test_preserves_apartments_checks_the_given_bases():
+    bases = all_bases(PG22)
+    check = preserves_apartments(identity_map(PG22), bases[3:8])
+    assert check == ApartmentCheck(True, "local", 5)
+    assert preserves_apartments(identity_map(PG22), []) == ApartmentCheck(True, "local", 0)
+    f = swapped_identity(PG22)
+    failing = preserves_apartments(f).witness_base
+    check = preserves_apartments(f, [bases[0], failing, bases[1]])
+    assert not check.ok and check.path == "local" and check.checked == 2
+    assert check.witness_base == failing
+
+
+def test_witness_bases_follow_what_the_witness_names():
+    """A named base comes first as it is; a point stands for the first
+    chamber of its star and a subspace for the first chamber over it; each
+    base is listed once, and what is not of the space is skipped."""
+    chambers = chambers_of(PG32)
+    point, plane = chambers[40].point, chambers[40].parts[2]
+    base = all_bases(PG32)[100]
+    through = {
+        c: list(_witness_bases(PG32, c))
+        for c in (
+            chambers[7],
+            next(c for c in chambers if c.point == point),
+            next(c for c in chambers if c.parts[2] == plane),
+        )
+    }
+    witness = (base, None, 3, chambers_of(PG22)[0], ((chambers[7], point), plane))
+    got = list(_witness_bases(PG32, witness))
+    expected = [base]
+    for bases in through.values():
+        expected += [b for b in bases if b not in expected]
+    assert got == expected
+    assert list(_witness_bases(PG32, (chambers[7], chambers[7]))) == through[chambers[7]]
 
 
 # ------------------------------------------------------------ decomposition
@@ -368,22 +402,29 @@ def test_classify_labels():
     assert classify(random_bijection(PG22, 0)) == "not-apartment-preserving"
 
 
-def test_analyze_record():
+def test_analyze_record(monkeypatch):
     f = induce(identity_semi(PG22), dual=True)
     result = analyze(f)
-    assert result.check == ApartmentCheck(True, "exhaustive", 28, None, None)
+    assert result.check == ApartmentCheck(True, "certified", 28, None, None)
     assert result.label == "collineation-dual" and result.error is None
     assert result.decomposition.kind == "dual"
     assert result.point_map == {p: p for p in points_of(PG22)}
     swapped = analyze(swapped_identity(PG22))
-    assert not swapped.check.ok and swapped.decomposition is None
+    assert not swapped.check.ok and swapped.check.path == "local"
+    assert swapped.decomposition is None and swapped.error is None
     assert swapped.label == "not-apartment-preserving"
-    unsampled = analyze(swapped_identity(PG23), mode="sample", k=1, seed=1)
-    assert unsampled.check.ok and unsampled.decomposition is None
-    assert isinstance(unsampled.error, ReconstructionError)
-    assert unsampled.label == "not-apartment-preserving"
+
+    def refuse(f):
+        raise ReconstructionError("refused")
+
+    # beyond the base cap, with no witness to search from, nothing is swept
+    monkeypatch.setattr(chamber_maps, "reconstruct", refuse)
+    beyond = analyze(identity_map(PG24))
+    assert beyond.check == ApartmentCheck(True, "local", 0)
+    assert isinstance(beyond.error, ReconstructionError)
+    assert beyond.label == "not-apartment-preserving"
     with pytest.raises(ReconstructionError):
-        classify(swapped_identity(PG23), mode="sample", k=1, seed=1)
+        classify(identity_map(PG24))
 
 
 INDUCED_SPACES = [(PG22, PG22), (PG23, PG23), (PG32, PG32), (PG22, PG24), (PG23, PG29)]
@@ -418,7 +459,7 @@ def test_frobenius_twist_is_a_collineation():
     eye = tuple(tuple(1 if r == c else 0 for c in range(3)) for r in range(3))
     semi = Semilinear.of(PG24, PG24, eye, sigma=gf4.frobenius())
     f = induce(semi)
-    assert classify(f, mode="sample", k=20, seed=1) == "collineation-direct"
+    assert classify(f) == "collineation-direct"
     d = reconstruct(f)
     assert d.g == {p: semi.apply_point(p) for p in points_of(PG24)}
 
@@ -450,7 +491,7 @@ def test_restriction_to_point_stars_respects_residue_apartments():
 def sweep_first(f):
     """The oracle: sweep every apartment, and only if all are preserved
     reconstruct the point map and check it is a strong embedding."""
-    check = preserves_apartments(f, "exhaustive")
+    check = preserves_apartments(f)
     if not check.ok:
         return check, "not-apartment-preserving"
     try:
@@ -489,13 +530,31 @@ def perturbed(f, kind, rng):
     return ChamberMap(f.source, f.target, table)
 
 
+def image_is_apartment(f, base) -> bool:
+    """Whether ``f`` maps the apartment of ``base`` onto an apartment, from
+    the prefix spans of every ordering: the base of an image apartment can
+    only be the points of its chambers."""
+    perms = list(itertools.permutations(range(f.source.ambient)))
+    image = {f(chamber_of_perm(base, perm)) for perm in perms}
+    try:
+        image_base = Base.of(f.target, {c.point for c in image})
+    except ValueError:
+        return False
+    return image == {chamber_of_perm(image_base, perm) for perm in perms}
+
+
 def assert_matches_sweep_first(f):
-    result = analyze(f, mode="exhaustive")
+    result = analyze(f)
     check, label = sweep_first(f)
     assert result.label == label
-    # ok, mode, checked, and on negatives the witness base and image
-    assert result.check == check
-    assert result.check.certified == (result.decomposition is not None)
+    assert result.check.ok == check.ok
+    assert (result.check.path == "certified") == (result.decomposition is not None)
+    if check.ok:
+        assert result.check.checked == check.checked
+    else:
+        base = result.check.witness_base
+        assert result.check.witness_image == {f(c) for c in apartment_of(base).chambers}
+        assert not image_is_apartment(f, base)
 
 
 DIFFERENTIAL_SPACES = [
@@ -503,6 +562,7 @@ DIFFERENTIAL_SPACES = [
     (PG23, PG23, False), (PG23, PG23, True),
     (PG32, PG32, False), (PG32, PG32, True),
     (PG22, PG24, False), (PG23, PG29, False),
+    (PG33, PG33, False), (PG33, PG33, True),
 ]
 
 
@@ -515,15 +575,18 @@ def test_certified_verdict_matches_sweep_first(source, target, dual):
     matrix = random_invertible(source.gf, source.ambient, rng)
     f = induce(Semilinear.of(source, target, matrix), dual=dual)
     kinds = ["shuffle", "swap"] + ["swap-same-ends"] * (source.n > 2)
-    for g in [f] + [perturbed(f, kind, rng) for kind in kinds]:
+    maps = [perturbed(f, kind, rng) for kind in kinds]
+    if source != PG33:  # sweep_first would check all 63,180 apartments of PG(3,3)
+        maps.append(f)
+    for g in maps:
         assert_matches_sweep_first(g)
 
 
 def test_swap_on_one_point_and_hyperplane_is_caught_by_the_table_check():
     """Two chambers that share their point and their hyperplane, outside the
     five apartments ``reconstruct`` decomposes: the stars agree, so only the
-    componentwise check of every chamber rejects the map, and the sweep
-    still finds its witness."""
+    componentwise check of every chamber rejects the map, and the apartments
+    through the chamber it names hold a witness."""
     f = identity_map(PG32)
     decomposed = set().union(
         *(apartment_of(b).chamber_set for b in all_bases(PG32)[:5])
@@ -536,10 +599,9 @@ def test_swap_on_one_point_and_hyperplane_is_caught_by_the_table_check():
     table = dict(f.table)
     table[a], table[b] = table[b], table[a]
     g = ChamberMap(PG32, PG32, table)
-    result = analyze(g, mode="exhaustive")
-    assert result.label == "not-apartment-preserving" and result.error is None
-    assert not result.check.certified and result.check.checked > 5
-    assert result.check == preserves_apartments(g)
+    result = analyze(g)
+    assert result.error is None and result.check.path == "local"
+    assert_matches_sweep_first(g)
 
 
 @settings(max_examples=200, deadline=None,

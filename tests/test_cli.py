@@ -319,15 +319,57 @@ def _bft_subprocess(*argv, timeout=120):
     )
 
 
-def test_map_analyze_exhaustive_over_cap_exits_2(tmp_path):
+def _pg24_identity(tmp_path) -> str:
     out_path = str(tmp_path / "pg24.json")
     made = _bft_subprocess("map", "induce", "--n", "2", "--q", "4",
                            "--matrix", IDENTITY, "--out", out_path)
     assert made.returncode == 0
-    done = _bft_subprocess("map", "analyze", out_path, "--mode", "exhaustive")
-    assert done.returncode == 2 and done.stdout == ""
-    assert "Traceback" not in done.stderr
-    assert "use --mode sample" in done.stderr
+    return out_path
+
+
+def test_map_analyze_exhaustive_beyond_the_cap_is_certified(tmp_path):
+    """PG(2, 4) is beyond the base cap; ``--mode exhaustive`` selects
+    nothing, and the certificate needs no sweep."""
+    done = _bft_subprocess("map", "analyze", _pg24_identity(tmp_path),
+                           "--mode", "exhaustive")
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert report["params"]["mode"] == "exhaustive"
+    assert report["checks"][0]["note"] == (
+        "1120 apartments preserved (certified: induced by a strong embedding)"
+    )
+
+
+def test_map_analyze_swap_beyond_the_cap_names_a_witness_base(tmp_path):
+    path = _pg24_identity(tmp_path)
+    data = json.load(open(path))
+    data["pairs"][0][1], data["pairs"][1][1] = data["pairs"][1][1], data["pairs"][0][1]
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    done = _bft_subprocess("map", "analyze", path)
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert report["checks"][-1]["actual"] == "not-apartment-preserving"
+    assert report["checks"][0]["note"].endswith("apartments checked (local)")
+    assert "witness base: " in done.stderr
+
+
+def test_map_analyze_names_a_witness_for_a_late_swap_on_pg42(capsys, tmp_path):
+    """The images of the last two chambers are swapped.  Only the
+    componentwise check of the table rejects the map, and the apartments
+    through the chamber it names hold a witness base."""
+    space = bft.ProjSpace.of(4, 2)
+    eye = [[int(r == c) for c in range(5)] for r in range(5)]
+    table = dict(bft.induce(bft.Semilinear.of(space, space, eye)).table)
+    a, b = bft.chambers_of(space)[-2:]
+    table[a], table[b] = table[b], table[a]
+    out_path = tmp_path / "pg42.json"
+    bft.dump_map(bft.ChamberMap(space, space, table), out_path)
+    code, report, err = run_json(capsys, "map", "analyze", str(out_path))
+    assert code == 1
+    assert report["checks"][-1]["actual"] == "not-apartment-preserving"
+    assert report["checks"][0]["note"].endswith("apartments checked (local)")
+    assert "witness base: " in err
 
 
 def test_map_induce_unwritable_out_exits_2(tmp_path):
@@ -374,33 +416,36 @@ def test_map_analyze_float_order_exits_2(capsys, tmp_path):
     assert "malformed chamber-map file" in err and "order 2.0 unsupported" in err
 
 
-@pytest.mark.parametrize("mode, label", [
-    ("exhaustive", "apartment-preserving-not-induced"),
-    ("sample", "not-apartment-preserving"),
-])
+@pytest.mark.parametrize(
+    "q, label, note",
+    [
+        (2, "apartment-preserving-not-induced", "28 apartments checked (sweep)"),
+        (4, "not-apartment-preserving", "0 apartments checked (local)"),
+    ],
+    ids=["exhaustive-apartment-preserving-not-induced", "beyond-cap-not-apartment-preserving"],
+)
 def test_map_analyze_labels_a_preserving_map_that_fails_reconstruction(
-    capsys, tmp_path, monkeypatch, mode, label
+    capsys, tmp_path, monkeypatch, q, label, note
 ):
     """A full sweep that passes while reconstruction fails contradicts the
-    theorem, and is never reported as a pass; a passing sample proves
-    nothing, so it keeps the negative label."""
+    theorem, and is never reported as a pass; beyond the base cap no sweep
+    runs, so a map whose witness names no apartment keeps the negative
+    label."""
     from bft import chamber_maps
 
     out_path = str(tmp_path / "map.json")
-    run(capsys, "map", "induce", "--n", "2", "--q", "2", "--matrix", IDENTITY,
+    run(capsys, "map", "induce", "--n", "2", "--q", str(q), "--matrix", IDENTITY,
         "--out", out_path)
 
     def refuse(f):
         raise chamber_maps.ReconstructionError("refused")
 
     monkeypatch.setattr(chamber_maps, "reconstruct", refuse)
-    code, report, err = run_json(capsys, "map", "analyze", out_path, "--mode", mode)
+    code, report, err = run_json(capsys, "map", "analyze", out_path)
     assert code == 1 and not report["passed"]
     rows = {r["name"]: r for r in report["checks"]}
     assert rows["apartments-preserved"]["pass"]
-    assert rows["apartments-preserved"]["note"] == (
-        f"{28 if mode == 'exhaustive' else 50} apartments checked ({mode})"
-    )
+    assert rows["apartments-preserved"]["note"] == note
     assert rows["classification"] == {
         "name": "classification", "expected": "induced", "actual": label, "pass": False,
     }
@@ -420,6 +465,32 @@ def test_map_analyze_certified_note(capsys, tmp_path):
             "234 apartments preserved (certified: induced by a strong embedding)"
         )
         assert report["params"]["mode"] == ("sample" if argv else "exhaustive")
+
+
+@pytest.mark.parametrize(
+    "argv, mode",
+    [([], "exhaustive"), (["--mode", "sample", "--k", "50"], "sample")],
+    ids=["default", "sample-k50"],
+)
+def test_map_analyze_keeps_the_benchmark_command_lines(capsys, tmp_path, argv, mode):
+    """``perfbench/plan.py`` sends these two command lines and checks the
+    echoed mode, the label and the exit code; the flags select nothing."""
+    out_path = str(tmp_path / "map.json")
+    run(capsys, "map", "induce", "--n", "3", "--q", "2",
+        "--matrix", "1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1", "--out", out_path)
+    data = json.load(open(out_path))
+    data["pairs"][0][1], data["pairs"][9][1] = data["pairs"][9][1], data["pairs"][0][1]
+    swapped_path = str(tmp_path / "swapped.json")
+    with open(swapped_path, "w") as fh:
+        json.dump(data, fh)
+    for path, label, exit_code in [
+        (out_path, "collineation-direct", 0),
+        (swapped_path, "not-apartment-preserving", 1),
+    ]:
+        code, report, _ = run_json(capsys, "map", "analyze", path, *argv)
+        assert code == exit_code
+        assert report["params"]["mode"] == mode
+        assert report["checks"][-1]["actual"] == label
 
 
 def test_map_induce_over_rank_cap_exits_2(tmp_path):

@@ -2,8 +2,8 @@
 
 Every fast path of :class:`bft.projective.Geometry` (point ids, join, meet,
 containment, annihilator, rank, canonical rows) and of the chamber layer
-built on it (``chambers_of``, apartments, ``iter_bases``, the sampled
-bases of ``preserves_apartments``, ``induce``) is compared with a slow
+built on it (``chambers_of``, apartments, ``iter_bases``, the apartments
+through a chamber that ``analyze`` searches, ``induce``) is compared with a slow
 reference that works on :class:`bft.gf.Subspace` values and ``rref`` only.
 The reference walks are the implementations the mask core replaced.
 """
@@ -14,7 +14,7 @@ import random
 import pytest
 
 from bft.buildings import apartment_of, chambers_of, iter_bases
-from bft.chamber_maps import _random_base, induce
+from bft.chamber_maps import _witness_bases, induce
 from bft.gf import GF, Subspace
 from bft.projective import (
     Base,
@@ -160,7 +160,11 @@ def test_apartments_match_chamber_of_perm_on_rref(n, q):
     space = ProjSpace.of(n, q)
     rng = random.Random(7)
     bases = list(itertools.islice(iter_bases(space, force=True), 3))
-    bases += [_random_base(space, rng) for _ in range(3)]
+    pts = points_of(space)
+    while len(bases) < 6:
+        chosen = rng.sample(pts, space.ambient)
+        if space.subspace(chosen).rank == space.ambient:
+            bases.append(Base.of(space, chosen))
     for base in bases:
         ap = apartment_of(base)
         expected = [oracle_chamber_of_perm(base, perm) for perm in ap.perms]
@@ -177,17 +181,34 @@ def test_iter_bases_matches_rref_independence(n, q):
     assert got == list(itertools.islice(oracle_bases(space), limit))
 
 
+def oracle_through(base: Base, chamber) -> bool:
+    """Whether the apartment of ``base`` holds ``chamber``: its k-th
+    subspace holds exactly k + 1 base points, for every k."""
+    return all(
+        sum(map(part.contains_vector, base.points)) == k + 1
+        for k, part in enumerate(chamber.parts)
+    )
+
+
 @pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
-def test_sampled_bases_are_those_of_the_coordinate_sampler(n, q):
+def test_witness_bases_are_the_apartments_through_a_chamber(n, q):
+    """Every base listed is one whose apartment holds the chamber, none
+    twice, and there are q^(n(n+1)/2) of them: all the apartments through a
+    chamber.  On the small spaces the set is also the one found among all
+    bases."""
     space = ProjSpace.of(n, q)
-    fast, slow = random.Random(5), random.Random(5)
-    pts = list(points_of(space))
-    for _ in range(25):
-        while True:
-            chosen = slow.sample(pts, space.ambient)
-            if space.subspace(chosen).rank == space.ambient:
-                break
-        assert _random_base(space, fast) == Base.of(space, chosen)
+    for chamber in random.Random(5).sample(chambers_of(space), 2):
+        bases = list(_witness_bases(space, chamber))
+        assert len(set(bases)) == len(bases) == q ** (n * (n + 1) // 2)
+        for base in bases:
+            assert space.subspace(base.points).rank == space.ambient
+            assert oracle_through(base, chamber)
+        if len(points_of(space)) <= 15:
+            expected = {
+                b for b in oracle_bases(space)
+                if oracle_through(Base.of(space, b), chamber)
+            }
+            assert {b.points for b in bases} == expected
 
 
 @pytest.mark.parametrize(

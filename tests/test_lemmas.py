@@ -94,8 +94,14 @@ def test_permutation_bits_match_the_literal_definitions(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
-def test_reversal_matches_the_permutation_dict(n):
-    """The Lehmer-code reversal reads the same index for every permutation
-    as the dict of permutation tuples."""
-    indices = range(factorial(n + 1))
-    assert lemmas._reversal(n)(indices) == oracle.reversal(n)(indices)
+def test_reversed_prefixes_match_the_permutation_dict(n):
+    """The max-inexact lane on the prefix sets read backwards, as the
+    ``complement-involution`` row builds it, flags each permutation whose
+    reversal is in the family, found in the dict of permutation tuples."""
+    reverse = oracle.reversal(n)(range(factorial(n + 1)))
+    backwards = combinatorics._prefixes(combinatorics._equals(n)[:0:-1])
+    for i, j in itertools.permutations(range(n + 1), 2):
+        lane = combinatorics._max_inexact_lane(n, backwards, i, j)
+        flags = format(oracle.max_inexact_bits(n, i, j), f"0{len(reverse)}b")[::-1]
+        expected = int("".join(flags[k] for k in reverse)[::-1], 2)
+        assert combinatorics._bits(n, lane) == expected, (i, j)
