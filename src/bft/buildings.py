@@ -140,20 +140,6 @@ def panels_of(chamber: Chamber):
     return tuple((k, masks[:k] + masks[k + 1 :]) for k in range(len(masks)))
 
 
-def chamber_of_perm(base: Base, perm) -> Chamber:
-    """The chamber whose pdim-k subspace spans the first k+1 points of
-    the ordering ``perm`` (a permutation of 0..n)."""
-    space = base.space
-    if sorted(perm) != list(range(space.ambient)):
-        raise ValueError(f"perm must reorder 0..{space.n}")
-    geo = Geometry.of(space)
-    masks, span = [], 0
-    for idx in perm[:-1]:
-        span = geo.join_point(span, geo.id_of(base.points[idx]))
-        masks.append(span)
-    return Chamber(geo, masks)
-
-
 @lru_cache(maxsize=None)
 def _perm_prefixes(m: int):
     """All orderings of 0..m-1 in lexicographic order, each with the index
@@ -274,29 +260,29 @@ def iter_bases(space: ProjSpace, force: bool = False):
 
 
 @lru_cache(maxsize=None)
-def all_bases(space: ProjSpace, force: bool = False) -> tuple[Base, ...]:
+def all_bases(space: ProjSpace) -> tuple[Base, ...]:
     """Every base (independent (n+1)-point set), in lexicographic order."""
-    return tuple(iter_bases(space, force))
+    return tuple(iter_bases(space))
 
 
 @lru_cache(maxsize=None)
-def _base_ids_by_chamber(space: ProjSpace, force: bool) -> dict:
+def _base_ids_by_chamber(space: ProjSpace) -> dict:
     """Each chamber -> the frozenset of indices into ``all_bases(space)``
     whose apartment contains it."""
     by_chamber: dict[Chamber, set[int]] = {c: set() for c in chambers_of(space)}
-    for k, base in enumerate(all_bases(space, force)):
+    for k, base in enumerate(all_bases(space)):
         for c in apartment_of(base).chambers:
             by_chamber[c].add(k)
     return {c: frozenset(s) for c, s in by_chamber.items()}
 
 
-def apartments_containing(space: ProjSpace, chambers, force: bool = False):
+def apartments_containing(space: ProjSpace, chambers):
     """All bases whose apartment contains every given chamber."""
-    bases = all_bases(space, force)
+    bases = all_bases(space)
     chs = list(chambers)
     if not chs:
         return bases
-    by_chamber = _base_ids_by_chamber(space, force)
+    by_chamber = _base_ids_by_chamber(space)
     try:
         sets = [by_chamber[c] for c in chs]
     except KeyError:

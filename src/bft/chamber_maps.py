@@ -16,21 +16,21 @@ The analysis direction asks: given only the table, was it induced?
   each complement family through the map, identifies the image as a
   complement family of the image apartment, classifies the transported
   row/column families, and reads off a base correspondence ``sigma``
-  together with its orientation case (1 = direct, 2 = dual).
-* ``reconstruct`` rebuilds the point map ``g`` from chamber stars: all
-  chambers through a point must map to chambers sharing a 0-component
-  (direct) or an (n-1)-component (dual).  It then checks once that the
-  whole table is componentwise induced by ``g``.
-* ``verify_strong_embedding`` checks that ``g`` is a strong embedding.
-  By the main theorem these two facts are the whole certificate.
-* ``analyze`` runs the whole procedure once.  It reconstructs the point
-  map and checks that it is a strong embedding; when both pass, every
-  apartment is preserved by the converse of the main theorem, so the
-  apartment verdict is certified without a sweep.  When either fails, the
-  failure's witness names where to look: the apartments through the
-  chambers, points, subspaces and bases it names are checked first, and
-  only if all of them are preserved are all apartments swept (within the
-  base cap).  ``classify`` returns just the label.
+  together with its orientation case (1 = direct, 2 = dual).  No request
+  calls it: it is the reference for the sigma ``reconstruct`` reports.
+* ``reconstruct`` is the whole certificate.  It rebuilds ``g`` from
+  chamber stars: all chambers through a point must map to chambers sharing
+  a 0-component (direct) or an (n-1)-component (dual).  It checks once that
+  the whole table is componentwise induced by ``g`` and that the point map
+  is a strong embedding (``verify_strong_embedding``); by the main theorem
+  these two facts certify the map.  It reads ``sigma`` off ``g``.
+* ``analyze`` runs the whole procedure once.  When ``reconstruct``
+  passes, every apartment is preserved by the converse of the main
+  theorem, so the apartment verdict is certified without a sweep.  When
+  it fails, the failure's witness names where to look: the apartments
+  through the chambers, points, subspaces and bases it names are checked
+  first, and only if all of them are preserved are all apartments swept
+  (within the base cap).  ``classify`` returns just the label.
 
 Failures carry witnesses (a base whose apartment breaks, or a pair of flags
 whose images disagree) rather than a bare boolean.
@@ -39,7 +39,9 @@ whose images disagree) rather than a bare boolean.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Optional
 
 from .buildings import (
@@ -402,16 +404,17 @@ def _witness_pair(star, images, key):
 class Decomposition:
     kind: str  # "direct" or "dual"
     g: dict  # source point -> target point (direct) or target hyperplane
-    sigma_by_base: dict = field(default_factory=dict)
+    point_map: dict  # source point -> target point: g, or g's annihilators
+    sigma_by_base: dict  # report base -> (sigma, case), as main_lemma_decompose
 
 
 def reconstruct(f: ChamberMap) -> Decomposition:
-    """Recover the point map behind an apartment-preserving chamber map.
+    """Certify a chamber map: recover the strong embedding that induces it.
 
     For every source point, the images of all chambers through it must share
     a 0-component (kind "direct") or an (n-1)-component (kind "dual"), the
     kind being the same for every point.  Then every chamber's image must be
-    componentwise induced by that point map ``g``: each component S goes to
+    componentwise induced by that map ``g``: each component S goes to
     span g(S) (direct), or the components, read backwards, are the meets
     of the image hyperplanes of S (dual).  Violations raise
     :class:`ReconstructionError` with a witness: two chambers, two points,
@@ -421,6 +424,13 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     rebuilt: every chamber on a hyperplane H has the image component
     induced(H), so the chambers on H agree and h(H) = induced(H); and
     incidence holds, g(p) <= span g(H) (direct) and meet g(H) <= g(p) (dual).
+
+    The point map (g, or the annihilators of the hyperplanes g(p) when
+    dual) must pass :func:`verify_strong_embedding`, whose rank test makes
+    it a strong embedding.  Sigma is then read off g on the report bases
+    (the first five of :func:`iter_bases`, else the standard base):
+    base point i goes to g(p_i), or when dual to the meet of g(p_j), j != i,
+    and sigma[i] is its index in the sorted image base.
     """
     source, target = Geometry.of(f.source), Geometry.of(f.target)
     table = f.table
@@ -463,18 +473,30 @@ def reconstruct(f: ChamberMap) -> Decomposition:
         )
     kind = distinct.pop()
     _verify_componentwise(f, kind, _induced_parts(f, kind, g))
+    g_view = {_view(source, p): _view(target, m) for p, m in g.items()}
+    point_map = g_view
+    if kind == "dual":  # a hyperplane's annihilator is one point
+        point_map = {
+            _view(source, p): _view(target, target.annihilator(h)) for p, h in g.items()
+        }
+    verify_strong_embedding(f.source, f.target, point_map)
 
-    sigma_by_base = {}
     try:
         bases = list(itertools.islice(iter_bases(f.source), 5))
     except ScaleError:
         bases = [standard_base(f.source)]
+    case = 1 if kind == "direct" else 2
+    sigma_by_base = {}
     for base in bases:
-        sigma_by_base[base] = main_lemma_decompose(f, base)
+        ms = [g[1 << source.id_of(p)] for p in base.points]
+        if kind == "dual":  # point i goes to the meet of the other images
+            ms = [reduce(and_, ms[:i] + ms[i + 1 :]) for i in range(len(ms))]
+        sigma_by_base[base] = tuple(map(sorted(ms).index, ms)), case
 
     return Decomposition(
         kind=kind,
-        g={_view(source, p): _view(target, v) for p, v in g.items()},
+        g=g_view,
+        point_map=point_map,
         sigma_by_base=sigma_by_base,
     )
 
@@ -566,30 +588,29 @@ def verify_strong_embedding(source: ProjSpace, target: ProjSpace, g: dict) -> No
 
 @dataclass(frozen=True)
 class Analysis:
-    """The one-pass verdict on a chamber map.  ``decomposition`` and
-    ``point_map`` (source point -> target point) are set for induced maps;
-    ``error`` is the :class:`AnalysisError` that stopped the rest."""
+    """The one-pass verdict on a chamber map.  ``decomposition`` is set for
+    induced maps; ``error`` is the :class:`AnalysisError` that stopped the
+    rest."""
 
     check: ApartmentCheck
     label: str
     decomposition: Optional[Decomposition] = None
-    point_map: Optional[dict] = None
     error: Optional[AnalysisError] = None
 
 
 def analyze(f: ChamberMap) -> Analysis:
     """Decide once where a chamber map comes from.
 
-    The point map is reconstructed and checked to be a strong embedding;
-    surjectivity then decides collineation versus strong embedding.  Both
-    passing certifies that every apartment is preserved, by the converse of
-    the main theorem: a chamber of the apartment A(B) is the chain of prefix
-    spans of an ordering of B, and as f is componentwise induced by the
-    strong embedding g (which spans g(S) from g of any base of S, see
-    :func:`verify_strong_embedding`), its image is the chain of prefix spans
-    of the same ordering of g(B).  These images are distinct, so they are
-    all (n+1)! chambers of A(g(B)).  The dual case is the same with
-    annihilators.
+    :func:`reconstruct` rebuilds the point map and checks that it is a
+    strong embedding, once; surjectivity then decides collineation versus
+    strong embedding.  Both passing certifies that every apartment is
+    preserved, by the converse of the main theorem: a chamber of the
+    apartment A(B) is the chain of prefix spans of an ordering of B, and as
+    f is componentwise induced by the strong embedding g (which spans g(S)
+    from g of any base of S, see :func:`verify_strong_embedding`), its
+    image is the chain of prefix spans of the same ordering of g(B).  These
+    images are distinct, so they are all (n+1)! chambers of A(g(B)).  The
+    dual case is the same with annihilators.
 
     By the theorem, a map that fails the certificate does not preserve
     apartments, and the failure's witness shows where: the apartments it
@@ -602,13 +623,6 @@ def analyze(f: ChamberMap) -> Analysis:
     """
     try:
         decomposition = reconstruct(f)
-        if decomposition.kind == "direct":
-            point_map = decomposition.g
-        else:
-            point_map = {
-                p: dual_point(f.target, hyp) for p, hyp in decomposition.g.items()
-            }
-        verify_strong_embedding(f.source, f.target, point_map)
     except AnalysisError as exc:
         check = preserves_apartments(f, _witness_bases(f.source, exc.witness))
         if check.ok:
@@ -621,9 +635,9 @@ def analyze(f: ChamberMap) -> Analysis:
                 return Analysis(check, "apartment-preserving-not-induced", error=exc)
         return Analysis(check, "not-apartment-preserving")
     check = ApartmentCheck(True, "certified", apartment_count(f.source.n, f.source.q))
-    surjective = len(set(point_map.values())) == len(points_of(f.target))
+    surjective = len(set(decomposition.point_map.values())) == len(points_of(f.target))
     head = "collineation" if surjective else "strong-embedding"
-    return Analysis(check, f"{head}-{decomposition.kind}", decomposition, point_map)
+    return Analysis(check, f"{head}-{decomposition.kind}", decomposition)
 
 
 def classify(f: ChamberMap) -> str:

@@ -333,12 +333,11 @@ def cmd_map_analyze(args) -> int:
 # -------------------------------------------------------------- arg parsing
 
 
-def _add_common(parser, fmt=True):
-    if fmt:
-        parser.add_argument(
-            "--format", choices=("json", "csv"), default="json",
-            help="report format on stdout",
-        )
+def _add_common(parser):
+    parser.add_argument(
+        "--format", choices=("json", "csv"), default="json",
+        help="report format on stdout",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

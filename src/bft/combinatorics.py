@@ -450,8 +450,8 @@ def is_exact(ap: Apartment, chambers) -> bool:
     return True
 
 
-def is_exact_by_search(ap: Apartment, chambers, force: bool = False) -> bool:
+def is_exact_by_search(ap: Apartment, chambers) -> bool:
     """Decide exactness by counting the apartments containing the subset."""
     subset = _check_subset(ap, chambers)
     space = ap.base.space
-    return len(apartments_containing(space, subset, force=force)) == 1
+    return len(apartments_containing(space, subset)) == 1

@@ -1,6 +1,7 @@
 import random
 
 from bft.gf import Subspace
+from bft.projective import Base
 
 
 def random_invertible(gf, dim, rng: random.Random):
@@ -11,3 +12,14 @@ def random_invertible(gf, dim, rng: random.Random):
         )
         if Subspace.span(gf, dim, rows).rank == dim:
             return rows
+
+
+def oracle_chamber_of_perm(base: Base, perm):
+    """The parts of the chamber of an ordering of ``base``: the spans of
+    its proper prefixes, grown one point at a time on RREF rows."""
+    current = base.space.point_space(base.points[perm[0]])
+    parts = [current]
+    for idx in perm[1:-1]:
+        current = current.extended_by(base.points[idx])
+        parts.append(current)
+    return tuple(parts)

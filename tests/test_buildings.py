@@ -19,7 +19,6 @@ from bft.buildings import (
     all_bases,
     apartment_of,
     apartments_containing,
-    chamber_of_perm,
     chambers_of,
     check_chamber,
     common_apartment,
@@ -170,15 +169,6 @@ def test_perm_lookup_rejects_foreign_input():
         foreign = next(c for c in chambers_of(PG22) if c not in ap.chamber_set)
     with pytest.raises(ValueError):
         ap.perm_of_chamber(foreign)
-
-
-def test_chamber_of_perm_prefix_structure():
-    base = standard_base(PG32)
-    c = chamber_of_perm(base, (2, 0, 3, 1))
-    assert c.point == base.points[2]
-    assert c.parts[1].contains_vector(base.points[0])
-    assert not c.parts[1].contains_vector(base.points[3])
-    assert c.hyperplane.rank == 3
 
 
 def test_positions_and_prefix_sets():

@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bft import chamber_maps
 from bft.buildings import (
     Chamber,
+    ScaleError,
     all_bases,
     apartment_of,
-    chamber_of_perm,
     chambers_of,
 )
 from bft.chamber_maps import (
@@ -42,7 +42,7 @@ from bft.projective import (
     points_of_subspace,
     standard_base,
 )
-from conftest import random_invertible
+from conftest import oracle_chamber_of_perm, random_invertible
 
 PG22 = ProjSpace.of(2, 2)
 PG23 = ProjSpace.of(2, 3)
@@ -278,6 +278,43 @@ def test_reconstruct_dual_map():
             assert off == [sigma[i]]
 
 
+SIGMA_CASES = [
+    (PG22, PG22, False), (PG23, PG23, False), (PG32, PG32, False),
+    (PG22, PG24, False), (PG23, PG29, False),
+    (PG24, PG24, True), (PG29, PG29, True),
+]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["direct", "dual"])
+@pytest.mark.parametrize(
+    "source,target,frobenius", SIGMA_CASES,
+    ids=[f"PG{s.n}{s.q}-PG{t.n}{t.q}{'-frobenius' * fr}" for s, t, fr in SIGMA_CASES],
+)
+def test_sigma_and_point_map_match_the_main_lemma(source, target, frobenius, dual):
+    """``reconstruct`` reads sigma off g; on every report base it equals
+    what the main lemma reads off the apartment, and the point map is g, or
+    the annihilators of the hyperplanes g(p) when dual.  The Frobenius
+    spaces lie beyond the base cap, so their one report base is the
+    standard base."""
+    rng = random.Random(source.n * 100 + source.q * 10 + target.q + dual)
+    matrix = random_invertible(source.gf, source.ambient, rng)
+    twist = source.gf.frobenius() if frobenius else None
+    f = induce(Semilinear.of(source, target, matrix, sigma=twist), dual=dual)
+    d = reconstruct(f)
+    try:
+        report_bases = list(all_bases(source)[:5])
+    except ScaleError:
+        report_bases = [standard_base(source)]
+    assert frobenius == (report_bases == [standard_base(source)])
+    assert list(d.sigma_by_base) == report_bases
+    for base, sigma_case in d.sigma_by_base.items():
+        assert sigma_case == main_lemma_decompose(f, base)
+    if dual:
+        assert d.point_map == {p: dual_point(target, hyp) for p, hyp in d.g.items()}
+    else:
+        assert d.point_map == d.g
+
+
 def test_reconstruct_subfield_embedding():
     semi = Semilinear.of(PG22, PG24, identity_semi(PG22).matrix)
     d = reconstruct(induce(semi))
@@ -408,7 +445,7 @@ def test_analyze_record(monkeypatch):
     assert result.check == ApartmentCheck(True, "certified", 28, None, None)
     assert result.label == "collineation-dual" and result.error is None
     assert result.decomposition.kind == "dual"
-    assert result.point_map == {p: p for p in points_of(PG22)}
+    assert result.decomposition.point_map == {p: p for p in points_of(PG22)}
     swapped = analyze(swapped_identity(PG22))
     assert not swapped.check.ok and swapped.check.path == "local"
     assert swapped.decomposition is None and swapped.error is None
@@ -532,15 +569,19 @@ def perturbed(f, kind, rng):
 
 def image_is_apartment(f, base) -> bool:
     """Whether ``f`` maps the apartment of ``base`` onto an apartment, from
-    the prefix spans of every ordering: the base of an image apartment can
-    only be the points of its chambers."""
+    the RREF prefix spans of every ordering: the base of an image apartment
+    can only be the points of its chambers."""
     perms = list(itertools.permutations(range(f.source.ambient)))
-    image = {f(chamber_of_perm(base, perm)) for perm in perms}
+    image = {
+        f(Chamber.of(f.source, oracle_chamber_of_perm(base, perm))) for perm in perms
+    }
     try:
         image_base = Base.of(f.target, {c.point for c in image})
     except ValueError:
         return False
-    return image == {chamber_of_perm(image_base, perm) for perm in perms}
+    return {c.parts for c in image} == {
+        oracle_chamber_of_perm(image_base, perm) for perm in perms
+    }
 
 
 def assert_matches_sweep_first(f):

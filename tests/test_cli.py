@@ -530,24 +530,34 @@ def test_map_analyze_truncated_files_exit_2(tmp_path):
 
 
 def test_map_analyze_runs_each_stage_once(capsys, tmp_path, monkeypatch):
-    """Reconstruction runs once per analysis; the apartment sweep runs only
-    when the certificate fails, and then once."""
+    """Reconstruction, the whole certificate, runs once per analysis and
+    checks the point map once; the main lemma and ``dual_point`` never run.
+    The apartment sweep runs only when the certificate fails, and then
+    once."""
     from bft import buildings, chamber_maps
 
+    matrix = "1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1"
     out_path = str(tmp_path / "pg32.json")
     run(capsys, "map", "induce", "--n", "3", "--q", "2",
-        "--matrix", "1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1", "--out", out_path)
+        "--matrix", matrix, "--out", out_path)
+    dual_path = str(tmp_path / "pg32-dual.json")
+    run(capsys, "map", "induce", "--n", "3", "--q", "2",
+        "--matrix", matrix, "--dual", "--out", dual_path)
     data = json.load(open(out_path))
     data["pairs"][0][1], data["pairs"][1][1] = data["pairs"][1][1], data["pairs"][0][1]
     swapped_path = tmp_path / "swapped.json"
     swapped_path.write_text(json.dumps(data))
     calls = {}
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bft"]
-    for owner, name in [
+    stages = [
         (chamber_maps, "preserves_apartments"),
         (chamber_maps, "reconstruct"),
+        (chamber_maps, "verify_strong_embedding"),
+        (chamber_maps, "main_lemma_decompose"),
+        (chamber_maps, "dual_point"),
         (buildings, "all_bases"),
-    ]:
+    ]
+    for owner, name in stages:
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -559,17 +569,27 @@ def test_map_analyze_runs_each_stage_once(capsys, tmp_path, monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
 
-    calls.update(preserves_apartments=0, reconstruct=0, all_bases=0)
-    code, report, _ = run_json(capsys, "map", "analyze", out_path)
-    assert code == 0
-    assert report["checks"][-1]["actual"] == "collineation-direct"
-    assert calls == {"preserves_apartments": 0, "reconstruct": 1, "all_bases": 0}
+    for path, label in [(out_path, "collineation-direct"),
+                        (dual_path, "collineation-dual")]:
+        calls.update(dict.fromkeys([name for _, name in stages], 0))
+        code, report, _ = run_json(capsys, "map", "analyze", path)
+        assert code == 0
+        assert report["checks"][-1]["actual"] == label
+        assert calls == {
+            "preserves_apartments": 0,
+            "reconstruct": 1,
+            "verify_strong_embedding": 1,
+            "main_lemma_decompose": 0,
+            "dual_point": 0,
+            "all_bases": 0,
+        }
 
-    calls.update(preserves_apartments=0, reconstruct=0, all_bases=0)
+    calls.update(dict.fromkeys([name for _, name in stages], 0))
     code, report, _ = run_json(capsys, "map", "analyze", str(swapped_path))
     assert code == 1
     assert report["checks"][-1]["actual"] == "not-apartment-preserving"
     assert calls["preserves_apartments"] == 1 and calls["reconstruct"] == 1
+    assert calls["main_lemma_decompose"] == 0
     assert calls["all_bases"] == 0  # the sweep walks iter_bases lazily
 
 

@@ -17,7 +17,7 @@ from math import factorial
 
 import pytest
 
-from bft.buildings import apartment_of, chamber_of_perm
+from bft.buildings import apartment_of
 from bft.combinatorics import (
     UndefinedCountError,
     classify_adjacent_family,
@@ -100,9 +100,9 @@ def test_complement_family_concrete_n2():
     line01 = space.subspace([p0, p1])
     line02 = space.subspace([p0, p2])
     expected = {
-        chamber_of_perm(base, (0, 1, 2)),
-        chamber_of_perm(base, (0, 2, 1)),
-        chamber_of_perm(base, (2, 0, 1)),
+        AP2.chamber_of_perm((0, 1, 2)),
+        AP2.chamber_of_perm((0, 2, 1)),
+        AP2.chamber_of_perm((2, 0, 1)),
     }
     got = complement_family(AP2, 0, 1)
     assert got == expected
