@@ -39,10 +39,9 @@ whose images disagree) rather than a bare boolean.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import and_
-from typing import Optional
 
 from .buildings import (
     Apartment,
@@ -211,17 +210,13 @@ def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
     return ChamberMap._trusted(semi.source, semi.target, table)
 
 
-@dataclass(frozen=True)
-class ApartmentCheck:
-    """The apartment verdict.  ``path`` says how it was reached:
-    ``"certified"`` by reconstruction, ``"local"`` on the apartments a
-    witness points at, or ``"sweep"`` over every base of the source."""
-
-    ok: bool
-    path: str
-    checked: int
-    witness_base: Optional[Base] = None
-    witness_image: Optional[frozenset] = None
+ApartmentCheck = namedtuple(
+    "ApartmentCheck", "ok path checked witness_base witness_image", defaults=(None, None)
+)
+ApartmentCheck.__doc__ = """The apartment verdict.  ``path`` says how it was
+reached: ``"certified"`` by reconstruction, ``"local"`` on the apartments a
+witness points at, or ``"sweep"`` over every base of the source.  A failed
+check names a ``witness_base`` and the ``witness_image`` chamber set."""
 
 
 def _image_apartment(f: ChamberMap, ap: Apartment):
@@ -400,12 +395,11 @@ def _witness_pair(star, images, key):
     return None
 
 
-@dataclass
-class Decomposition:
-    kind: str  # "direct" or "dual"
-    g: dict  # source point -> target point (direct) or target hyperplane
-    point_map: dict  # source point -> target point: g, or g's annihilators
-    sigma_by_base: dict  # report base -> (sigma, case), as main_lemma_decompose
+Decomposition = namedtuple("Decomposition", "kind g point_map sigma_by_base")
+Decomposition.__doc__ = """A certified map: ``kind`` is "direct" or "dual"; ``g``
+sends a source point to a target point (direct) or target hyperplane (dual);
+``point_map`` is g, or g's annihilators; ``sigma_by_base`` sends a report
+base to (sigma, case), as :func:`main_lemma_decompose` would."""
 
 
 def reconstruct(f: ChamberMap) -> Decomposition:
@@ -586,16 +580,10 @@ def verify_strong_embedding(source: ProjSpace, target: ProjSpace, g: dict) -> No
             )
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """The one-pass verdict on a chamber map.  ``decomposition`` is set for
-    induced maps; ``error`` is the :class:`AnalysisError` that stopped the
-    rest."""
-
-    check: ApartmentCheck
-    label: str
-    decomposition: Optional[Decomposition] = None
-    error: Optional[AnalysisError] = None
+Analysis = namedtuple("Analysis", "check label decomposition error", defaults=(None, None))
+Analysis.__doc__ = """The one-pass verdict on a chamber map.  ``decomposition``
+is set for induced maps; ``error`` is the :class:`AnalysisError` that
+stopped the rest."""
 
 
 def analyze(f: ChamberMap) -> Analysis:

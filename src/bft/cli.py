@@ -32,7 +32,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from math import factorial
 
 from .buildings import apartment_of
@@ -51,13 +50,10 @@ RANK_CAP = 5  # dimensions beyond this need --force
 # ------------------------------------------------------------- run reports
 
 
-@dataclass
 class RunReport:
-    command: str
-    params: dict
-    seed: int | None = None
-    checks: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    def __init__(self, command: str, params: dict, seed: int | None = None):
+        self.command, self.params, self.seed = command, params, seed
+        self.checks, self.details = [], {}
 
     def add(self, name, expected, actual, passed, note=""):
         self.checks.append(CheckRow(name, expected, actual, bool(passed), note))

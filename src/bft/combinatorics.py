@@ -96,8 +96,6 @@ def _check_pair(n: int, i: int, j: int):
 # others byte by byte: & | ^ on 0/1 lanes, and SWAR comparisons on lanes of
 # small values.  ``_bits`` turns a 0/1 lane into the family's bitset.
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
 
 @lru_cache(maxsize=None)
 def _ones(n: int) -> int:
@@ -151,9 +149,13 @@ def _less(n: int, a: int, b: int) -> int:
 
 
 def _bits(n: int, lane: int) -> int:
-    """A 0/1 lane as a bitset: bit k is byte k."""
-    flags = lane.to_bytes(factorial(n + 1), "little").translate(_DIGITS)
-    return int(flags[::-1], 2)
+    """A 0/1 lane as a bitset: bit k is byte k.  Each shift doubles the
+    bytes gathered in every byte, so byte 8m ends up holding bytes
+    8m..8m+7 as its bits 0..7, and every 8th byte is the bitset."""
+    lane |= lane >> 7
+    lane |= lane >> 14
+    lane |= lane >> 28
+    return int.from_bytes(lane.to_bytes(factorial(n + 1), "little")[::8], "little")
 
 
 @lru_cache(maxsize=None)

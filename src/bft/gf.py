@@ -24,8 +24,6 @@ building itself is computed on those masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
 # Irreducible modulus per non-prime order, coefficients low degree first.
@@ -38,6 +36,39 @@ _MODULUS = {
 
 class FieldError(ValueError):
     """Unsupported field order, invalid element code, or invalid map."""
+
+
+class Value:
+    """An immutable value whose fields are its ``__slots__``: equal to an
+    object of the same class with equal fields, hashed on the fields, shown
+    as ``Class(field=value, ...)``, and closed to assignment."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _factor(q):
@@ -228,8 +259,7 @@ def rref(vectors, gf: GF, ambient: int | None = None):
     return tuple(tuple(row) for row in rows[:r])
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """A subspace of GF(q)^ambient held as its canonical RREF basis.
 
     ``rank`` is the linear dimension; ``pdim = rank - 1`` is the
@@ -237,6 +267,7 @@ class Subspace:
     through :meth:`span` unless the rows are already canonical.
     """
 
+    __slots__ = ("gf", "ambient", "rows")
     gf: GF
     ambient: int
     rows: tuple[tuple[int, ...], ...]

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from pathlib import Path
 
 from .buildings import Chamber
 from .chamber_maps import ChamberMap
@@ -259,7 +258,8 @@ def dump_map(f: ChamberMap, path, dual: bool = False) -> None:
 
 def load_map(path) -> ChamberMap:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as src:
+            data = json.loads(src.read())
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:

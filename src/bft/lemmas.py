@@ -6,7 +6,7 @@ the :class:`CheckRow` values of :func:`case_row` and :func:`structural_rows`.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -35,13 +35,7 @@ from .projective import ProjSpace, standard_base
 __all__ = ["CheckRow", "case_row", "structural_rows"]
 
 
-@dataclass
-class CheckRow:
-    name: str
-    expected: object
-    actual: object
-    passed: bool
-    note: str = ""
+CheckRow = namedtuple("CheckRow", "name expected actual passed note", defaults=("",))
 
 
 @lru_cache(maxsize=None)

@@ -22,26 +22,26 @@ same (n, q); the pairing is the standard dot product.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .gf import GF, Subspace
+from .gf import GF, Subspace, Value
 
 
 class MapError(ValueError):
     """A semilinear map that is not injective or not well formed."""
 
 
-@dataclass(frozen=True)
-class ProjSpace:
+class ProjSpace(Value):
     """PG(n, q): the projective space of GF(q)^(n+1)."""
 
+    __slots__ = ("n", "gf")
     n: int
     gf: GF
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"projective dimension must be >= 2, got {self.n}")
+    def __init__(self, n: int, gf: GF):
+        if n < 2:
+            raise ValueError(f"projective dimension must be >= 2, got {n}")
+        super().__init__(n, gf)
 
     @classmethod
     def of(cls, n: int, q: int) -> "ProjSpace":
@@ -280,14 +280,14 @@ def points_of_subspace(space: ProjSpace, sub: Subspace) -> tuple[tuple[int, ...]
     return tuple(map(geo.point, bits(geo.mask_of(sub))))
 
 
-@dataclass(frozen=True)
-class Base(object):
+class Base(Value):
     """n + 1 points spanning the space; an unordered set stored sorted.
 
     The sorted order provides the canonical indexing 0..n used by
     apartments: ``points[i]`` is the i-th base point.
     """
 
+    __slots__ = ("space", "points")
     space: ProjSpace
     points: tuple[tuple[int, ...], ...]
 
@@ -330,8 +330,7 @@ def dual_subspace(space: ProjSpace, sub: Subspace) -> Subspace:
 # ------------------------------------------------------------- semilinear
 
 
-@dataclass(frozen=True)
-class Semilinear:
+class Semilinear(Value):
     """An injective semilinear map between spaces of equal dimension.
 
     ``sigma`` is a field homomorphism GF(q) -> GF(q') as a code table
@@ -343,12 +342,14 @@ class Semilinear:
     point sets.
     """
 
+    __slots__ = ("source", "target", "sigma", "matrix")
     source: ProjSpace
     target: ProjSpace
     sigma: tuple[int, ...]
     matrix: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, source: ProjSpace, target: ProjSpace, sigma, matrix):
+        super().__init__(source, target, sigma, matrix)
         if self.source.n != self.target.n:
             raise MapError("source and target must have equal projective dimension")
         if not self.source.gf.is_hom_into(self.target.gf, self.sigma):

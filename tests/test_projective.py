@@ -9,9 +9,12 @@ import random
 
 import pytest
 
+from bft.buildings import chambers_of
+from bft.chamber_maps import _witness_bases
 from bft.gf import GF
 from bft.projective import (
     Base,
+    Geometry,
     MapError,
     ProjSpace,
     Semilinear,
@@ -113,6 +116,53 @@ def _identity(space):
     )
 
 
+VALUES = {  # each call builds a fresh value, equal to the one the last call built
+    "Subspace": lambda: PG32.subspace([(0, 1, 1, 0), (1, 0, 0, 0)]),
+    "ProjSpace": lambda: ProjSpace.of(2, 3),
+    "Base": lambda: standard_base(PG32),
+    "Semilinear": lambda: Semilinear.of(PG22, PG22, _identity(PG22)),
+}
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES.keys())
+def test_values_are_equal_on_fields_and_closed_to_assignment(make):
+    """Equal fields give equal values and hashes; a value never equals one
+    of another class, nor the tuple of its own fields; no field can be
+    assigned or deleted; and a value is no tuple, so ``_witness_bases``
+    cannot mistake it for a list of witnesses."""
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    fields = tuple(getattr(a, name) for name in type(a).__slots__)
+    assert a != fields and not isinstance(a, tuple)
+    assert all(a != other() for other in VALUES.values() if other is not make)
+    for name in type(a).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+def test_value_reprs_and_validation():
+    assert repr(PG22) == "PG(2,2)"
+    assert repr(VALUES["Subspace"]()) == (
+        "Subspace(gf=GF(2), ambient=4, rows=((1, 0, 0, 0), (0, 1, 1, 0)))"
+    )
+    assert repr(standard_base(PG22)) == (
+        "Base(space=PG(2,2), points=((0, 0, 1), (0, 1, 0), (1, 0, 0)))"
+    )
+    with pytest.raises(ValueError):
+        ProjSpace(1, GF.of(2))
+    assert PG32.subspace([(1, 0, 0, 0)]) != PG32.subspace([(0, 1, 0, 0)])
+
+
+def test_witness_bases_of_a_subspace_are_those_of_the_first_chamber_over_it():
+    line = VALUES["Subspace"]()
+    mask = Geometry.of(PG32).mask_of(line)
+    first = next(c for c in chambers_of(PG32) if mask in c.masks)
+    assert list(_witness_bases(PG32, line)) == list(_witness_bases(PG32, first))
+
+
 def test_identity_map_fixes_points():
     f = Semilinear.of(PG22, PG22, _identity(PG22))
     for p in points_of(PG22):
@@ -123,6 +173,11 @@ def test_identity_map_fixes_points():
 def test_singular_matrix_rejected():
     with pytest.raises(MapError):
         Semilinear.of(PG22, PG22, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+
+
+def test_non_square_matrix_rejected():
+    with pytest.raises(MapError):
+        Semilinear.of(PG22, PG22, _identity(PG22)[:2])
 
 
 def test_dimension_mismatch_rejected():
