@@ -1,39 +1,35 @@
 """JSON interchange for chamber maps, plus small text parsers for the CLI.
 
-A chamber-map file looks like::
+A ``chamber-map/2`` file writes each distinct subspace once::
 
-    {
-      "schema": "chamber-map/1",
-      "source": {"n": 2, "q": 2},
-      "target": {"n": 2, "q": 2, "dual": false},
-      "pairs": [[chamber, chamber], ...]
-    }
+    {"schema":"chamber-map/2","source":{"n":2,"q":2},"target":{"n":2,"q":2,"dual":false},"pairs":[
+    [[0,1],[0,1]],
+    ...
+    ],"subspaces":{"source":[[[0,0,1]],[[0,1,0],[0,0,1]],...],"target":[...]}}
 
-where a chamber is a list of subspaces (one per projective dimension,
-ascending), a subspace is a list of linearly independent rows, and a row is
-a list of field codes.  ``dump_map`` writes the reduced-row-echelon rows and
-sorts ``pairs`` by source chamber; ``pairs`` covers every source chamber
-exactly once, and a file round-trips byte-identically through
-``dump_map``/``load_map``.
+Each side's table lists subspaces as linearly independent rows of field
+codes.  A pair gives a source chamber and its image as the indices of their
+subspaces (one per projective dimension, ascending) in those tables, and
+``pairs`` covers every source chamber exactly once.  ``dump_map`` streams
+the pairs, sorted by source chamber, then the tables of RREF rows, each
+numbered in order of first use, so a file round-trips byte-identically
+through ``dump_map``/``load_map``; ``encode_map`` returns the same document.
 
-``dump_map`` writes exactly the bytes of
-``json.dumps(encode_map(f), indent=2) + "\n"`` without building that
-document: json renders the header and each distinct subspace once, and the
-pairs are joined from those fragments and written one pair at a time.
-
-``decode_map`` checks each distinct subspace encoding of a file once, into
-a mask with no row reduction, through a memo local to the call; chains are
-checked on the masks, and the map is built without the public
-:class:`ChamberMap` constructor's second pass.
-
-All validation problems raise :class:`FormatError` with a message naming
-the offending entry.
+``decode_map`` also reads ``chamber-map/1``, which spells every subspace of
+every chamber inline; its table is the distinct spellings, as read.  Each
+table entry is checked once, into a mask with no row reduction (a ``/2``
+table may not list a subspace twice).  A chamber is a lookup of its
+indices, its chain checked on the masks, and the map is built without the
+:class:`ChamberMap` constructor's second pass.  Every problem raises
+:class:`FormatError` with a message naming the offending entry.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from collections import defaultdict
+from functools import lru_cache, partial
+from itertools import chain, count
 
 from .buildings import Chamber
 from .chamber_maps import ChamberMap
@@ -53,7 +49,8 @@ __all__ = [
     "load_map",
 ]
 
-SCHEMA = "chamber-map/1"
+SCHEMA = "chamber-map/2"
+_SCHEMA_1 = "chamber-map/1"  # still read
 
 
 class FormatError(ValueError):
@@ -103,48 +100,64 @@ def _part_mask(geo: Geometry, part) -> int:
     return mask
 
 
-def _decode_chamber(geo: Geometry, data, memo: dict) -> Chamber:
-    """A chamber from its encoding; ``memo`` maps the subspace encodings
-    already checked in this space to their masks."""
-    n = geo.space.n
-    if not isinstance(data, list) or len(data) != n:
-        raise FormatError(f"a chamber must be a list of {n} subspaces, got {data!r}")
-    # JSON true and 1.0 equal 1 and hash like it, so the memo serves only
-    # chambers whose codes are all ints: a JSON part then hits it only if
-    # spelled exactly like the checked one
-    try:
-        clean = {int}.issuperset(map(type, chain.from_iterable(chain.from_iterable(data))))
-    except TypeError:
-        clean = False
-    masks = []
-    for part in data:
-        key = tuple(map(tuple, part)) if clean else None
-        mask = memo.get(key)
-        if mask is None:
-            mask = _part_mask(geo, part)
-            if clean:
-                memo[key] = mask
-        masks.append(mask)
-    # a checked part has rank len(part)
-    for k, part in enumerate(data):
-        if len(part) != k + 1:
-            raise FormatError(
-                f"not a chamber: expected pdim {k} at position {k}, got {len(part) - 1}"
-            )
-        if k and masks[k - 1] & ~masks[k]:
+def _table(geo: Geometry, entries, side: str) -> list:
+    """Each ``/2`` subspace table entry as ``(mask, pdim)``, checked once."""
+    if not isinstance(entries, list):
+        raise FormatError(f"'subspaces' must hold a list of {side} subspaces")
+    pdims = {}
+    for part in entries:
+        mask = _part_mask(geo, part)
+        if mask in pdims:
+            raise FormatError(f"duplicate {side} subspace {part!r}")
+        pdims[mask] = len(part) - 1
+    return list(pdims.items())
+
+
+def _chamber(geo: Geometry, table: list, side: str, ids) -> Chamber:
+    """The chamber at the indices ``ids`` of ``table``, a list of checked
+    ``(mask, pdim)``: the one path from a file to a chamber."""
+    n, size = geo.space.n, len(table)
+    # type(i) is int: JSON true and 1.0 would index like 1
+    if not (isinstance(ids, list) and len(ids) == n
+            and all(type(i) is int and 0 <= i < size for i in ids)):
+        raise FormatError(f"a {side} chamber must be {n} indices below {size}, got {ids!r}")
+    masks, prev = [], 0
+    for k, i in enumerate(ids):
+        mask, pdim = table[i]
+        if pdim != k:
+            raise FormatError(f"not a chamber: expected pdim {k} at position {k}, got {pdim}")
+        if prev & ~mask:
             raise FormatError("not a chamber: chamber subspaces are not nested")
+        masks.append(mask)
+        prev = mask
     return Chamber(geo, masks)
 
 
+def _inline(geo: Geometry, table: list, side: str):
+    """The ``/1`` chamber reader.  A ``/1`` chamber spells its subspaces
+    inline; each spelling not read before is checked and appended to
+    ``table``, and the chamber is read at the indices of its spellings."""
+    n = geo.space.n
+    memo = {}
+
+    def read(data) -> Chamber:
+        if not isinstance(data, list) or len(data) != n:
+            raise FormatError(f"a chamber must be a list of {n} subspaces, got {data!r}")
+        ids = []
+        for part in data:
+            key = repr(part)  # JSON true and 1.0 equal 1, but are spelled apart
+            if key not in memo:
+                table.append((_part_mask(geo, part), len(part) - 1))
+                memo[key] = len(table) - 1
+            ids.append(memo[key])
+        return _chamber(geo, table, side, ids)
+
+    return read
+
+
 def decode_chamber(space: ProjSpace, data) -> Chamber:
-    return _decode_chamber(Geometry.of(space), data, {})
-
-
-def _space_entry(space: ProjSpace, dual=None) -> dict:
-    entry = {"n": space.n, "q": space.q}
-    if dual is not None:
-        entry["dual"] = bool(dual)
-    return entry
+    """A chamber spelled as in ``chamber-map/1``: a list of subspaces."""
+    return _inline(Geometry.of(space), [], "source")(data)
 
 
 def _decode_space(entry, label: str) -> ProjSpace:
@@ -163,22 +176,31 @@ def _decode_space(entry, label: str) -> ProjSpace:
 
 
 def _header(f: ChamberMap, dual: bool) -> dict:
+    return {"schema": SCHEMA, "source": {"n": f.source.n, "q": f.source.q},
+            "target": {"n": f.target.n, "q": f.target.q, "dual": bool(dual)}}
+
+
+def _indexed(f: ChamberMap):
+    """The pairs of ``f`` sorted by source chamber, as index lists into two
+    tables (mask -> index) that fill in order of first use as they are read."""
+    tables = defaultdict(count().__next__), defaultdict(count().__next__)
+    rows = lru_cache(maxsize=None)(Geometry.of(f.source).rows)  # the sort key, per subspace
+    pairs = sorted(f.table.items(), key=lambda kv: tuple(map(rows, kv[0].masks)))
+    return ([list(map(t.__getitem__, c.masks)) for t, c in zip(tables, pair)]
+            for pair in pairs), tables
+
+
+def _subspaces(f: ChamberMap, tables) -> dict:
     return {
-        "schema": SCHEMA,
-        "source": _space_entry(f.source),
-        "target": _space_entry(f.target, dual=dual),
+        side: [list(map(list, Geometry.of(space).rows(mask))) for mask in table]
+        for side, space, table in zip(("source", "target"), (f.source, f.target), tables)
     }
-
-
-def _sorted_pairs(f: ChamberMap) -> list:
-    return sorted(f.table.items(), key=lambda kv: kv[0].sort_key())
 
 
 def encode_map(f: ChamberMap, dual: bool = False) -> dict:
-    return {
-        **_header(f, dual),
-        "pairs": [[encode_chamber(a), encode_chamber(b)] for a, b in _sorted_pairs(f)],
-    }
+    pairs, tables = _indexed(f)
+    pairs = list(pairs)  # fills the tables
+    return {**_header(f, dual), "pairs": pairs, "subspaces": _subspaces(f, tables)}
 
 
 # PG(n, q) has more than 2**n chambers, so no file lists them all beyond this
@@ -189,9 +211,10 @@ _MAX_FILE_DIMENSION = 64
 def decode_map(data) -> ChamberMap:
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
-    if data.get("schema") != SCHEMA:
+    schema = data.get("schema")
+    if schema not in (SCHEMA, _SCHEMA_1):
         raise FormatError(
-            f"unknown schema {data.get('schema')!r}; expected {SCHEMA!r}"
+            f"unknown schema {schema!r}; expected {SCHEMA!r} or {_SCHEMA_1!r}"
         )
     source = _decode_space(data.get("source"), "source")
     target = _decode_space(data.get("target"), "target")
@@ -211,49 +234,46 @@ def decode_map(data) -> ChamberMap:
     if short > 0:
         raise FormatError(f"{short} source chambers are missing a pair")
     source_geo, target_geo = Geometry.of(source), Geometry.of(target)
-    source_memo = {}
-    target_memo = source_memo if target_geo is source_geo else {}
+    if schema == SCHEMA:
+        subspaces = data.get("subspaces")
+        if not isinstance(subspaces, dict):
+            raise FormatError("'subspaces' must be an object")
+        source_read, target_read = (
+            partial(_chamber, geo, _table(geo, subspaces.get(side), side), side)
+            for geo, side in ((source_geo, "source"), (target_geo, "target"))
+        )
+    else:  # a /1 file: one table of spellings per geometry
+        source_read = _inline(source_geo, [], "source")
+        target_read = (source_read if target_geo is source_geo
+                       else _inline(target_geo, [], "target"))
     table = {}
     for entry in pairs:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"each pair must be [chamber, chamber], got {entry!r}")
-        key = _decode_chamber(source_geo, entry[0], source_memo)
+        key = source_read(entry[0])
         if key in table:
             raise FormatError(f"duplicate source chamber {key!r}")
-        table[key] = _decode_chamber(target_geo, entry[1], target_memo)
+        table[key] = target_read(entry[1])
     # The keys are distinct chambers of source, at least chamber_count of
     # them, so they are all of them once; every image is a target chamber.
     return ChamberMap._trusted(source, target, table)
 
 
-# A subspace sits at depth 4 of the file: file > pairs > pair > chamber.
-_PART_INDENT = "\n" + " " * 8
+def _compact(value) -> str:
+    """Compact JSON of nested lists of ints, which ``repr`` spells with spaces."""
+    return repr(value).replace(" ", "")
 
 
 def dump_map(f: ChamberMap, path, dual: bool = False) -> None:
-    head = json.dumps({**_header(f, dual), "pairs": []}, indent=2)
-    fragments = {}
-
-    def chamber(c: Chamber) -> str:
-        parts = []
-        for mask in c.masks:
-            key = (c.geometry, mask)
-            text = fragments.get(key)
-            if text is None:
-                rows = c.geometry.rows(mask)
-                text = fragments[key] = json.dumps(rows, indent=2).replace(
-                    "\n", _PART_INDENT
-                )
-            parts.append(text)
-        return "[" + _PART_INDENT + ("," + _PART_INDENT).join(parts) + "\n      ]"
-
+    pairs, tables = _indexed(f)
+    lines = map(_compact, pairs)
+    head = json.dumps(_header(f, dual), separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as out:
-        out.write(head[: -len("]\n}")])  # ... "pairs": [
-        sep = "\n    "
-        for a, b in _sorted_pairs(f):
-            out.write(f"{sep}[\n      {chamber(a)},\n      {chamber(b)}\n    ]")
-            sep = ",\n    "
-        out.write("\n  ]\n}\n")
+        out.write(head[:-1] + ',"pairs":[\n' + next(lines))
+        for line in lines:
+            out.write(",\n" + line)
+        source, target = map(_compact, _subspaces(f, tables).values())
+        out.write(f'\n],"subspaces":{{"source":{source},"target":{target}}}}}\n')
 
 
 def load_map(path) -> ChamberMap:

@@ -1,10 +1,11 @@
-"""The chamber-map reader before the memoized read path: the slow oracle
-for :func:`bft.jsonio.decode_map` and :func:`bft.jsonio.decode_chamber`.
+"""The slow oracle for :func:`bft.jsonio.decode_map` and
+:func:`bft.jsonio.decode_chamber`, and the ``chamber-map/1`` encoder.
 
-Every subspace occurrence is shape-checked on its own and row-reduced
-through :class:`~bft.gf.Subspace` (behind an LRU keyed by the space), every
-chamber goes through ``check_chamber``, and the map through the checking
-public :class:`ChamberMap` constructor.
+Every subspace, whether a ``chamber-map/2`` table entry or a subspace spelled
+inline in a ``chamber-map/1`` chamber, is shape-checked on its own and
+row-reduced through :class:`~bft.gf.Subspace` (behind an LRU keyed by the
+space); every chamber goes through ``check_chamber``, and the map through the
+checking public :class:`ChamberMap` constructor.
 """
 
 from __future__ import annotations
@@ -15,8 +16,28 @@ from bft.buildings import Chamber, check_chamber
 from bft.chamber_maps import ChamberMap
 from bft.counts import chamber_count
 from bft.gf import Subspace
-from bft.jsonio import _MAX_FILE_DIMENSION, SCHEMA, FormatError, _decode_space
+from bft.jsonio import (
+    _MAX_FILE_DIMENSION,
+    SCHEMA,
+    FormatError,
+    _decode_space,
+    encode_chamber,
+)
 from bft.projective import Geometry, ProjSpace
+
+SCHEMA_1 = "chamber-map/1"
+
+
+def encode_map_v1(f: ChamberMap, dual: bool = False) -> dict:
+    """The ``chamber-map/1`` document of ``f``: every subspace of every
+    chamber spelled inline as its RREF rows, pairs sorted by source chamber."""
+    pairs = sorted(f.table.items(), key=lambda kv: kv[0].sort_key())
+    return {
+        "schema": SCHEMA_1,
+        "source": {"n": f.source.n, "q": f.source.q},
+        "target": {"n": f.target.n, "q": f.target.q, "dual": bool(dual)},
+        "pairs": [[encode_chamber(a), encode_chamber(b)] for a, b in pairs],
+    }
 
 
 @lru_cache(maxsize=4096)
@@ -34,26 +55,23 @@ def _decode_part(space: ProjSpace, rows: tuple) -> int:
     return Geometry.of(space).mask_of(sub)
 
 
-def decode_chamber(space: ProjSpace, data) -> Chamber:
-    if not isinstance(data, list) or len(data) != space.n:
-        raise FormatError(
-            f"a chamber must be a list of {space.n} subspaces, got {data!r}"
+def _part(space: ProjSpace, part) -> int:
+    # type(x) is int: JSON true/false decode to bools, which are ints
+    if (
+        not isinstance(part, list)
+        or not part
+        or not all(
+            isinstance(row, list)
+            and len(row) == space.ambient
+            and all(type(x) is int for x in row)
+            for row in part
         )
-    masks = []
-    for part in data:
-        # type(x) is int: JSON true/false decode to bools, which are ints
-        if (
-            not isinstance(part, list)
-            or not part
-            or not all(
-                isinstance(row, list)
-                and len(row) == space.ambient
-                and all(type(x) is int for x in row)
-                for row in part
-            )
-        ):
-            raise FormatError(f"invalid subspace encoding: {part!r}")
-        masks.append(_decode_part(space, tuple(map(tuple, part))))
+    ):
+        raise FormatError(f"invalid subspace encoding: {part!r}")
+    return _decode_part(space, tuple(map(tuple, part)))
+
+
+def _checked(space: ProjSpace, masks: list) -> Chamber:
     chamber = Chamber(Geometry.of(space), masks)
     try:
         check_chamber(space, chamber)
@@ -62,13 +80,47 @@ def decode_chamber(space: ProjSpace, data) -> Chamber:
     return chamber
 
 
+def decode_chamber(space: ProjSpace, data) -> Chamber:
+    if not isinstance(data, list) or len(data) != space.n:
+        raise FormatError(
+            f"a chamber must be a list of {space.n} subspaces, got {data!r}"
+        )
+    return _checked(space, [_part(space, part) for part in data])
+
+
+def _table(space: ProjSpace, entries, side: str) -> list:
+    if not isinstance(entries, list):
+        raise FormatError(f"'subspaces' must hold a list of {side} subspaces")
+    masks = []
+    for part in entries:
+        mask = _part(space, part)
+        if mask in masks:
+            raise FormatError(f"duplicate {side} subspace {part!r}")
+        masks.append(mask)
+    return masks
+
+
+def _indexed_chamber(space: ProjSpace, table: list, side: str, data) -> Chamber:
+    if (
+        not isinstance(data, list)
+        or len(data) != space.n
+        or not all(
+            isinstance(i, int) and not isinstance(i, bool) and 0 <= i < len(table)
+            for i in data
+        )
+    ):
+        raise FormatError(
+            f"a {side} chamber must be {space.n} indices below {len(table)}, got {data!r}"
+        )
+    return _checked(space, [table[i] for i in data])
+
+
 def decode_map(data) -> ChamberMap:
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
-    if data.get("schema") != SCHEMA:
-        raise FormatError(
-            f"unknown schema {data.get('schema')!r}; expected {SCHEMA!r}"
-        )
+    schema = data.get("schema")
+    if schema not in (SCHEMA, SCHEMA_1):
+        raise FormatError(f"unknown schema {schema!r}; expected {SCHEMA!r} or {SCHEMA_1!r}")
     source = _decode_space(data.get("source"), "source")
     target = _decode_space(data.get("target"), "target")
     if source.n != target.n:
@@ -86,12 +138,30 @@ def decode_map(data) -> ChamberMap:
     short = chamber_count(source.n, source.q) - len(pairs)
     if short > 0:
         raise FormatError(f"{short} source chambers are missing a pair")
+    if schema == SCHEMA:
+        subspaces = data.get("subspaces")
+        if not isinstance(subspaces, dict):
+            raise FormatError("'subspaces' must be an object")
+        tables = {
+            side: (space, _table(space, subspaces.get(side), side))
+            for side, space in (("source", source), ("target", target))
+        }
+
+        def chamber(side, data):
+            space, table = tables[side]
+            return _indexed_chamber(space, table, side, data)
+    else:
+        spaces = {"source": source, "target": target}
+
+        def chamber(side, data):
+            return decode_chamber(spaces[side], data)
+
     table = {}
     for entry in pairs:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"each pair must be [chamber, chamber], got {entry!r}")
-        key = decode_chamber(source, entry[0])
+        key = chamber("source", entry[0])
         if key in table:
             raise FormatError(f"duplicate source chamber {key!r}")
-        table[key] = decode_chamber(target, entry[1])
+        table[key] = chamber("target", entry[1])
     return ChamberMap(source, target, table)

@@ -299,6 +299,22 @@ def test_map_analyze_malformed_and_missing(capsys, tmp_path):
     assert code == 2
 
 
+def test_map_analyze_bad_subspace_index_exits_2(tmp_path):
+    path = tmp_path / "map.json"
+    made = _bft_subprocess("map", "induce", "--n", "2", "--q", "2",
+                           "--matrix", IDENTITY, "--out", str(path))
+    assert made.returncode == 0
+    data = json.loads(path.read_text())
+    assert data["schema"] == "chamber-map/2"
+    data["pairs"][3][1][0] = len(data["subspaces"]["target"])
+    path.write_text(json.dumps(data))
+    done = _bft_subprocess("map", "analyze", str(path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("malformed chamber-map file: a target chamber must be 2 "
+                                  "indices below 14, got [14, ")
+
+
 @pytest.mark.parametrize("k", ["0", "-3"])
 def test_map_analyze_rejects_k_below_one(capsys, tmp_path, k):
     out_path = str(tmp_path / "map.json")

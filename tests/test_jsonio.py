@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -28,7 +30,7 @@ from bft.jsonio import (
     load_map,
     parse_rows,
 )
-from bft.projective import ProjSpace, Semilinear
+from bft.projective import Geometry, ProjSpace, Semilinear
 
 PG22 = ProjSpace.of(2, 2)
 
@@ -104,29 +106,29 @@ def test_map_round_trip_and_schema():
 
 
 def test_decode_map_validation():
-    data = encode_map(identity_map())
-    clipped = {**data, "pairs": data["pairs"][:-1]}
-    with pytest.raises(FormatError, match="missing"):
-        decode_map(clipped)
-    doubled = {**data, "pairs": data["pairs"] + [data["pairs"][0]]}
-    with pytest.raises(FormatError, match="duplicate"):
-        decode_map(doubled)
-    with pytest.raises(FormatError, match="unsupported"):
-        decode_map({**data, "source": {"n": 2, "q": 6}})
-    with pytest.raises(FormatError, match="dimensions differ"):
-        decode_map({**data, "target": {"n": 3, "q": 2, "dual": False}})
-    # 2.0 == 2 and true == 1, but only a JSON integer names a dimension or order
-    for bad in ({"n": 2, "q": 2.0}, {"n": 2.0, "q": 2}, {"n": 2, "q": True},
-                {"n": True, "q": 2}):
-        with pytest.raises(FormatError, match="source"):
-            decode_map({**data, "source": bad})
-        with pytest.raises(FormatError, match="target"):
-            decode_map({**data, "target": {**bad, "dual": False}})
-    # a short file is refused by its pair count, before any chamber is read
-    for n, q in ((30, 2), (6, 9), (10**9, 2)):
-        space = {"n": n, "q": q}
-        with pytest.raises(FormatError, match="source chambers|cannot cover"):
-            decode_map({**data, "source": space, "target": space})
+    for data in (oracle.encode_map_v1(identity_map()), encode_map(identity_map())):
+        clipped = {**data, "pairs": data["pairs"][:-1]}
+        with pytest.raises(FormatError, match="missing"):
+            decode_map(clipped)
+        doubled = {**data, "pairs": data["pairs"] + [data["pairs"][0]]}
+        with pytest.raises(FormatError, match="duplicate"):
+            decode_map(doubled)
+        with pytest.raises(FormatError, match="unsupported"):
+            decode_map({**data, "source": {"n": 2, "q": 6}})
+        with pytest.raises(FormatError, match="dimensions differ"):
+            decode_map({**data, "target": {"n": 3, "q": 2, "dual": False}})
+        # 2.0 == 2 and true == 1, but only a JSON integer names a dimension or order
+        for bad in ({"n": 2, "q": 2.0}, {"n": 2.0, "q": 2}, {"n": 2, "q": True},
+                    {"n": True, "q": 2}):
+            with pytest.raises(FormatError, match="source"):
+                decode_map({**data, "source": bad})
+            with pytest.raises(FormatError, match="target"):
+                decode_map({**data, "target": {**bad, "dual": False}})
+        # a short file is refused by its pair count, before any chamber is read
+        for n, q in ((30, 2), (6, 9), (10**9, 2)):
+            space = {"n": n, "q": q}
+            with pytest.raises(FormatError, match="source chambers|cannot cover"):
+                decode_map({**data, "source": space, "target": space})
 
 
 def test_dump_load_byte_stable(tmp_path):
@@ -169,18 +171,51 @@ def _semilinear(n, q, target_q, seed):
             continue
 
 
-@pytest.mark.parametrize(
+WRITTEN = pytest.mark.parametrize(
     "n, q, target_q, dual",
     [(2, 2, 2, False), (3, 2, 2, True), (2, 3, 9, False), (2, 4, 4, True),
      (3, 3, 3, True)],
     ids=["PG22", "PG32-dual", "PG23-to-PG29", "PG24-dual", "PG33-dual"],
 )
+
+
+@WRITTEN
 def test_dump_map_matches_json_oracle(tmp_path, n, q, target_q, dual):
+    """The streamed file parses to the document ``encode_map`` builds."""
     f = induce(_semilinear(n, q, target_q, seed=n * q), dual=dual)
     path = tmp_path / "map.json"
     dump_map(f, path, dual=dual)
-    expected = json.dumps(encode_map(f, dual=dual), indent=2) + "\n"
-    assert path.read_bytes() == expected.encode("utf-8")
+    assert json.loads(path.read_text()) == encode_map(f, dual=dual)
+
+
+@WRITTEN
+def test_dump_load_dump_is_byte_identical(tmp_path, n, q, target_q, dual):
+    f = induce(_semilinear(n, q, target_q, seed=n * q), dual=dual)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    dump_map(f, first, dual=dual)
+    dump_map(load_map(first), second, dual=dual)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_dump_map_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Tables are numbered along the sorted pairs, not in set or dict order
+    of hashed values."""
+    script = (
+        "import sys\n"
+        "from bft import ProjSpace, Semilinear, dump_map, induce\n"
+        "s = ProjSpace.of(3, 3)\n"
+        "m = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]]\n"
+        "dump_map(induce(Semilinear.of(s, s, m), dual=True), sys.argv[1], dual=True)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    written = []
+    for seed in ("1", "2"):
+        path = tmp_path / f"seed{seed}.json"
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                       check=True, timeout=120)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 # ------------------------------------------------------------ reader oracle
@@ -201,22 +236,44 @@ def _gf_sum(gf, codes):
     return total
 
 
+def _rebase(gf, part, rng):
+    """The subspace spelled by a random basis of it: its rows recombined by
+    an invertible matrix, so mostly not in RREF."""
+    return [
+        [_gf_sum(gf, (gf.mul[a][x] for a, x in zip(coeffs, column))) for column in zip(*part)]
+        for coeffs in random_invertible(gf, len(part), rng)
+    ]
+
+
 def _rebased(data, seed):
-    """The file with every subspace spelled by a random basis of it: rows
-    recombined by an invertible matrix, so mostly not in RREF."""
+    """The file with every subspace spelled by a random basis of it: each
+    inline part of a chamber-map/1 file, each table entry of a /2 file."""
     rng = random.Random(seed)
     out = json.loads(json.dumps(data))
+    gf = {side: ProjSpace.of(out[side]["n"], out[side]["q"]).gf
+          for side in ("source", "target")}
+    if out["schema"] == SCHEMA:
+        for side, table in out["subspaces"].items():
+            table[:] = [_rebase(gf[side], part, rng) for part in table]
+        return out
     for pair in out["pairs"]:
         for side, chamber in zip(("source", "target"), pair):
-            gf = ProjSpace.of(out[side]["n"], out[side]["q"]).gf
-            for k, part in enumerate(chamber):
-                matrix = random_invertible(gf, len(part), rng)
-                chamber[k] = [
-                    [_gf_sum(gf, (gf.mul[a][x] for a, x in zip(coeffs, column)))
-                     for column in zip(*part)]
-                    for coeffs in matrix
-                ]
+            chamber[:] = [_rebase(gf[side], part, rng) for part in chamber]
     return out
+
+
+def _perturbed_pairs(pairs, perturb, rng):
+    """Move images in place, keeping the file valid: all of them
+    ("shuffled", pairs reordered too) or two ("swapped")."""
+    if perturb == "shuffled":
+        images = [b for _, b in pairs]
+        rng.shuffle(images)
+        for pair, image in zip(pairs, images):
+            pair[1] = image
+        rng.shuffle(pairs)
+    elif perturb == "swapped":
+        a, b = rng.sample(pairs, 2)
+        a[1], b[1] = b[1], a[1]
 
 
 def _corrupt(chamber, how, q):
@@ -249,20 +306,13 @@ CORRUPTIONS = ["point-off-line", "pdims-out-of-order", "dependent-rows", "zero-r
     ids=["PG22", "PG32-dual", "PG23-to-PG29", "PG33"],
 )
 def test_decode_map_matches_the_oracle(n, q, target_q, dual, perturb):
+    """chamber-map/1 files, whose chambers spell their subspaces inline."""
     f = induce(_semilinear(n, q, target_q, seed=n * q), dual=dual)
-    data = encode_map(f, dual=dual)
+    data = oracle.encode_map_v1(f, dual=dual)
     rng = random.Random(n * q)
     pairs = data["pairs"]
-    if perturb == "shuffled":
-        images = [b for _, b in pairs]
-        rng.shuffle(images)
-        for pair, image in zip(pairs, images):
-            pair[1] = image
-        rng.shuffle(pairs)
-    elif perturb == "swapped":
-        a, b = rng.sample(pairs, 2)
-        a[1], b[1] = b[1], a[1]
-    elif perturb == "rebased":
+    _perturbed_pairs(pairs, perturb, rng)
+    if perturb == "rebased":
         data = _rebased(data, seed=n * q)
     elif perturb in CORRUPTIONS:
         # a chamber late in the file, whose parts were all read before
@@ -272,6 +322,94 @@ def test_decode_map_matches_the_oracle(n, q, target_q, dual, perturb):
     assert _outcome(decode_map, data) == expected
     if perturb == "induced":
         assert dict(expected) == f.table
+
+
+def _corrupt_v2(data, how):
+    """Break a chamber-map/2 file in one of the ways a reader must report,
+    mostly in a chamber late in the file."""
+    tables, pairs = data["subspaces"], data["pairs"]
+    ids = pairs[-2][0]
+    first = pairs[0][0]
+    assert first == list(range(len(first)))  # tables are numbered by first use
+    if how == "index-out-of-range":
+        ids[1] = len(tables["source"])
+    elif how == "negative-index":
+        ids[-1] = -1  # would index the last entry
+    elif how == "true-index":
+        first[1] = True  # equal to 1, and would index like it
+    elif how == "float-index":
+        first[1] = 1.0
+    elif how == "string-index":
+        ids[0] = str(ids[0])
+    elif how == "duplicate-entry":
+        # a line listed again, spelled with its rows in the other order
+        line = next(part for part in tables["source"] if len(part) == 2)
+        tables["source"].append(line[::-1])
+    elif how == "wrong-pdim":
+        ids[0] = ids[1]
+    elif how == "unnested":
+        geo = Geometry.of(ProjSpace.of(data["source"]["n"], data["source"]["q"]))
+        line = geo.span(map(geo.id_of, tables["source"][ids[1]]))
+        ids[0] = next(j for j, part in enumerate(tables["source"])
+                      if len(part) == 1 and not line >> geo.id_of(part[0]) & 1)
+    elif how == "no-subspaces":
+        del data["subspaces"]
+    elif how == "missing-side":
+        del tables["target"]
+    elif how == "non-list-side":
+        tables["source"] = {"0": tables["source"][0]}
+    elif how == "duplicate-source-chamber":
+        pairs[-1][0] = list(first)
+
+
+CORRUPTIONS_V2 = ["index-out-of-range", "negative-index", "true-index", "float-index",
+                  "string-index", "duplicate-entry", "wrong-pdim", "unnested",
+                  "no-subspaces", "missing-side", "non-list-side",
+                  "duplicate-source-chamber"]
+
+
+@pytest.mark.parametrize("perturb", VALID_PERTURBATIONS + CORRUPTIONS_V2)
+@pytest.mark.parametrize(
+    "n, q, target_q, dual",
+    [(2, 2, 2, False), (3, 2, 2, True), (2, 3, 9, False), (3, 3, 3, False)],
+    ids=["PG22", "PG32-dual", "PG23-to-PG29", "PG33"],
+)
+def test_decode_map_matches_the_oracle_on_v2(n, q, target_q, dual, perturb):
+    """chamber-map/2 files, whose chambers are indices into the tables."""
+    f = induce(_semilinear(n, q, target_q, seed=n * q), dual=dual)
+    data = encode_map(f, dual=dual)
+    _perturbed_pairs(data["pairs"], perturb, random.Random(n * q))
+    if perturb == "rebased":
+        data = _rebased(data, seed=n * q)
+    elif perturb in CORRUPTIONS_V2:
+        _corrupt_v2(data, perturb)
+    expected = _outcome(oracle.decode_map, data)
+    assert isinstance(expected, str) == (perturb in CORRUPTIONS_V2)
+    assert _outcome(decode_map, data) == expected
+    if perturb == "induced":
+        assert dict(expected) == f.table
+
+
+def test_v1_and_v2_files_decode_to_the_same_table():
+    """The maps the benchmark writes, in both layouts: a PG(3,2) dual swap,
+    a PG(2,9) induced map, a PG(3,3) shuffle, PG(2,3) -> PG(2,9) and a
+    PG(4,2) dual map."""
+    maps = [(3, 2, 2, True, "swap"), (2, 9, 9, False, None), (3, 3, 3, False, "shuffle"),
+            (2, 3, 9, False, None), (4, 2, 2, True, None)]
+    for n, q, target_q, dual, perturb in maps:
+        f = induce(_semilinear(n, q, target_q, seed=n * q), dual=dual)
+        if perturb:
+            chambers, images = list(f.table), list(f.table.values())
+            rng = random.Random(n * q)
+            if perturb == "swap":
+                i, j = rng.sample(range(len(images)), 2)
+                images[i], images[j] = images[j], images[i]
+            else:
+                rng.shuffle(images)
+            f = ChamberMap(f.source, f.target, dict(zip(chambers, images)))
+        v1 = list(decode_map(oracle.encode_map_v1(f, dual=dual)).table.items())
+        v2 = list(decode_map(encode_map(f, dual=dual)).table.items())
+        assert v1 == v2 == sorted(f.table.items(), key=lambda kv: kv[0].sort_key())
 
 
 def _spelled(text: str, spelling) -> str:
@@ -307,15 +445,21 @@ def test_memoized_subspace_spelled_otherwise_is_rejected(tmp_path, capsys, spell
 
 def test_load_map_runs_no_row_reduction_and_no_second_check(tmp_path, monkeypatch):
     """The read path spans row points in the geometry: no rref, no
-    check_chamber, and no pass of the public ChamberMap constructor."""
-    from bft import buildings, gf
+    check_chamber, and no pass of the public ChamberMap constructor.  Each
+    table entry of a chamber-map/2 file is checked once, and no pair checks
+    a subspace again."""
+    from bft import buildings, gf, jsonio
 
     f = induce(_semilinear(3, 2, 2, seed=6), dual=True)
     path = tmp_path / "pg32.json"
     dump_map(f, path, dual=True)
-    calls = dict(rref=0, check_chamber=0, init=0)
+    data = json.loads(path.read_text())
+    assert data["schema"] == SCHEMA == "chamber-map/2"
+    entries = len(data["subspaces"]["source"]) + len(data["subspaces"]["target"])
+    calls = dict(rref=0, check_chamber=0, init=0, _part_mask=0)
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bft"]
-    for owner, name in [(gf, "rref"), (buildings, "check_chamber")]:
+    for owner, name in [(gf, "rref"), (buildings, "check_chamber"),
+                        (jsonio, "_part_mask")]:
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -334,11 +478,12 @@ def test_load_map_runs_no_row_reduction_and_no_second_check(tmp_path, monkeypatc
 
     monkeypatch.setattr(ChamberMap, "__init__", counted_init)
     g = load_map(path)
-    assert calls == dict(rref=0, check_chamber=0, init=0)
+    assert calls == dict(rref=0, check_chamber=0, init=0, _part_mask=entries)
+    assert entries < 4 * len(data["pairs"])  # fewer than the pairs' subspaces
     assert g.table == f.table
     assert list(g.table) == sorted(chambers_of(f.source), key=lambda c: c.sort_key())
     # the counters do count: the oracle reader takes the checking path
-    assert oracle.decode_map(json.loads(path.read_text())).table == f.table
+    assert oracle.decode_map(data).table == f.table
     assert calls["check_chamber"] > 0 and calls["init"] == 1
 
 
@@ -347,24 +492,35 @@ def test_load_map_runs_no_row_reduction_and_no_second_check(tmp_path, monkeypatc
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats(allow_nan=False)
-    | st.integers(-(2**70), 2**70) | st.sampled_from([2, 3, 4, 9, 30, 10**9])
+    | st.integers(-(2**70), 2**70) | st.integers(-1, 30)
+    | st.sampled_from([2, 3, 4, 9, 30, 10**9])
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(["n", "q", "dual", "x"]), inner, max_size=3),
     max_leaves=12,
 )
-VALID = encode_map(identity_map())
+VALID = oracle.encode_map_v1(identity_map())
+VALID_2 = encode_map(identity_map())
 
 
 @st.composite
 def mutated_files(draw):
-    """A valid PG(2,2) map file with one subtree replaced by random JSON,
-    with pairs dropped or duplicated, or with two images swapped."""
-    data = json.loads(json.dumps(VALID))
-    kind = draw(st.sampled_from(["replace", "drop", "duplicate", "swap"]))
+    """A valid PG(2,2) map file, chamber-map/1 or /2, with one subtree
+    replaced by random JSON (anywhere, or a table entry, a chamber or one of
+    its parts or indices), with pairs dropped or duplicated, or with two
+    images swapped."""
+    data = json.loads(json.dumps(draw(st.sampled_from([VALID, VALID_2]))))
+    kind = draw(st.sampled_from(["replace", "entry", "drop", "duplicate", "swap"]))
     pairs = data["pairs"]
     index = st.integers(0, len(pairs) - 1)
-    if kind == "drop":
+    if kind == "entry":
+        side = draw(st.integers(0, 1))
+        if "subspaces" in data and draw(st.booleans()):
+            parent = data["subspaces"][("source", "target")[side]]
+        else:
+            parent = pairs[draw(index)] if draw(st.booleans()) else pairs[draw(index)][side]
+        parent[draw(st.integers(0, len(parent) - 1))] = draw(JSON_VALUES)
+    elif kind == "drop":
         del pairs[draw(index)]
     elif kind == "duplicate":
         pairs.append(pairs[draw(index)])
@@ -386,7 +542,7 @@ def mutated_files(draw):
     return json.dumps(data)
 
 
-@settings(max_examples=100, deadline=2000,
+@settings(max_examples=200, deadline=2000,
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_files())
 @example('{"schema": "chamber-map/1", "source": {"n": 30, "q": 2}, '
@@ -407,9 +563,10 @@ def test_load_map_and_analyze_survive_mutated_files(text):
     assert code in (0, 1, 2)
 
 
-@settings(max_examples=100, deadline=2000,
+@settings(max_examples=200, deadline=2000,
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_files())
+@example(json.dumps({**VALID_2, "pairs": [[[0, 1], [0, True]]] + VALID_2["pairs"][1:]}))
 @example(_spelled(json.dumps(VALID), [[True, False, False]]))
 def test_decode_map_matches_the_oracle_on_mutated_files(text):
     try:
