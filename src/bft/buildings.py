@@ -102,10 +102,19 @@ def check_chamber(space: ProjSpace, chamber: Chamber):
 @lru_cache(maxsize=None)
 def chambers_of(space: ProjSpace) -> tuple[Chamber, ...]:
     """Every chamber, in a fixed depth-first lexicographic order: points
-    by coordinates, then the subspaces covering each by their RREF rows."""
+    by coordinates, then the subspaces covering each by their RREF rows.
+    That is the order of :meth:`Chamber.sort_key`.
+
+    Each subspace is built once.  The covers of a subspace are first the
+    ones already found at the next level that contain it (looked up among
+    those through its last point); only the points they leave out are
+    joined to it, each giving a new cover.
+    """
     geo = Geometry.of(space)
     out: list[Chamber] = []
     covers: dict[int, list[int]] = {}
+    # through[k][p]: the subspaces of pdim k found so far that hold point p
+    through = [[[] for _ in range(geo.size)] for _ in range(space.n)]
 
     def walk(chain):
         last = chain[-1]
@@ -113,10 +122,16 @@ def chambers_of(space: ProjSpace) -> tuple[Chamber, ...]:
             out.append(Chamber(geo, chain))
             return
         if last not in covers:
-            found, rest = [], geo.full & ~last
+            level = through[len(chain)]
+            found = [t for t in level[last.bit_length() - 1] if t & last == last]
+            rest = geo.full & ~last
+            for cover in found:
+                rest &= ~cover
             while rest:
                 cover = geo.join_point(last, (rest & -rest).bit_length() - 1)
                 found.append(cover)
+                for p in bits(cover):
+                    level[p].append(cover)
                 rest &= ~cover
             covers[last] = sorted(found, key=geo.rows)
         for cover in covers[last]:

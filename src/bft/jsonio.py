@@ -11,9 +11,10 @@ Each side's table lists subspaces as linearly independent rows of field
 codes.  A pair gives a source chamber and its image as the indices of their
 subspaces (one per projective dimension, ascending) in those tables, and
 ``pairs`` covers every source chamber exactly once.  ``dump_map`` streams
-the pairs, sorted by source chamber, then the tables of RREF rows, each
-numbered in order of first use, so a file round-trips byte-identically
-through ``dump_map``/``load_map``; ``encode_map`` returns the same document.
+the pairs in ``chambers_of`` order, which is the ``Chamber.sort_key`` order,
+then the tables of RREF rows, each numbered in order of first use, so a
+file round-trips byte-identically through ``dump_map``/``load_map``;
+``encode_map`` returns the same document.
 
 ``decode_map`` also reads ``chamber-map/1``, which spells every subspace of
 every chamber inline; its table is the distinct spellings, as read.  Each
@@ -27,11 +28,10 @@ indices, its chain checked on the masks, and the map is built without the
 from __future__ import annotations
 
 import json
-from collections import defaultdict
-from functools import lru_cache, partial
-from itertools import chain, count
+from functools import partial
+from itertools import chain
 
-from .buildings import Chamber
+from .buildings import Chamber, chambers_of
 from .chamber_maps import ChamberMap
 from .counts import chamber_count
 from .gf import SUPPORTED_ORDERS
@@ -180,14 +180,23 @@ def _header(f: ChamberMap, dual: bool) -> dict:
             "target": {"n": f.target.n, "q": f.target.q, "dual": bool(dual)}}
 
 
+class _Numbering(dict):
+    """A subspace table: mask -> its index as a string, in order of first use."""
+
+    def __missing__(self, mask):
+        index = self[mask] = str(len(self))
+        return index
+
+
 def _indexed(f: ChamberMap):
-    """The pairs of ``f`` sorted by source chamber, as index lists into two
-    tables (mask -> index) that fill in order of first use as they are read."""
-    tables = defaultdict(count().__next__), defaultdict(count().__next__)
-    rows = lru_cache(maxsize=None)(Geometry.of(f.source).rows)  # the sort key, per subspace
-    pairs = sorted(f.table.items(), key=lambda kv: tuple(map(rows, kv[0].masks)))
-    return ([list(map(t.__getitem__, c.masks)) for t, c in zip(tables, pair)]
-            for pair in pairs), tables
+    """The pairs of ``f`` in ``chambers_of`` order, which is the order of
+    ``Chamber.sort_key`` (``test_chambers_of_matches_the_rref_walk`` guards
+    it), so nothing is sorted.  Each pair is two iterators of index strings
+    into two tables that fill in order of first use as the pairs are read."""
+    source, target = tables = _Numbering(), _Numbering()
+    table = f.table
+    return ((map(source.__getitem__, c.masks), map(target.__getitem__, table[c].masks))
+            for c in chambers_of(f.source)), tables
 
 
 def _subspaces(f: ChamberMap, tables) -> dict:
@@ -199,7 +208,7 @@ def _subspaces(f: ChamberMap, tables) -> dict:
 
 def encode_map(f: ChamberMap, dual: bool = False) -> dict:
     pairs, tables = _indexed(f)
-    pairs = list(pairs)  # fills the tables
+    pairs = [[list(map(int, ids)) for ids in pair] for pair in pairs]  # fills the tables
     return {**_header(f, dual), "pairs": pairs, "subspaces": _subspaces(f, tables)}
 
 
@@ -265,8 +274,11 @@ def _compact(value) -> str:
 
 
 def dump_map(f: ChamberMap, path, dual: bool = False) -> None:
+    """Stream ``f`` as ``chamber-map/2``: the pairs in ``chambers_of``
+    order (the ``sort_key`` order), each formatted straight from the index
+    strings of its subspaces, then the two tables."""
     pairs, tables = _indexed(f)
-    lines = map(_compact, pairs)
+    lines = (f"[[{','.join(source)}],[{','.join(target)}]]" for source, target in pairs)
     head = json.dumps(_header(f, dual), separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as out:
         out.write(head[:-1] + ',"pairs":[\n' + next(lines))

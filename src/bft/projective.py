@@ -218,13 +218,20 @@ class Geometry:
 
     @cache
     def perp(self, p: int) -> int:
-        """The hyperplane of points orthogonal to point p."""
-        gf, v = self.space.gf, self.point(p)
-        mask = 0
-        for i in range(self.size):
-            if not gf.dot(self.point(i), v):
-                mask |= 1 << i
-        return mask
+        """The hyperplane of points orthogonal to point p.
+
+        With v = point(p) and v_l = 1 its lead coordinate, it is spanned by
+        the m - 1 independent vectors e_j - v_j e_l, j != l.
+        """
+        v, neg = self.point(p), self.space.gf.neg
+        lead = v.index(1)
+        ids = []
+        for j, x in enumerate(v):
+            if j != lead:
+                w = [0] * len(v)
+                w[j], w[lead] = 1, neg[x]
+                ids.append(self._id(w))
+        return self.span(ids)
 
     @cache
     def annihilator(self, mask: int) -> int:

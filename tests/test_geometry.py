@@ -15,6 +15,7 @@ import pytest
 
 from bft.buildings import apartment_of, chambers_of, iter_bases
 from bft.chamber_maps import _witness_bases, induce
+from bft.counts import gaussian_binomial
 from bft.gf import GF, Subspace
 from bft.projective import (
     Base,
@@ -122,6 +123,26 @@ def test_mask_ops_match_subspace_ops(n, q):
 
 
 @pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
+def test_perp_matches_the_dot_product(n, q):
+    """Each point's perp, spanned from a basis, is the set of points whose
+    dot product with it vanishes."""
+    geo = Geometry.of(ProjSpace.of(n, q))
+    dot, point = geo.space.gf.dot, geo.point
+    for p in range(geo.size):
+        expected = sum(1 << i for i in range(geo.size) if not dot(point(i), point(p)))
+        assert geo.perp(p) == expected
+
+
+@pytest.mark.parametrize("n,q", [(2, 9), (3, 3)], ids=["PG29", "PG33"])
+def test_annihilator_of_every_chamber_component_matches_rref(n, q):
+    space = ProjSpace.of(n, q)
+    geo = Geometry.of(space)
+    masks = {m for c in chambers_of(space) for m in c.masks}
+    for mask in masks:
+        assert geo.annihilator(mask) == oracle_mask(space, geo.subspace(mask).annihilator())
+
+
+@pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
 def test_lines_and_independence_match_rref(n, q):
     space = ProjSpace.of(n, q)
     geo = Geometry.of(space)
@@ -142,8 +163,30 @@ def test_lines_and_independence_match_rref(n, q):
 
 @pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
 def test_chambers_of_matches_the_rref_walk(n, q):
+    """The walk's order is the ``sort_key`` order, which ``dump_map`` writes
+    pairs in without sorting them."""
     space = ProjSpace.of(n, q)
-    assert [c.sort_key() for c in chambers_of(space)] == oracle_chambers(space)
+    keys = [c.sort_key() for c in chambers_of(space)]
+    assert keys == oracle_chambers(space)
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
+def test_chambers_of_builds_each_cover_once(n, q, monkeypatch):
+    """One ``join_point`` per subspace of pdim 1..n-1: a cover found from
+    one subspace is reused by every other subspace it covers."""
+    space = ProjSpace.of(n, q)
+    calls = []
+    join_point = Geometry.join_point
+
+    def counted(self, mask, p):
+        calls.append(p)
+        return join_point(self, mask, p)
+
+    monkeypatch.setattr(Geometry, "join_point", counted)
+    chambers = chambers_of.__wrapped__(space)
+    assert len(chambers) == len(chambers_of(space))
+    assert len(calls) == sum(gaussian_binomial(n + 1, k + 1, q) for k in range(1, n))
 
 
 @pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)

@@ -1,6 +1,7 @@
 """Chamber-map files: encoding, validation, byte-stable round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -198,8 +199,8 @@ def test_dump_load_dump_is_byte_identical(tmp_path, n, q, target_q, dual):
 
 
 def test_dump_map_bytes_do_not_depend_on_the_hash_seed(tmp_path):
-    """Tables are numbered along the sorted pairs, not in set or dict order
-    of hashed values."""
+    """Tables are numbered along the pairs in ``chambers_of`` order, not in
+    set or dict order of hashed values."""
     script = (
         "import sys\n"
         "from bft import ProjSpace, Semilinear, dump_map, induce\n"
@@ -216,6 +217,36 @@ def test_dump_map_bytes_do_not_depend_on_the_hash_seed(tmp_path):
                        check=True, timeout=120)
         written.append(path.read_bytes())
     assert written[0] == written[1]
+
+
+_PG42 = "1,1,0,0,0;0,1,1,0,0;0,0,1,1,0;0,0,0,1,1;1,0,0,0,0"
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["--n", "2", "--q", "9", "--matrix", "1,2,0;0,1,3;4,0,1"],
+         "00abc8b5a060c04c5eaa2fa81d8fac43d26fe6ef24b9637ad860de4d7b063cff"),
+        (["--n", "2", "--q", "9", "--matrix", "1,2,0;0,1,3;4,0,1", "--dual"],
+         "0420e7ecd4caadc9fa3902d58737fcffae8921e1c607acdf13c13d7602254ed6"),
+        (["--n", "3", "--q", "3", "--matrix", "1,1,0,0;0,1,0,0;0,0,1,2;0,0,0,1", "--dual"],
+         "657371802c4744691cd2f55add4243f261d5fe8c32f55bc7f85d7b612b969c6f"),
+        (["--n", "4", "--q", "2", "--matrix", _PG42],
+         "16c4c0afcc44e6e234a8c1c922245e879c7a9ec769383d636e3b0cb00ab0e1e9"),
+        (["--n", "4", "--q", "2", "--matrix", _PG42, "--dual"],
+         "a73dadfdd5a6422888d76c06217d62c417ba6105ec2dfd83874a8f958abc0c76"),
+        (["--n", "2", "--q", "3", "--target-q", "9", "--matrix", "1,5,0;0,1,7;2,0,1"],
+         "64697ac118478e2df0d17640667bf5ff8da949a87eafd9af29f06d1fd7ffd90c"),
+    ],
+    ids=["PG29", "PG29-dual", "PG33-dual", "PG42", "PG42-dual", "PG23-to-PG29"],
+)
+def test_map_induce_writes_the_pinned_bytes(tmp_path, argv, sha256):
+    """Fixed bytes for fixed matrices, so a change to the chamber walk or
+    to the writer cannot change the files unseen."""
+    path = tmp_path / "map.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["map", "induce", *argv, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 # ------------------------------------------------------------ reader oracle
