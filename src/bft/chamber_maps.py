@@ -21,19 +21,21 @@ The analysis direction asks: given only the table, was it induced?
 * ``reconstruct`` is the whole certificate.  It rebuilds ``g`` from
   chamber stars: all chambers through a point must map to chambers sharing
   a 0-component (direct) or an (n-1)-component (dual).  It checks once that
-  the whole table is componentwise induced by ``g`` and that the point map
-  is a strong embedding (``verify_strong_embedding``); by the main theorem
-  these two facts certify the map.  It reads ``sigma`` off ``g``.
+  the whole table is componentwise induced by ``g`` and that ``g`` is
+  injective; together these make the point map a strong embedding, so by
+  the main theorem they certify the map.  It reads ``sigma`` off ``g``.
+  ``verify_strong_embedding`` is the definition, which the tests hold the
+  certificate to; no request calls it.
 * ``analyze`` runs the whole procedure once.  When ``reconstruct``
   passes, every apartment is preserved by the converse of the main
   theorem, so the apartment verdict is certified without a sweep.  When
-  it fails, the failure's witness names where to look: the apartments
-  through the chambers, points, subspaces and bases it names are checked
-  first, and only if all of them are preserved are all apartments swept
-  (within the base cap).  ``classify`` returns just the label.
+  it fails, the failure's witness names source chambers: the apartments
+  through them are checked first, and only if all of them are preserved
+  are all apartments swept (within the base cap).  ``classify`` returns
+  just the label.
 
-Failures carry witnesses (a base whose apartment breaks, or a pair of flags
-whose images disagree) rather than a bare boolean.
+Failures carry witnesses (a base whose apartment breaks, or the source
+chambers whose images disagree) rather than a bare boolean.
 """
 
 from __future__ import annotations
@@ -103,9 +105,10 @@ LABELS = (
 
 
 class AnalysisError(RuntimeError):
-    """A chamber map failed a structural check; carries a witness."""
+    """A chamber map failed a structural check; carries a witness, ``()``
+    when the check names nothing."""
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness=()):
         super().__init__(message)
         self.witness = witness
 
@@ -260,44 +263,23 @@ def preserves_apartments(f: ChamberMap, bases=None) -> ApartmentCheck:
     return ApartmentCheck(True, path, checked)
 
 
-def _witness_bases(space: ProjSpace, witness):
-    """The bases of ``space`` a failed certificate's witness points at,
-    lazily and each once: a :class:`Base` it names as it is, then every
-    apartment through each chamber it names.  A chamber of ``space`` is
-    taken as it is, a point as the first chamber of its star, a
-    :class:`Subspace` as the first chamber over it; the rest is skipped.
+def _witness_bases(*chambers: Chamber):
+    """The bases whose apartments pass through the named source chambers,
+    lazily and each once, in the order the chambers are named.
 
     A chamber V_0 < ... < V_{n-1} lies in the apartment of a base exactly
     when the base has one point in each V_k minus V_{k-1}, with V_{-1} = 0
     and V_n the whole space, so these are listed with no base enumeration.
     """
-    geo = Geometry.of(space)
-    chambers, points = chambers_of(space), set(points_of(space))
-
-    def named(item):
-        if isinstance(item, Base):
-            yield item
-            return
-        if isinstance(item, tuple) and item not in points:
-            for part in item:
-                yield from named(part)
-            return
-        if isinstance(item, Subspace):
-            mask = geo.mask_of(item)
-            item = next(c for c in chambers if mask == geo.full or mask in c.masks)
-        elif item in points:
-            mask = 1 << geo.id_of(item)
-            item = next(c for c in chambers if c.masks[0] == mask)
-        if isinstance(item, Chamber) and item.geometry is geo:
-            chain = (0, *item.masks, geo.full)
-            layers = [bits(high & ~low) for low, high in zip(chain, chain[1:])]
-            yield from map(geo.base, itertools.product(*layers))
-
     seen = set()
-    for base in named(witness):
-        if base not in seen:
-            seen.add(base)
-            yield base
+    for chamber in chambers:
+        geo = chamber.geometry
+        chain = (0, *chamber.masks, geo.full)
+        layers = [bits(high & ~low) for low, high in zip(chain, chain[1:])]
+        for base in map(geo.base, itertools.product(*layers)):
+            if base not in seen:
+                seen.add(base)
+                yield base
 
 
 def main_lemma_decompose(f: ChamberMap, base: Base):
@@ -410,9 +392,10 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     kind being the same for every point.  Then every chamber's image must be
     componentwise induced by that map ``g``: each component S goes to
     span g(S) (direct), or the components, read backwards, are the meets
-    of the image hyperplanes of S (dual).  Violations raise
-    :class:`ReconstructionError` with a witness: two chambers, two points,
-    or a chamber and its image.
+    of the image hyperplanes of S (dual).  Last, ``g`` must be injective.
+    Violations raise :class:`ReconstructionError` whose witness is a tuple
+    of source chambers: two or four from one star, the first chamber of
+    each of two stars, or the one chamber not induced.
 
     The table check also settles the hyperplanes, so no hyperplane map is
     rebuilt: every chamber on a hyperplane H has the image component
@@ -420,8 +403,13 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     incidence holds, g(p) <= span g(H) (direct) and meet g(H) <= g(p) (dual).
 
     The point map (g, or the annihilators of the hyperplanes g(p) when
-    dual) must pass :func:`verify_strong_embedding`, whose rank test makes
-    it a strong embedding.  Sigma is then read off g on the report bases
+    dual) is then a strong embedding (:func:`verify_strong_embedding`),
+    with no second look at its ranks.  Image chambers are chambers, so the
+    table check gives rank span g(S) = rank S for every chamber component
+    S; and no star collapses, so two different image hyperplanes (direct)
+    or points (dual) make the whole space span full rank.
+
+    Sigma is then read off g on the report bases
     (the first five of :func:`iter_bases`, else the standard base):
     base point i goes to g(p_i), or when dual to the meet of g(p_j), j != i,
     and sigma[i] is its index in the sorted image base.
@@ -448,8 +436,8 @@ def reconstruct(f: ChamberMap) -> Decomposition:
                 f"chambers through {star[0].point} map to chambers sharing "
                 "neither a point nor a hyperplane",
                 witness=(
-                    _witness_pair(star, images, lambda c: c.masks[0]),
-                    _witness_pair(star, images, lambda c: c.masks[-1]),
+                    *_witness_pair(star, images, lambda c: c.masks[0]),
+                    *_witness_pair(star, images, lambda c: c.masks[-1]),
                 ),
             )
         if common_point is not None:
@@ -460,20 +448,28 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     if len(distinct) != 1:
         direct_p = next(p for p, k in kinds.items() if k == "direct")
         dual_p = next(p for p, k in kinds.items() if k == "dual")
-        direct_p, dual_p = by_point[direct_p][0].point, by_point[dual_p][0].point
+        a, b = by_point[direct_p][0], by_point[dual_p][0]
         raise MixedKindError(
-            f"point {direct_p} reconstructs as direct but {dual_p} as dual",
-            witness=(direct_p, dual_p),
+            f"point {a.point} reconstructs as direct but {b.point} as dual",
+            witness=(a, b),
         )
     kind = distinct.pop()
     _verify_componentwise(f, kind, _induced_parts(f, kind, g))
+    preimage = {}
+    for p in range(source.size):
+        other = preimage.setdefault(g[1 << p], p)
+        if other != p:
+            raise ReconstructionError(
+                f"map is not injective: {source.point(other)} and "
+                f"{source.point(p)} share an image",
+                witness=(by_point[1 << other][0], by_point[1 << p][0]),
+            )
     g_view = {_view(source, p): _view(target, m) for p, m in g.items()}
     point_map = g_view
     if kind == "dual":  # a hyperplane's annihilator is one point
         point_map = {
             _view(source, p): _view(target, target.annihilator(h)) for p, h in g.items()
         }
-    verify_strong_embedding(f.source, f.target, point_map)
 
     try:
         bases = list(itertools.islice(iter_bases(f.source), 5))
@@ -534,7 +530,7 @@ def _verify_componentwise(f, kind, induced):
         if any(m != induced(part) for part, m in zip(chamber.masks, image)):
             raise ReconstructionError(
                 "a chamber image is not componentwise induced by the point map",
-                witness=(chamber, table[chamber]),
+                witness=(chamber,),
             )
 
 
@@ -542,6 +538,7 @@ def verify_strong_embedding(source: ProjSpace, target: ProjSpace, g: dict) -> No
     """Check that a point map is a strong embedding, or raise
     :class:`ReconstructionError` with a witness: the first point ``g``
     misses, two points with one image, or the failing :class:`Subspace`.
+    This is the definition :func:`reconstruct` is tested against.
 
     The test: ``g`` is total and injective, and rank span g(S) = rank S for
     every subspace S (each chamber component, and the whole space).  For
@@ -589,9 +586,10 @@ stopped the rest."""
 def analyze(f: ChamberMap) -> Analysis:
     """Decide once where a chamber map comes from.
 
-    :func:`reconstruct` rebuilds the point map and checks that it is a
-    strong embedding, once; surjectivity then decides collineation versus
-    strong embedding.  Both passing certifies that every apartment is
+    :func:`reconstruct` rebuilds the point map g and certifies it: the
+    table is componentwise induced by g, and g is injective.  So g is onto
+    exactly when the point counts agree, which decides collineation versus
+    strong embedding.  The certificate shows that every apartment is
     preserved, by the converse of the main theorem: a chamber of the
     apartment A(B) is the chain of prefix spans of an ordering of B, and as
     f is componentwise induced by the strong embedding g (which spans g(S)
@@ -601,18 +599,18 @@ def analyze(f: ChamberMap) -> Analysis:
     dual case is the same with annihilators.
 
     By the theorem, a map that fails the certificate does not preserve
-    apartments, and the failure's witness shows where: the apartments it
-    points at (see :func:`_witness_bases`) are checked first, for a witness
-    base of ``"not-apartment-preserving"``.  Only if all of them are
-    preserved are all apartments swept, within the base cap.  A sweep that
-    finds no witness contradicts the theorem and is labelled
-    ``"apartment-preserving-not-induced"``; beyond the cap the map keeps
-    ``"not-apartment-preserving"``.  Either way ``error`` is set.
+    apartments, and the failure's witness shows where: the apartments
+    through the source chambers it names (see :func:`_witness_bases`) are
+    checked first, for a witness base of ``"not-apartment-preserving"``.
+    Only if all of them are preserved are all apartments swept, within the
+    base cap.  A sweep that finds no witness contradicts the theorem and is
+    labelled ``"apartment-preserving-not-induced"``; beyond the cap the map
+    keeps ``"not-apartment-preserving"``.  Either way ``error`` is set.
     """
     try:
         decomposition = reconstruct(f)
     except AnalysisError as exc:
-        check = preserves_apartments(f, _witness_bases(f.source, exc.witness))
+        check = preserves_apartments(f, _witness_bases(*exc.witness))
         if check.ok:
             try:
                 check_base_cap(f.source)
@@ -623,8 +621,8 @@ def analyze(f: ChamberMap) -> Analysis:
                 return Analysis(check, "apartment-preserving-not-induced", error=exc)
         return Analysis(check, "not-apartment-preserving")
     check = ApartmentCheck(True, "certified", apartment_count(f.source.n, f.source.q))
-    surjective = len(set(decomposition.point_map.values())) == len(points_of(f.target))
-    head = "collineation" if surjective else "strong-embedding"
+    onto = len(decomposition.g) == len(points_of(f.target))  # g is injective
+    head = "collineation" if onto else "strong-embedding"
     return Analysis(check, f"{head}-{decomposition.kind}", decomposition)
 
 

@@ -11,10 +11,10 @@ Commands::
 
 The commands only parse, call the library and render: ``lemmas`` runs the
 battery of :mod:`bft.lemmas`.  ``map analyze`` certifies its verdict by
-reconstructing the point map and checking it is a strong embedding; a map
-that fails that is checked on the apartments its failure points at, then,
-if none fails, swept over every base within the cap, to find a witness
-base.  ``--mode``, ``--k`` and ``--seed`` select nothing: they are accepted
+reconstructing the point map, checking that it induces every chamber image
+and that it is injective; a map that fails that is checked on the
+apartments through the source chambers its failure names, then, if none
+fails, swept over every base within the cap, to find a witness base.  ``--mode``, ``--k`` and ``--seed`` select nothing: they are accepted
 and echoed in the report so that existing command lines keep working.
 
 Exit codes are stable across commands: 0 when every check passes, 1 when a

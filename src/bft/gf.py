@@ -177,12 +177,6 @@ class GF:
             raise FieldError(f"{a!r} is not an element code of GF({self.q})")
         return a
 
-    def dot(self, u, v) -> int:
-        acc = 0
-        for x, y in zip(u, v):
-            acc = self.add[acc][self.mul[x][y]]
-        return acc
-
     def embedding_into(self, other: "GF") -> tuple[int, ...]:
         """Canonical field embedding as a code map, e.g. GF(2) -> GF(4).
 

@@ -1,5 +1,6 @@
 """Induced chamber maps and the recovery of their inducing point maps."""
 
+import functools
 import itertools
 import random
 
@@ -187,27 +188,36 @@ def test_preserves_apartments_checks_the_given_bases():
 
 
 def test_witness_bases_follow_what_the_witness_names():
-    """A named base comes first as it is; a point stands for the first
-    chamber of its star and a subspace for the first chamber over it; each
-    base is listed once, and what is not of the space is skipped."""
+    """The bases through each named source chamber come in the order the
+    chambers are named, and each base is listed once."""
     chambers = chambers_of(PG32)
-    point, plane = chambers[40].point, chambers[40].parts[2]
-    base = all_bases(PG32)[100]
-    through = {
-        c: list(_witness_bases(PG32, c))
-        for c in (
-            chambers[7],
-            next(c for c in chambers if c.point == point),
-            next(c for c in chambers if c.parts[2] == plane),
-        )
-    }
-    witness = (base, None, 3, chambers_of(PG22)[0], ((chambers[7], point), plane))
-    got = list(_witness_bases(PG32, witness))
-    expected = [base]
+    named = chambers[7], chambers[40], chambers[41]
+    through = {c: list(_witness_bases(c)) for c in named}
+    expected = []
     for bases in through.values():
         expected += [b for b in bases if b not in expected]
-    assert got == expected
-    assert list(_witness_bases(PG32, (chambers[7], chambers[7]))) == through[chambers[7]]
+    assert list(_witness_bases(*named)) == expected
+    assert len(expected) < sum(map(len, through.values()))  # they share bases
+    assert list(_witness_bases(chambers[7], chambers[7])) == through[chambers[7]]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["direct", "dual"])
+@pytest.mark.parametrize("space", [PG22, PG23], ids=["PG22", "PG23"])
+def test_every_swap_of_the_identity_fails_on_the_apartments_it_names(space, dual):
+    """Each two-chamber swap of the identity fails the certificate, and an
+    apartment through the source chambers its witness names breaks, so no
+    sweep runs.  The apartments checked are pinned in sum, so a change in
+    the order of the walk shows."""
+    table = induce(identity_semi(space), dual=dual).table
+    checked = 0
+    for a, b in itertools.combinations(chambers_of(space), 2):
+        swapped = dict(table)
+        swapped[a], swapped[b] = table[b], table[a]
+        result = analyze(ChamberMap(space, space, swapped))
+        assert result.label == "not-apartment-preserving"
+        assert result.check.path == "local"
+        checked += result.check.checked
+    assert checked == {2: 320, 3: 2551}[space.q]
 
 
 # ------------------------------------------------------------ decomposition
@@ -330,7 +340,7 @@ def test_reconstruct_rejects_random_bijection():
 
 def test_reconstruct_names_the_first_chamber_not_induced():
     """Two chambers on one point swap images: every point star agrees, and
-    the table check names the first chamber with its image."""
+    the table check names the first source chamber, without its image."""
     chs = chambers_of(PG22)
     a = chs[0]
     b = next(c for c in chs[1:] if c.point == a.point)
@@ -338,7 +348,28 @@ def test_reconstruct_names_the_first_chamber_not_induced():
     table[a], table[b] = table[b], table[a]
     with pytest.raises(ReconstructionError, match="componentwise") as info:
         reconstruct(ChamberMap(PG22, PG22, table))
-    assert info.value.witness == (a, table[a])
+    assert info.value.witness == (a,)
+
+
+def test_reconstruct_star_failures_name_source_chambers():
+    """A star whose images collapse names two of its chambers; one whose
+    images share neither a point nor a hyperplane names the pair that
+    differs in each; stars of two kinds name the first chamber of each."""
+    chs = chambers_of(PG22)
+    star = [c for c in chs if c.point == chs[0].point]
+    off = next(c.masks[1] for c in chs if not c.masks[1] & chs[0].masks[0])
+    on_one_line = [c for c in chs if c.masks[1] == off]
+    first_direct = next(c for c in chs if c.point != chs[0].point)
+    identity = identity_map(PG22).table
+    for images, match, witness in [
+        ([chs[0]] * 3, "collapse", (star[0], star[-1])),
+        ([chs[0], chs[-1], chs[-1]], "neither", (star[0], star[1]) * 2),
+        (on_one_line, "as dual", (first_direct, star[0])),
+    ]:
+        table = {**identity, **dict(zip(star, images))}
+        with pytest.raises(ReconstructionError, match=match) as info:
+            reconstruct(ChamberMap(PG22, PG22, table))
+        assert info.value.witness == witness
 
 
 # ----------------------------------------------------------- strong embeddings
@@ -424,6 +455,66 @@ def test_verify_strong_embedding_matches_oracle(source, target):
             assert embeds(source, target, point_map) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+@functools.cache
+def pg22_span(ids: frozenset) -> Subspace:
+    """The RREF span of a set of PG(2,2) point ids."""
+    pts = points_of(PG22)
+    return PG22.subspace([pts[i] for i in ids])
+
+
+def pg22_point_maps_whose_lines_span_lines():
+    """Every point map of PG(2,2) that fixes the first point, sends each
+    line into a line it spans, and collapses no point star (the three
+    lines through a point do not all span one image line)."""
+    lines = {pg22_span(frozenset(ids)) for ids in itertools.combinations(range(7), 2)}
+    pts = points_of(PG22)
+    on = [[i for i in range(7) if line.contains_vector(pts[i])] for line in lines]
+    stars = [[ids for ids in on if p in ids] for p in range(7)]
+    for images in itertools.product(range(7), repeat=6):
+        g = (0, *images)
+        image = {tuple(ids): pg22_span(frozenset(g[i] for i in ids)) for ids in on}
+        if all(s.rank == 2 for s in image.values()) and all(
+            len({image[tuple(ids)] for ids in star}) > 1 for star in stars
+        ):
+            yield {pts[i]: pts[g[i]] for i in range(7)}
+
+
+def test_reconstruct_certifies_exactly_the_strong_embeddings():
+    """Over every PG(2,2) point map whose lines span lines (fixing the first
+    point), the table it induces, direct or dual, passes ``reconstruct``
+    exactly when ``verify_strong_embedding`` accepts the point map.  Every
+    other map fails on injectivity alone and is not apartment-preserving,
+    with a witness found on the apartments the failure names."""
+    pts = points_of(PG22)
+    flags = [(c, c.point, [p for p in pts if c.parts[1].contains_vector(p)])
+             for c in chambers_of(PG22)]
+    accepted = rejected = 0
+    for g in pg22_point_maps_whose_lines_span_lines():
+        ids = {p: frozenset([pts.index(g[p])]) for p in pts}
+        direct, dual = {}, {}
+        for c, p, on in flags:
+            point = pg22_span(ids[p])
+            line = pg22_span(frozenset().union(*map(ids.get, on)))
+            direct[c] = Chamber.of(PG22, [point, line])
+            dual[c] = Chamber.of(PG22, [line.annihilator(), point.annihilator()])
+        embedding = embeds(PG22, PG22, g)
+        for table in (direct, dual):
+            f = ChamberMap(PG22, PG22, table)
+            try:
+                d = reconstruct(f)
+            except ReconstructionError as exc:
+                assert not embedding and "not injective" in str(exc)
+                a, b = exc.witness  # the first chambers of two stars
+                assert a.point != b.point and g[a.point] == g[b.point]
+                result = analyze(f)
+                assert result.label == "not-apartment-preserving"
+                assert result.check.path == "local"
+            else:
+                assert embedding and d.point_map == g
+        accepted, rejected = accepted + embedding, rejected + (not embedding)
+    assert (accepted, rejected) == (168 // 7, 5880 // 7)
 
 
 # ------------------------------------------------------------ classification

@@ -574,7 +574,8 @@ def test_map_analyze_truncated_files_exit_2(tmp_path):
 
 def test_map_analyze_runs_each_stage_once(capsys, tmp_path, monkeypatch):
     """Reconstruction, the whole certificate, runs once per analysis and
-    checks the point map once; the main lemma and ``dual_point`` never run.
+    never hands the point map to ``verify_strong_embedding``; the main
+    lemma and ``dual_point`` never run.
     The apartment sweep runs only when the certificate fails, and then
     once."""
     from bft import buildings, chamber_maps
@@ -621,7 +622,7 @@ def test_map_analyze_runs_each_stage_once(capsys, tmp_path, monkeypatch):
         assert calls == {
             "preserves_apartments": 0,
             "reconstruct": 1,
-            "verify_strong_embedding": 1,
+            "verify_strong_embedding": 0,
             "main_lemma_decompose": 0,
             "dual_point": 0,
             "all_bases": 0,

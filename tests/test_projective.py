@@ -9,12 +9,9 @@ import random
 
 import pytest
 
-from bft.buildings import chambers_of
-from bft.chamber_maps import _witness_bases
 from bft.gf import GF
 from bft.projective import (
     Base,
-    Geometry,
     MapError,
     ProjSpace,
     Semilinear,
@@ -128,8 +125,8 @@ VALUES = {  # each call builds a fresh value, equal to the one the last call bui
 def test_values_are_equal_on_fields_and_closed_to_assignment(make):
     """Equal fields give equal values and hashes; a value never equals one
     of another class, nor the tuple of its own fields; no field can be
-    assigned or deleted; and a value is no tuple, so ``_witness_bases``
-    cannot mistake it for a list of witnesses."""
+    assigned or deleted; and a value is no tuple, so it cannot be taken
+    for one where a tuple of values is expected."""
     a, b = make(), make()
     assert a is not b and a == b and hash(a) == hash(b)
     fields = tuple(getattr(a, name) for name in type(a).__slots__)
@@ -154,13 +151,6 @@ def test_value_reprs_and_validation():
     with pytest.raises(ValueError):
         ProjSpace(1, GF.of(2))
     assert PG32.subspace([(1, 0, 0, 0)]) != PG32.subspace([(0, 1, 0, 0)])
-
-
-def test_witness_bases_of_a_subspace_are_those_of_the_first_chamber_over_it():
-    line = VALUES["Subspace"]()
-    mask = Geometry.of(PG32).mask_of(line)
-    first = next(c for c in chambers_of(PG32) if mask in c.masks)
-    assert list(_witness_bases(PG32, line)) == list(_witness_bases(PG32, first))
 
 
 def test_identity_map_fixes_points():
