@@ -22,7 +22,7 @@ every panel lies in exactly 2 chambers.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .gf import Subspace
 from .projective import Base, Geometry, ProjSpace, bits
@@ -99,11 +99,12 @@ def check_chamber(space: ProjSpace, chamber: Chamber):
     return chamber
 
 
-@lru_cache(maxsize=None)
-def chambers_of(space: ProjSpace) -> tuple[Chamber, ...]:
-    """Every chamber, in a fixed depth-first lexicographic order: points
-    by coordinates, then the subspaces covering each by their RREF rows.
-    That is the order of :meth:`Chamber.sort_key`.
+def flags(space: ProjSpace):
+    """Every chamber as its chain of masks, in a fixed depth-first
+    lexicographic order: points by coordinates, then the subspaces
+    covering each by their RREF rows.  That is the order of
+    :meth:`Chamber.sort_key`.  Nothing is walked until the first chain
+    is asked for.
 
     Each subspace is built once.  The covers of a subspace are first the
     ones already found at the next level that contain it (looked up among
@@ -111,16 +112,13 @@ def chambers_of(space: ProjSpace) -> tuple[Chamber, ...]:
     joined to it, each giving a new cover.
     """
     geo = Geometry.of(space)
-    out: list[Chamber] = []
-    covers: dict[int, list[int]] = {}
+    covers: dict[int, list[tuple[int]]] = {}
     # through[k][p]: the subspaces of pdim k found so far that hold point p
     through = [[[] for _ in range(geo.size)] for _ in range(space.n)]
 
-    def walk(chain):
+    def extend(chain):
+        """The chain followed by each cover of its last subspace, in order."""
         last = chain[-1]
-        if len(chain) == space.n:
-            out.append(Chamber(geo, chain))
-            return
         if last not in covers:
             level = through[len(chain)]
             found = [t for t in level[last.bit_length() - 1] if t & last == last]
@@ -133,13 +131,21 @@ def chambers_of(space: ProjSpace) -> tuple[Chamber, ...]:
                 for p in bits(cover):
                     level[p].append(cover)
                 rest &= ~cover
-            covers[last] = sorted(found, key=geo.rows)
-        for cover in covers[last]:
-            walk(chain + (cover,))
+            covers[last] = [(cover,) for cover in sorted(found, key=geo.rows)]
+        return map(chain.__add__, covers[last])
 
-    for p in range(geo.size):
-        walk((1 << p,))
-    return tuple(out)
+    # Lazy iterators, one per level: a chain passes through no Python frame.
+    chains = iter([(1 << p,) for p in range(geo.size)])
+    for _ in range(space.n - 1):
+        chains = itertools.chain.from_iterable(map(extend, chains))
+    return chains
+
+
+@lru_cache(maxsize=None)
+def chambers_of(space: ProjSpace) -> tuple[Chamber, ...]:
+    """Every chamber, in the order of :func:`flags`."""
+    # a list grows in place, a tuple read from an iterator is resized
+    return tuple(list(map(partial(Chamber, Geometry.of(space)), flags(space))))
 
 
 def adjacent(c1: Chamber, c2: Chamber) -> bool:

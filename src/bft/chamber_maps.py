@@ -4,7 +4,8 @@ A :class:`ChamberMap` is nothing but a total table from the chambers of one
 projective space to chambers of another of the same projective dimension.
 ``induce`` produces the two honest ways to get one from a semilinear map:
 componentwise images ("direct"), or componentwise annihilators of the images
-in reversed order ("dual").
+in reversed order ("dual").  ``flag_image`` is that image of one chain of
+masks, which ``jsonio.dump_induced`` also writes from with no table built.
 
 The analysis direction asks: given only the table, was it induced?
 
@@ -84,6 +85,7 @@ __all__ = [
     "ApartmentCheck",
     "Decomposition",
     "Analysis",
+    "flag_image",
     "induce",
     "preserves_apartments",
     "main_lemma_decompose",
@@ -184,32 +186,34 @@ def dual_point(space: ProjSpace, hyperplane: Subspace) -> tuple[int, ...]:
     return geo.point(ann.bit_length() - 1)
 
 
-def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
-    """The chamber map of a semilinear map: images, or annihilated images.
+def flag_image(semi: Semilinear, dual: bool = False):
+    """The function sending a source chain of masks to its image chain.
 
-    With ``dual=False`` each flag component is replaced by its image; with
-    ``dual=True`` the images are replaced by their annihilators and the flag
-    is read backwards, so points and hyperplanes trade places.  Each point
-    is mapped once; a component's image is the span of its points' images.
-    The table covers ``chambers_of(semi.source)`` and a nonsingular map
-    sends flags to flags, so the map is built without checking it again.
+    With ``dual=False`` each subspace goes to the span of its points'
+    images; with ``dual=True`` to the annihilator of that span, and the
+    chain is read backwards, so points and hyperplanes trade places.  Each
+    point is mapped once, and each subspace spanned once, on first use.
     """
     source, target = Geometry.of(semi.source), Geometry.of(semi.target)
     point_image = [
         target.id_of(semi.apply_vector(source.point(p))) for p in range(source.size)
     ]
-    images: dict[int, int] = {}
-    table = {}
-    for chamber in chambers_of(semi.source):
-        masks = []
-        for mask in chamber.masks:
-            if mask not in images:
-                image = target.span(point_image[p] for p in bits(mask))
-                images[mask] = target.annihilator(image) if dual else image
-            masks.append(images[mask])
-        if dual:
-            masks.reverse()
-        table[chamber] = Chamber(target, masks)
+
+    class Images(dict):
+        def __missing__(self, mask):
+            image = target.span(point_image[p] for p in bits(mask))
+            image = self[mask] = target.annihilator(image) if dual else image
+            return image
+
+    image, order = Images().__getitem__, reversed if dual else iter
+    return lambda chain: tuple(map(image, order(chain)))
+
+
+def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
+    """The chamber map sending each chamber to its :func:`flag_image`.  A
+    nonsingular map sends flags to flags, so the table is not checked again."""
+    target, image = Geometry.of(semi.target), flag_image(semi, dual)
+    table = {c: Chamber(target, image(c.masks)) for c in chambers_of(semi.source)}
     return ChamberMap._trusted(semi.source, semi.target, table)
 
 

@@ -10,11 +10,15 @@ A ``chamber-map/2`` file writes each distinct subspace once::
 Each side's table lists subspaces as linearly independent rows of field
 codes.  A pair gives a source chamber and its image as the indices of their
 subspaces (one per projective dimension, ascending) in those tables, and
-``pairs`` covers every source chamber exactly once.  ``dump_map`` streams
-the pairs in ``chambers_of`` order, which is the ``Chamber.sort_key`` order,
-then the tables of RREF rows, each numbered in order of first use, so a
-file round-trips byte-identically through ``dump_map``/``load_map``;
-``encode_map`` returns the same document.
+``pairs`` covers every source chamber exactly once.  One writer streams
+pairs of chains of masks in ``chambers_of`` order, which is the
+``Chamber.sort_key`` order (so nothing is sorted), then the tables of RREF
+rows, each numbered in order of first use along the chains as written (a
+dual image chain after it is reversed).  ``dump_map`` feeds it a map's
+table, so a file round-trips byte-identically through
+``dump_map``/``load_map``; ``encode_map`` returns the same document.
+``dump_induced`` feeds it ``flags`` and ``flag_image`` of a semilinear map,
+so it builds no chamber and its memory grows with the subspaces.
 
 ``decode_map`` also reads ``chamber-map/1``, which spells every subspace of
 every chamber inline; its table is the distinct spellings, as read.  Each
@@ -31,11 +35,11 @@ import json
 from functools import partial
 from itertools import chain
 
-from .buildings import Chamber, chambers_of
-from .chamber_maps import ChamberMap
+from .buildings import Chamber, chambers_of, flags
+from .chamber_maps import ChamberMap, flag_image
 from .counts import chamber_count
 from .gf import SUPPORTED_ORDERS
-from .projective import Geometry, ProjSpace
+from .projective import Geometry, ProjSpace, Semilinear
 
 __all__ = [
     "SCHEMA",
@@ -46,6 +50,7 @@ __all__ = [
     "encode_map",
     "decode_map",
     "dump_map",
+    "dump_induced",
     "load_map",
 ]
 
@@ -175,7 +180,8 @@ def _decode_space(entry, label: str) -> ProjSpace:
     return ProjSpace.of(n, q)
 
 
-def _header(f: ChamberMap, dual: bool) -> dict:
+def _header(f, dual: bool) -> dict:
+    """``f`` is a chamber map or a semilinear map: its spaces are named."""
     return {"schema": SCHEMA, "source": {"n": f.source.n, "q": f.source.q},
             "target": {"n": f.target.n, "q": f.target.q, "dual": bool(dual)}}
 
@@ -188,18 +194,21 @@ class _Numbering(dict):
         return index
 
 
-def _indexed(f: ChamberMap):
-    """The pairs of ``f`` in ``chambers_of`` order, which is the order of
-    ``Chamber.sort_key`` (``test_chambers_of_matches_the_rref_walk`` guards
-    it), so nothing is sorted.  Each pair is two iterators of index strings
-    into two tables that fill in order of first use as the pairs are read."""
-    source, target = tables = _Numbering(), _Numbering()
+def _chains(f: ChamberMap):
+    """The pairs of ``f`` as chains of masks, in ``chambers_of`` order."""
     table = f.table
-    return ((map(source.__getitem__, c.masks), map(target.__getitem__, table[c].masks))
-            for c in chambers_of(f.source)), tables
+    return ((c.masks, table[c].masks) for c in chambers_of(f.source))
 
 
-def _subspaces(f: ChamberMap, tables) -> dict:
+def _indexed(chains):
+    """Each pair of chains as two iterators of index strings into two
+    tables that fill in order of first use as the pairs are read."""
+    source, target = tables = _Numbering(), _Numbering()
+    return ((map(source.__getitem__, s), map(target.__getitem__, t))
+            for s, t in chains), tables
+
+
+def _subspaces(f, tables) -> dict:
     return {
         side: [list(map(list, Geometry.of(space).rows(mask))) for mask in table]
         for side, space, table in zip(("source", "target"), (f.source, f.target), tables)
@@ -207,7 +216,7 @@ def _subspaces(f: ChamberMap, tables) -> dict:
 
 
 def encode_map(f: ChamberMap, dual: bool = False) -> dict:
-    pairs, tables = _indexed(f)
+    pairs, tables = _indexed(_chains(f))
     pairs = [[list(map(int, ids)) for ids in pair] for pair in pairs]  # fills the tables
     return {**_header(f, dual), "pairs": pairs, "subspaces": _subspaces(f, tables)}
 
@@ -273,19 +282,35 @@ def _compact(value) -> str:
     return repr(value).replace(" ", "")
 
 
-def dump_map(f: ChamberMap, path, dual: bool = False) -> None:
-    """Stream ``f`` as ``chamber-map/2``: the pairs in ``chambers_of``
-    order (the ``sort_key`` order), each formatted straight from the index
-    strings of its subspaces, then the two tables."""
-    pairs, tables = _indexed(f)
-    lines = (f"[[{','.join(source)}],[{','.join(target)}]]" for source, target in pairs)
+def _write(out, f, dual: bool, chains) -> int:
+    """Stream ``chamber-map/2`` from ``(source chain, target chain)`` pairs,
+    each formatted from its index strings; return the number written."""
+    pairs, tables = _indexed(chains)
+    lines = (f"[[{','.join(s)}],[{','.join(t)}]]" for s, t in pairs)
     head = json.dumps(_header(f, dual), separators=(",", ":"))
+    out.write(head[:-1] + ',"pairs":[\n' + next(lines))
+    written = 1
+    for written, line in enumerate(lines, 2):
+        out.write(",\n" + line)
+    source, target = map(_compact, _subspaces(f, tables).values())
+    out.write(f'\n],"subspaces":{{"source":{source},"target":{target}}}}}\n')
+    return written
+
+
+def dump_map(f: ChamberMap, path, dual: bool = False) -> None:
+    """Write ``f`` as ``chamber-map/2``."""
     with open(path, "w", encoding="utf-8") as out:
-        out.write(head[:-1] + ',"pairs":[\n' + next(lines))
-        for line in lines:
-            out.write(",\n" + line)
-        source, target = map(_compact, _subspaces(f, tables).values())
-        out.write(f'\n],"subspaces":{{"source":{source},"target":{target}}}}}\n')
+        _write(out, f, dual, _chains(f))
+
+
+def dump_induced(semi: Semilinear, path, dual: bool = False) -> int:
+    """Write ``dump_map(induce(semi, dual), path, dual)``'s bytes with no
+    chamber built; ``path`` is opened before any flag is walked.  Returns
+    the number of pairs written."""
+    with open(path, "w", encoding="utf-8") as out:
+        image = flag_image(semi, dual)
+        chains = ((chain, image(chain)) for chain in flags(semi.source))
+        return _write(out, semi, dual, chains)
 
 
 def load_map(path) -> ChamberMap:

@@ -3,6 +3,10 @@ import random
 from bft.gf import Subspace
 from bft.projective import Base
 
+# The north star's ladder of spaces, as (n, q).
+LADDER = [(2, 2), (3, 2), (2, 9), (3, 3), (4, 2)]
+LADDER_IDS = [f"PG{n}{q}" for n, q in LADDER]
+
 
 def random_invertible(gf, dim, rng: random.Random):
     """A uniformly sampled invertible dim x dim matrix over gf."""

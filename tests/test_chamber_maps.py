@@ -220,6 +220,52 @@ def test_every_swap_of_the_identity_fails_on_the_apartments_it_names(space, dual
     assert checked == {2: 320, 3: 2551}[space.q]
 
 
+def star_rotated(f, rng):
+    """``f`` with the images inside one seeded point or hyperplane star
+    rotated by a seeded nonzero shift."""
+    chambers = chambers_of(f.source)
+    end = rng.choice((0, -1))
+    mask = rng.choice(chambers).masks[end]
+    star = [c for c in chambers if c.masks[end] == mask]
+    shift = rng.randrange(1, len(star))
+    table = dict(f.table)
+    for c, d in zip(star, star[shift:] + star[:shift]):
+        table[c] = f(d)
+    return ChamberMap(f.source, f.target, table)
+
+
+def glued(f, g, rng):
+    """``f`` on the chambers through a seeded proper set of points, ``g``
+    on the rest."""
+    points = sorted({c.masks[0] for c in chambers_of(f.source)})
+    chosen = set(rng.sample(points, rng.randrange(1, len(points))))
+    table = {c: (f if c.masks[0] in chosen else g)(c) for c in chambers_of(f.source)}
+    return ChamberMap(f.source, f.target, table)
+
+
+@pytest.mark.parametrize("space", [PG23, PG32], ids=["PG23", "PG32"])
+def test_star_rotations_and_glued_collineations_fail_on_the_apartments_they_name(space):
+    """Seeded star rotations of a collineation, and maps glued by point from
+    two collineations (each direct or dual), fail on the apartments their
+    witness names, so no sweep runs.  The apartments checked are pinned in
+    sum, as for the swaps."""
+    rng = random.Random(space.n * 10 + space.q)
+
+    def collineation():
+        matrix = random_invertible(space.gf, space.ambient, rng)
+        return induce(Semilinear.of(space, space, matrix), dual=rng.random() < 0.5)
+
+    maps = [star_rotated(collineation(), rng) for _ in range(20)]
+    maps += [glued(collineation(), collineation(), rng) for _ in range(20)]
+    checked = []
+    for f in maps:
+        result = analyze(f)
+        assert result.label == "not-apartment-preserving"
+        assert result.check.path == "local"
+        checked.append(result.check.checked)
+    assert (sum(checked[:20]), sum(checked[20:])) == {2: (105, 35), 3: (33, 49)}[space.q]
+
+
 # ------------------------------------------------------------ decomposition
 
 

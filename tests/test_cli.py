@@ -132,6 +132,15 @@ def test_lemmas_reports_case6_mismatch(capsys):
     assert "FAIL case-6-overlap" in err
 
 
+def _replace_everywhere(monkeypatch, original, replacement):
+    """Put ``replacement`` in every ``bft`` namespace that holds ``original``."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bft":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def test_lemmas_builds_no_apartment_above_n2(capsys, monkeypatch):
     """The battery counts permutation bitsets; only the n = 2, q <= 3
     classification row needs the chambers of a real apartment."""
@@ -148,11 +157,7 @@ def test_lemmas_builds_no_apartment_above_n2(capsys, monkeypatch):
         built.append(base)
         init(self, base)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bft":
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    _replace_everywhere(monkeypatch, original, counted)
     monkeypatch.setattr(buildings.Apartment, "__init__", counted_init)
     code, report, _ = run_json(capsys, "lemmas", "--n", "4", "--q", "9", "--all")
     assert code == 1
@@ -422,6 +427,79 @@ def test_map_induce_unwritable_out_exits_2(tmp_path):
     assert done.returncode == 2 and done.stdout == ""
     assert "Traceback" not in done.stderr
     assert "cannot write" in done.stderr
+
+
+@pytest.mark.parametrize("where", ["missing-dir/x.json", "."], ids=["missing-dir", "directory"])
+def test_map_induce_opens_out_before_walking_any_flag(capsys, monkeypatch, tmp_path, where):
+    from bft import buildings
+
+    def refuse(space):
+        raise AssertionError("a flag was walked")
+
+    _replace_everywhere(monkeypatch, buildings.flags, refuse)
+    argv = ["map", "induce", "--n", "2", "--q", "2", "--matrix", IDENTITY, "--out"]
+    code, out, err = run(capsys, *argv, str(tmp_path / where))
+    assert code == 2 and out == ""
+    assert "cannot write" in err
+    with pytest.raises(AssertionError, match="a flag was walked"):
+        cli.main([*argv, str(tmp_path / "x.json")])  # the stub is the one called
+
+
+@pytest.mark.parametrize("n, q, target_q", [(3, 2, 2), (2, 3, 9), (4, 2, 2)],
+                         ids=["PG32", "PG23-to-PG29", "PG42"])
+@pytest.mark.parametrize("dual", [False, True], ids=["direct", "dual"])
+def test_map_induce_builds_no_chamber_and_maps_each_subspace_once(
+    capsys, monkeypatch, tmp_path, n, q, target_q, dual
+):
+    """``map induce`` writes straight off the flag walk: no ``chambers_of``,
+    no chamber and no chamber map.  The image of each source subspace is
+    spanned once, or, dual, annihilated once."""
+    from bft import buildings, chamber_maps
+    from bft.counts import gaussian_binomial
+    from bft.projective import Geometry
+
+    def refuse(*args):
+        raise AssertionError("a chamber was built")
+
+    _replace_everywhere(monkeypatch, buildings.chambers_of, refuse)
+    monkeypatch.setattr(buildings.Chamber, "__init__", refuse)
+    monkeypatch.setattr(chamber_maps.ChamberMap, "_trusted", refuse)
+    target = Geometry.of(bft.ProjSpace.of(n, target_q))
+    calls = {"span": 0, "annihilator": 0}
+    for method in calls:
+        def counted(self, mask, _method=method, _original=getattr(Geometry, method)):
+            if self is target:
+                calls[_method] += 1
+            return _original(self, mask)
+        monkeypatch.setattr(Geometry, method, counted)
+    argv = ["map", "induce", "--n", str(n), "--q", str(q), "--target-q", str(target_q),
+            "--matrix", ";".join(",".join(str(int(r == c)) for c in range(n + 1))
+                                 for r in range(n + 1)),
+            "--out", str(tmp_path / "m.json")] + ["--dual"] * dual
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0 and report["checks"][0]["pass"]
+    subspaces = sum(gaussian_binomial(n + 1, k + 1, q) for k in range(n))
+    assert calls["annihilator"] == subspaces * dual
+    if not dual:  # a dual run also spans the perps of target points
+        assert calls["span"] == subspaces
+
+
+def test_map_induce_reports_the_pairs_it_wrote(capsys, monkeypatch, tmp_path):
+    """``pairs-written`` is the count of pairs in the file, checked against
+    the chamber count: a writer that came up short fails it."""
+    out_path = tmp_path / "m.json"
+    argv = ["map", "induce", "--n", "3", "--q", "2", "--matrix",
+            "1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1", "--dual", "--out", str(out_path)]
+    code, report, _ = run_json(capsys, *argv)
+    pairs = len(json.loads(out_path.read_text())["pairs"])
+    assert code == 0 and report["checks"] == [
+        {"name": "pairs-written", "expected": 315, "actual": pairs, "pass": True}
+    ]
+    dump_induced = cli.dump_induced
+    monkeypatch.setattr(cli, "dump_induced", lambda *a, **k: dump_induced(*a, **k) - 1)
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 1 and report["checks"][0]["actual"] == 314
+    assert not report["checks"][0]["pass"] and not report["passed"]
 
 
 def test_map_analyze_non_utf8_file_exits_2(tmp_path):

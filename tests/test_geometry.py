@@ -25,10 +25,7 @@ from bft.projective import (
     dual_subspace,
     points_of,
 )
-from conftest import oracle_chamber_of_perm, random_invertible
-
-LADDER = [(2, 2), (3, 2), (2, 9), (3, 3), (4, 2)]
-LADDER_IDS = [f"PG{n}{q}" for n, q in LADDER]
+from conftest import LADDER, LADDER_IDS, oracle_chamber_of_perm, random_invertible
 
 
 # ------------------------------------------------------------------ oracle

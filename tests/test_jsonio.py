@@ -13,18 +13,20 @@ from pathlib import Path
 
 import jsonio_oracle as oracle
 import pytest
-from conftest import random_invertible
+from conftest import LADDER, LADDER_IDS, random_invertible
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bft.buildings import chambers_of
+from bft.buildings import chambers_of, flags
 from bft.chamber_maps import ChamberMap, induce
 from bft.cli import main
+from bft.counts import chamber_count
 from bft.jsonio import (
     SCHEMA,
     FormatError,
     decode_chamber,
     decode_map,
+    dump_induced,
     dump_map,
     encode_chamber,
     encode_map,
@@ -172,11 +174,12 @@ def _semilinear(n, q, target_q, seed):
             continue
 
 
+_WRITTEN = {
+    "PG22": (2, 2, 2, False), "PG32-dual": (3, 2, 2, True), "PG23-to-PG29": (2, 3, 9, False),
+    "PG24-dual": (2, 4, 4, True), "PG33-dual": (3, 3, 3, True),
+}
 WRITTEN = pytest.mark.parametrize(
-    "n, q, target_q, dual",
-    [(2, 2, 2, False), (3, 2, 2, True), (2, 3, 9, False), (2, 4, 4, True),
-     (3, 3, 3, True)],
-    ids=["PG22", "PG32-dual", "PG23-to-PG29", "PG24-dual", "PG33-dual"],
+    "n, q, target_q, dual", list(_WRITTEN.values()), ids=list(_WRITTEN)
 )
 
 
@@ -196,6 +199,27 @@ def test_dump_load_dump_is_byte_identical(tmp_path, n, q, target_q, dual):
     dump_map(f, first, dual=dual)
     dump_map(load_map(first), second, dual=dual)
     assert first.read_bytes() == second.read_bytes()
+
+
+_STREAMED = {**_WRITTEN, "PG42": (4, 2, 2, False), "PG42-dual": (4, 2, 2, True)}
+
+
+@pytest.mark.parametrize("n, q, target_q, dual", list(_STREAMED.values()), ids=list(_STREAMED))
+def test_dump_induced_writes_the_bytes_of_dump_map_of_induce(tmp_path, n, q, target_q, dual):
+    """The streamed writer against the one that builds the map first.  A
+    dual target table is numbered along the reversed chains, as written."""
+    semi = _semilinear(n, q, target_q, seed=n * q)
+    streamed, built = tmp_path / "streamed.json", tmp_path / "built.json"
+    written = dump_induced(semi, streamed, dual=dual)
+    dump_map(induce(semi, dual=dual), built, dual=dual)
+    assert streamed.read_bytes() == built.read_bytes()
+    assert written == len(json.loads(streamed.read_text())["pairs"]) == chamber_count(n, q)
+
+
+@pytest.mark.parametrize("n, q", LADDER, ids=LADDER_IDS)
+def test_flags_are_the_chains_of_chambers_of(n, q):
+    space = ProjSpace.of(n, q)
+    assert list(flags(space)) == [c.masks for c in chambers_of(space)]
 
 
 def test_dump_map_bytes_do_not_depend_on_the_hash_seed(tmp_path):
