@@ -3,9 +3,11 @@
 A :class:`ChamberMap` is nothing but a total table from the chambers of one
 projective space to chambers of another of the same projective dimension.
 ``induce`` produces the two honest ways to get one from a semilinear map:
-componentwise images ("direct"), or componentwise annihilators of the images
-in reversed order ("dual").  ``flag_image`` is that image of one chain of
-masks, which ``jsonio.dump_induced`` also writes from with no table built.
+each subspace goes to the span of its points' images ("direct"), or to the
+meet of its points' image hyperplanes, the chain read backwards ("dual").
+``_chain_image`` is that one definition of an induced chain, for any point
+map; ``flag_image`` applies it to a semilinear map, and
+``jsonio.dump_induced`` writes from it with no table built.
 
 The analysis direction asks: given only the table, was it induced?
 
@@ -22,9 +24,10 @@ The analysis direction asks: given only the table, was it induced?
 * ``reconstruct`` is the whole certificate.  It rebuilds ``g`` from
   chamber stars: all chambers through a point must map to chambers sharing
   a 0-component (direct) or an (n-1)-component (dual).  It checks once that
-  the whole table is componentwise induced by ``g`` and that ``g`` is
-  injective; together these make the point map a strong embedding, so by
-  the main theorem they certify the map.  It reads ``sigma`` off ``g``.
+  the whole table is induced by ``g`` (through ``_chain_image``) and that
+  ``g`` is injective; together these make the point map a strong
+  embedding, so by the main theorem they certify the map.  It reads
+  ``sigma`` off ``g``.
   ``verify_strong_embedding`` is the definition, which the tests hold the
   certificate to; no request calls it.
 * ``analyze`` runs the whole procedure once.  When ``reconstruct``
@@ -52,7 +55,6 @@ from .buildings import (
     ScaleError,
     apartment_of,
     chambers_of,
-    check_base_cap,
     check_chamber,
     iter_bases,
 )
@@ -186,27 +188,36 @@ def dual_point(space: ProjSpace, hyperplane: Subspace) -> tuple[int, ...]:
     return geo.point(ann.bit_length() - 1)
 
 
-def flag_image(semi: Semilinear, dual: bool = False):
-    """The function sending a source chain of masks to its image chain.
+def _chain_image(target: Geometry, images, dual: bool):
+    """The function sending a source chain of masks to its image chain
+    under a point map, memoised per source subspace.
 
-    With ``dual=False`` each subspace goes to the span of its points'
-    images; with ``dual=True`` to the annihilator of that span, and the
-    chain is read backwards, so points and hyperplanes trade places.  Each
-    point is mapped once, and each subspace spanned once, on first use.
+    With ``dual=False`` ``images[p]`` is the id of point p's image, and a
+    subspace goes to the span of its points' images.  With ``dual=True``
+    ``images[p]`` is the mask of a hyperplane, a subspace goes to the meet
+    of its points' hyperplanes, and the chain is read backwards, so points
+    and hyperplanes trade places.
     """
-    source, target = Geometry.of(semi.source), Geometry.of(semi.target)
-    point_image = [
-        target.id_of(semi.apply_vector(source.point(p))) for p in range(source.size)
-    ]
 
     class Images(dict):
         def __missing__(self, mask):
-            image = target.span(point_image[p] for p in bits(mask))
-            image = self[mask] = target.annihilator(image) if dual else image
+            parts = [images[p] for p in bits(mask)]
+            image = self[mask] = reduce(and_, parts) if dual else target.span(parts)
             return image
 
     image, order = Images().__getitem__, reversed if dual else iter
     return lambda chain: tuple(map(image, order(chain)))
+
+
+def flag_image(semi: Semilinear, dual: bool = False):
+    """The function sending a source chain of masks to its image chain
+    under ``semi``: each point goes to the point ``semi`` sends it to, or
+    with ``dual=True`` to that point's perp, a hyperplane."""
+    source, target = Geometry.of(semi.source), Geometry.of(semi.target)
+    images = [target.id_of(semi.apply_vector(source.point(p))) for p in range(source.size)]
+    if dual:
+        images = list(map(target.perp, images))
+    return _chain_image(target, images, dual)
 
 
 def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
@@ -381,11 +392,11 @@ def _witness_pair(star, images, key):
     return None
 
 
-Decomposition = namedtuple("Decomposition", "kind g point_map sigma_by_base")
+Decomposition = namedtuple("Decomposition", "kind g sigma_by_base")
 Decomposition.__doc__ = """A certified map: ``kind`` is "direct" or "dual"; ``g``
-sends a source point to a target point (direct) or target hyperplane (dual);
-``point_map`` is g, or g's annihilators; ``sigma_by_base`` sends a report
-base to (sigma, case), as :func:`main_lemma_decompose` would."""
+sends a source point to a target point (direct) or target hyperplane (dual),
+whose annihilator point :func:`dual_point` gives; ``sigma_by_base`` sends a
+report base to (sigma, case), as :func:`main_lemma_decompose` would."""
 
 
 def reconstruct(f: ChamberMap) -> Decomposition:
@@ -394,9 +405,10 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     For every source point, the images of all chambers through it must share
     a 0-component (kind "direct") or an (n-1)-component (kind "dual"), the
     kind being the same for every point.  Then every chamber's image must be
-    componentwise induced by that map ``g``: each component S goes to
-    span g(S) (direct), or the components, read backwards, are the meets
-    of the image hyperplanes of S (dual).  Last, ``g`` must be injective.
+    the chain ``_chain_image`` induces from that map ``g``: each component
+    S goes to span g(S) (direct), or the components, read backwards, are the
+    meets of the image hyperplanes of S (dual).  Last, ``g`` must be
+    injective.
     Violations raise :class:`ReconstructionError` whose witness is a tuple
     of source chambers: two or four from one star, the first chamber of
     each of two stars, or the one chamber not induced.
@@ -422,7 +434,7 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     table = f.table
     by_point = {}
     for c in chambers_of(f.source):
-        by_point.setdefault(c.masks[0], []).append(c)
+        by_point.setdefault(c.masks[0].bit_length() - 1, []).append(c)
 
     g, kinds = {}, {}
     for p, star in by_point.items():
@@ -445,7 +457,7 @@ def reconstruct(f: ChamberMap) -> Decomposition:
                 ),
             )
         if common_point is not None:
-            kinds[p], g[p] = "direct", common_point
+            kinds[p], g[p] = "direct", common_point.bit_length() - 1
         else:
             kinds[p], g[p] = "dual", common_hyp
     distinct = set(kinds.values())
@@ -458,22 +470,22 @@ def reconstruct(f: ChamberMap) -> Decomposition:
             witness=(a, b),
         )
     kind = distinct.pop()
-    _verify_componentwise(f, kind, _induced_parts(f, kind, g))
+    image = _chain_image(target, g, kind == "dual")
+    for c in chambers_of(f.source):
+        if table[c].masks != image(c.masks):
+            raise ReconstructionError(
+                "a chamber image is not componentwise induced by the point map",
+                witness=(c,),
+            )
     preimage = {}
     for p in range(source.size):
-        other = preimage.setdefault(g[1 << p], p)
+        other = preimage.setdefault(g[p], p)
         if other != p:
             raise ReconstructionError(
                 f"map is not injective: {source.point(other)} and "
                 f"{source.point(p)} share an image",
-                witness=(by_point[1 << other][0], by_point[1 << p][0]),
+                witness=(by_point[other][0], by_point[p][0]),
             )
-    g_view = {_view(source, p): _view(target, m) for p, m in g.items()}
-    point_map = g_view
-    if kind == "dual":  # a hyperplane's annihilator is one point
-        point_map = {
-            _view(source, p): _view(target, target.annihilator(h)) for p, h in g.items()
-        }
 
     try:
         bases = list(itertools.islice(iter_bases(f.source), 5))
@@ -482,60 +494,14 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     case = 1 if kind == "direct" else 2
     sigma_by_base = {}
     for base in bases:
-        ms = [g[1 << source.id_of(p)] for p in base.points]
+        ms = [g[source.id_of(p)] for p in base.points]
         if kind == "dual":  # point i goes to the meet of the other images
             ms = [reduce(and_, ms[:i] + ms[i + 1 :]) for i in range(len(ms))]
         sigma_by_base[base] = tuple(map(sorted(ms).index, ms)), case
 
-    return Decomposition(
-        kind=kind,
-        g=g_view,
-        point_map=point_map,
-        sigma_by_base=sigma_by_base,
-    )
-
-
-def _view(geo: Geometry, mask: int):
-    """The outside view of a mask: coordinates for a point, else a Subspace."""
-    if mask.bit_count() == 1:
-        return geo.point(mask.bit_length() - 1)
-    return geo.subspace(mask)
-
-
-def _induced_parts(f: ChamberMap, kind: str, g: dict):
-    """The image of a source subspace mask under the reconstructed point
-    map: the join of the point images (direct) or the meet of the image
-    hyperplanes (dual); memoized per mask."""
-    target = Geometry.of(f.target)
-    memo: dict[int, int] = {}
-
-    def induced(mask: int) -> int:
-        image = memo.get(mask)
-        if image is None:
-            points = [g[1 << p] for p in bits(mask)]
-            if kind == "direct":
-                image = target.span(m.bit_length() - 1 for m in points)
-            else:
-                image = target.full
-                for m in points:
-                    image &= m
-            memo[mask] = image
-        return image
-
-    return induced
-
-
-def _verify_componentwise(f, kind, induced):
-    table = f.table
-    for chamber in chambers_of(f.source):
-        image = table[chamber].masks
-        if kind == "dual":
-            image = image[::-1]
-        if any(m != induced(part) for part, m in zip(chamber.masks, image)):
-            raise ReconstructionError(
-                "a chamber image is not componentwise induced by the point map",
-                witness=(chamber,),
-            )
+    view = target.subspace if kind == "dual" else target.point
+    g = {source.point(p): view(m) for p, m in g.items()}
+    return Decomposition(kind=kind, g=g, sigma_by_base=sigma_by_base)
 
 
 def verify_strong_embedding(source: ProjSpace, target: ProjSpace, g: dict) -> None:
@@ -616,11 +582,10 @@ def analyze(f: ChamberMap) -> Analysis:
     except AnalysisError as exc:
         check = preserves_apartments(f, _witness_bases(*exc.witness))
         if check.ok:
-            try:
-                check_base_cap(f.source)
+            try:  # beyond the base cap the sweep's first step raises
+                check = preserves_apartments(f)
             except ScaleError:
                 return Analysis(check, "not-apartment-preserving", error=exc)
-            check = preserves_apartments(f)
             if check.ok:
                 return Analysis(check, "apartment-preserving-not-induced", error=exc)
         return Analysis(check, "not-apartment-preserving")

@@ -348,14 +348,15 @@ SIGMA_CASES = [
 )
 def test_sigma_and_point_map_match_the_main_lemma(source, target, frobenius, dual):
     """``reconstruct`` reads sigma off g; on every report base it equals
-    what the main lemma reads off the apartment, and the point map is g, or
-    the annihilators of the hyperplanes g(p) when dual.  The Frobenius
-    spaces lie beyond the base cap, so their one report base is the
-    standard base."""
+    what the main lemma reads off the apartment, and the point map (g, or
+    the annihilators of the hyperplanes g(p) when dual) is the semilinear
+    map's.  The Frobenius spaces lie beyond the base cap, so their one
+    report base is the standard base."""
     rng = random.Random(source.n * 100 + source.q * 10 + target.q + dual)
     matrix = random_invertible(source.gf, source.ambient, rng)
     twist = source.gf.frobenius() if frobenius else None
-    f = induce(Semilinear.of(source, target, matrix, sigma=twist), dual=dual)
+    semi = Semilinear.of(source, target, matrix, sigma=twist)
+    f = induce(semi, dual=dual)
     d = reconstruct(f)
     try:
         report_bases = list(all_bases(source)[:5])
@@ -365,10 +366,7 @@ def test_sigma_and_point_map_match_the_main_lemma(source, target, frobenius, dua
     assert list(d.sigma_by_base) == report_bases
     for base, sigma_case in d.sigma_by_base.items():
         assert sigma_case == main_lemma_decompose(f, base)
-    if dual:
-        assert d.point_map == {p: dual_point(target, hyp) for p, hyp in d.g.items()}
-    else:
-        assert d.point_map == d.g
+    assert point_map_of(d, target) == {p: semi.apply_point(p) for p in points_of(source)}
 
 
 def test_reconstruct_subfield_embedding():
@@ -384,16 +382,19 @@ def test_reconstruct_rejects_random_bijection():
         reconstruct(random_bijection(PG22, 1))
 
 
-def test_reconstruct_names_the_first_chamber_not_induced():
+@pytest.mark.parametrize("space", [PG22, PG32], ids=["PG22", "PG32"])
+@pytest.mark.parametrize("dual", [False, True], ids=["direct", "dual"])
+def test_reconstruct_names_the_first_chamber_not_induced(space, dual):
     """Two chambers on one point swap images: every point star agrees, and
-    the table check names the first source chamber, without its image."""
-    chs = chambers_of(PG22)
-    a = chs[0]
-    b = next(c for c in chs[1:] if c.point == a.point)
-    table = dict(identity_map(PG22).table)
+    the table check names the first of them in ``chambers_of`` order,
+    without its image.  They lie on the last chamber's point, so a check
+    that read a dual chain the wrong way round would name an earlier one."""
+    chs = chambers_of(space)
+    a, *_, b = [c for c in chs if c.point == chs[-1].point]
+    table = dict(induce(identity_semi(space), dual=dual).table)
     table[a], table[b] = table[b], table[a]
     with pytest.raises(ReconstructionError, match="componentwise") as info:
-        reconstruct(ChamberMap(PG22, PG22, table))
+        reconstruct(ChamberMap(space, space, table))
     assert info.value.witness == (a,)
 
 
@@ -419,6 +420,14 @@ def test_reconstruct_star_failures_name_source_chambers():
 
 
 # ----------------------------------------------------------- strong embeddings
+
+
+def point_map_of(d, target) -> dict:
+    """The point map of a decomposition: g, or when dual the annihilators
+    of the hyperplanes g(p)."""
+    if d.kind == "direct":
+        return d.g
+    return {p: dual_point(target, hyp) for p, hyp in d.g.items()}
 
 
 def embeds(source, target, g) -> bool:
@@ -558,7 +567,7 @@ def test_reconstruct_certifies_exactly_the_strong_embeddings():
                 assert result.label == "not-apartment-preserving"
                 assert result.check.path == "local"
             else:
-                assert embedding and d.point_map == g
+                assert embedding and point_map_of(d, PG22) == g
         accepted, rejected = accepted + embedding, rejected + (not embedding)
     assert (accepted, rejected) == (168 // 7, 5880 // 7)
 
@@ -582,7 +591,7 @@ def test_analyze_record(monkeypatch):
     assert result.check == ApartmentCheck(True, "certified", 28, None, None)
     assert result.label == "collineation-dual" and result.error is None
     assert result.decomposition.kind == "dual"
-    assert result.decomposition.point_map == {p: p for p in points_of(PG22)}
+    assert point_map_of(result.decomposition, PG22) == {p: p for p in points_of(PG22)}
     swapped = analyze(swapped_identity(PG22))
     assert not swapped.check.ok and swapped.check.path == "local"
     assert swapped.decomposition is None and swapped.error is None
@@ -672,9 +681,7 @@ def sweep_first(f):
         d = reconstruct(f)
     except AnalysisError:
         return check, "not-apartment-preserving"
-    point_map = d.g
-    if d.kind == "dual":
-        point_map = {p: dual_point(f.target, hyp) for p, hyp in d.g.items()}
+    point_map = point_map_of(d, f.target)
     if not embeds(f.source, f.target, point_map):
         return check, "not-apartment-preserving"
     onto = len(set(point_map.values())) == len(points_of(f.target))
