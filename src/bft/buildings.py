@@ -22,7 +22,7 @@ every panel lies in exactly 2 chambers.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 
 from .gf import Subspace
 from .projective import Base, Geometry, ProjSpace, bits
@@ -244,17 +244,6 @@ def apartment_of(base: Base) -> Apartment:
     return Apartment(base)
 
 
-def check_base_cap(space: ProjSpace, force: bool = False) -> None:
-    """Raise :class:`ScaleError` unless every base of ``space`` may be
-    enumerated."""
-    max_n, max_q = BASE_ENUM_CAP
-    if not force and (space.n > max_n or space.q > max_q):
-        raise ScaleError(
-            f"enumerating all bases of {space!r} exceeds the default cap "
-            f"n <= {max_n}, q <= {max_q}; pass force=True to override"
-        )
-
-
 def iter_bases(space: ProjSpace, force: bool = False):
     """The bases of :func:`all_bases`, lazily; beyond the cap the first
     step raises :class:`ScaleError`.
@@ -263,7 +252,12 @@ def iter_bases(space: ProjSpace, force: bool = False):
     dependent prefix, so it yields the independent (n+1)-subsets in the
     lexicographic order of ``itertools.combinations``.
     """
-    check_base_cap(space, force)
+    max_n, max_q = BASE_ENUM_CAP
+    if not force and (space.n > max_n or space.q > max_q):
+        raise ScaleError(
+            f"enumerating all bases of {space!r} exceeds the default cap "
+            f"n <= {max_n}, q <= {max_q}; pass force=True to override"
+        )
     geo = Geometry.of(space)
     last = space.ambient - 1
 
@@ -335,7 +329,7 @@ def common_apartment(c1: Chamber, c2: Chamber) -> Base:
         for j in range(1, space.ambient + 1):
             jump = ranks[i][j] - ranks[i - 1][j] - ranks[i][j - 1] + ranks[i - 1][j - 1]
             if jump == 1:
-                boundary = geo.join(meets[i - 1][j], meets[i][j - 1])
+                boundary = reduce(geo.join_point, bits(meets[i][j - 1]), meets[i - 1][j])
                 picks.append(next(bits(meets[i][j] & ~boundary)))
     base = Base.of(space, [geo.point(p) for p in picks])
     apt = apartment_of(base)

@@ -74,6 +74,7 @@ from .projective import (
     ProjSpace,
     Semilinear,
     bits,
+    dual_subspace,
     points_of,
     standard_base,
 )
@@ -181,11 +182,10 @@ class ChamberMap:
 
 def dual_point(space: ProjSpace, hyperplane: Subspace) -> tuple[int, ...]:
     """The normalized coordinate vector of a hyperplane's annihilator line."""
-    geo = Geometry.of(space)
-    ann = geo.annihilator(geo.mask_of(hyperplane))
-    if ann.bit_count() != 1:
+    ann = dual_subspace(space, hyperplane)
+    if ann.rank != 1:
         raise ValueError(f"expected a hyperplane, got rank {hyperplane.rank}")
-    return geo.point(ann.bit_length() - 1)
+    return ann.rows[0]
 
 
 def _chain_image(target: Geometry, images, dual: bool):

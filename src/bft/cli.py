@@ -123,11 +123,6 @@ def _check_space_args(n: int, q: int, force: bool = True) -> str | None:
     return None
 
 
-def _parse_base(space: ProjSpace, text: str) -> Base:
-    rows = parse_rows(text)
-    return Base.of(space, rows)
-
-
 def _encode_base(base: Base) -> list:
     return [list(p) for p in base.points]
 
@@ -162,7 +157,7 @@ def cmd_apartment(args) -> int:
     space = ProjSpace.of(args.n, args.q)
     try:
         base = (
-            _parse_base(space, args.base) if args.base else standard_base(space)
+            Base.of(space, parse_rows(args.base)) if args.base else standard_base(space)
         )
     except (FormatError, ValueError) as exc:
         _fail(f"bad base: {exc}")

@@ -270,17 +270,6 @@ class Subspace(Value):
     def span(cls, gf, ambient, vectors) -> "Subspace":
         return cls(gf, ambient, rref(vectors, gf, ambient))
 
-    @classmethod
-    def zero(cls, gf, ambient) -> "Subspace":
-        return cls(gf, ambient, ())
-
-    @classmethod
-    def full(cls, gf, ambient) -> "Subspace":
-        rows = tuple(
-            tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)
-        )
-        return cls(gf, ambient, rows)
-
     @property
     def rank(self) -> int:
         return len(self.rows)

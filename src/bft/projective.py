@@ -61,9 +61,6 @@ class ProjSpace(Value):
     def subspace(self, vectors) -> Subspace:
         return Subspace.span(self.gf, self.ambient, vectors)
 
-    def point_space(self, point) -> Subspace:
-        return Subspace.span(self.gf, self.ambient, [point])
-
 
 def normalize_point(space: ProjSpace, vector) -> tuple[int, ...]:
     """Scale so the first nonzero coordinate is 1."""
@@ -104,6 +101,7 @@ class Geometry:
     Ids are computed from coordinates arithmetically, and lines, point
     perps and canonical rows are cached on first use, so work on one
     apartment builds only the part of the space that apartment touches.
+    No table maps rows back to masks; :meth:`mask_of` spans them afresh.
     """
 
     _instances: dict = {}
@@ -120,7 +118,6 @@ class Geometry:
         self._lines: dict = {}
         # a line mask takes size/8 bytes: keep at most ~64 MB of them
         self._line_slots = (1 << 29) // self.size
-        self._masks: dict = {}  # canonical rows -> mask
 
     @classmethod
     def of(cls, space: ProjSpace) -> "Geometry":
@@ -193,11 +190,6 @@ class Geometry:
             out |= self.line(p, x)
         return out
 
-    def join(self, a: int, b: int) -> int:
-        for p in bits(b & ~a):
-            a = self.join_point(a, p)
-        return a
-
     def span(self, ids) -> int:
         mask = 0
         for p in ids:
@@ -233,14 +225,6 @@ class Geometry:
                 ids.append(self._id(w))
         return self.span(ids)
 
-    @cache
-    def annihilator(self, mask: int) -> int:
-        """The mask of the annihilator: the meet of the perps of its points."""
-        out = self.full
-        for p in bits(mask):
-            out &= self.perp(p)
-        return out
-
     # ------------------------------------------------------ RREF views
 
     @cache
@@ -253,9 +237,7 @@ class Geometry:
         pts = [self.point(i) for i in bits(mask)]
         pivots = {p.index(1) for p in pts}
         units = [p for p in pts if sum(1 for c in pivots if p[c]) == 1]
-        rows = tuple(sorted(units, key=lambda p: p.index(1)))
-        self._masks[rows] = mask
-        return rows
+        return tuple(sorted(units, key=lambda p: p.index(1)))
 
     @cache
     def subspace(self, mask: int) -> Subspace:
@@ -263,13 +245,11 @@ class Geometry:
         return Subspace(self.space.gf, self.space.ambient, self.rows(mask))
 
     def mask_of(self, sub: Subspace) -> int:
-        """The mask of a :class:`Subspace` of this space."""
+        """The mask of a :class:`Subspace` of this space, spanned from the
+        points of its rows on every call."""
         if sub.gf != self.space.gf or sub.ambient != self.space.ambient:
             raise ValueError("subspace does not live in this space")
-        mask = self._masks.get(sub.rows)
-        if mask is None:
-            mask = self._masks[sub.rows] = self.span(map(self.id_of, sub.rows))
-        return mask
+        return self.span(map(self.id_of, sub.rows))
 
 
 def span_points(space: ProjSpace, points) -> Subspace:

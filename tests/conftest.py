@@ -21,7 +21,7 @@ def random_invertible(gf, dim, rng: random.Random):
 def oracle_chamber_of_perm(base: Base, perm):
     """The parts of the chamber of an ordering of ``base``: the spans of
     its proper prefixes, grown one point at a time on RREF rows."""
-    current = base.space.point_space(base.points[perm[0]])
+    current = base.space.subspace([base.points[perm[0]]])
     parts = [current]
     for idx in perm[1:-1]:
         current = current.extended_by(base.points[idx])

@@ -31,14 +31,17 @@ from bft.chamber_maps import (
     reconstruct,
     verify_strong_embedding,
 )
+from bft.counts import gaussian_binomial
 from bft.gf import GF, Subspace
 from bft.projective import (
     Base,
+    Geometry,
     MapError,
     ProjSpace,
     Semilinear,
     dual_subspace,
     is_independent,
+    normalize_point,
     points_of,
     points_of_subspace,
     standard_base,
@@ -320,7 +323,7 @@ def test_reconstruct_dual_map():
     d = reconstruct(f)
     assert d.kind == "dual"
     for p in points_of(PG22):
-        assert d.g[p] == dual_subspace(PG22, PG22.point_space(p))
+        assert d.g[p] == dual_subspace(PG22, PG22.subspace([p]))
     for base, (sigma, case) in d.sigma_by_base.items():
         assert case == 2
         ap = apartment_of(base)
@@ -428,6 +431,29 @@ def point_map_of(d, target) -> dict:
     if d.kind == "direct":
         return d.g
     return {p: dual_point(target, hyp) for p, hyp in d.g.items()}
+
+
+@pytest.mark.parametrize("space", [PG23, PG32], ids=["PG23", "PG32"])
+def test_dual_point_is_the_point_whose_perp_is_the_hyperplane(space):
+    geo = Geometry.of(space)
+    hyperplanes = {c.masks[-1] for c in chambers_of(space)}
+    assert len(hyperplanes) == gaussian_binomial(space.ambient, space.n, space.q)
+    for mask in hyperplanes:
+        p = dual_point(space, geo.subspace(mask))
+        assert p == normalize_point(space, p)
+        assert geo.perp(geo.id_of(p)) == mask
+
+
+def test_dual_point_rejects_what_is_not_a_hyperplane_of_its_space():
+    point = PG32.subspace([(0, 1, 0, 0)])
+    line = PG32.subspace([(1, 0, 0, 0), (0, 0, 1, 1)])
+    for sub in (point, line):
+        with pytest.raises(ValueError, match="expected a hyperplane"):
+            dual_point(PG32, sub)
+    for space, other in ((PG22, PG23), (PG22, PG32)):
+        hyperplane = other.subspace(standard_base(other).points[1:])
+        with pytest.raises(ValueError, match="does not live in this space"):
+            dual_point(space, hyperplane)
 
 
 def embeds(source, target, g) -> bool:

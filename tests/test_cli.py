@@ -454,7 +454,7 @@ def test_map_induce_builds_no_chamber_and_maps_each_subspace_once(
     """``map induce`` writes straight off the flag walk: no ``chambers_of``,
     no chamber and no chamber map.  The image of each source subspace is
     taken once: spanned from its point images, or, dual, the meet of its
-    points' image hyperplanes.  No annihilator is taken."""
+    points' image hyperplanes."""
     from bft import buildings, chamber_maps
     from bft.counts import gaussian_binomial
     from bft.projective import Geometry
@@ -466,13 +466,14 @@ def test_map_induce_builds_no_chamber_and_maps_each_subspace_once(
     monkeypatch.setattr(buildings.Chamber, "__init__", refuse)
     monkeypatch.setattr(chamber_maps.ChamberMap, "_trusted", refuse)
     target = Geometry.of(bft.ProjSpace.of(n, target_q))
-    calls = {"span": 0, "meet": 0, "annihilator": 0}
-    for method in ("span", "annihilator"):
-        def counted(self, mask, _method=method, _original=getattr(Geometry, method)):
-            if self is target or _method == "annihilator":
-                calls[_method] += 1
-            return _original(self, mask)
-        monkeypatch.setattr(Geometry, method, counted)
+    calls = {"span": 0, "meet": 0}
+
+    def span(self, ids, _original=Geometry.span):
+        if self is target:
+            calls["span"] += 1
+        return _original(self, ids)
+
+    monkeypatch.setattr(Geometry, "span", span)
 
     def meet(function, parts, _reduce=chamber_maps.reduce):
         calls["meet"] += 1
@@ -487,9 +488,9 @@ def test_map_induce_builds_no_chamber_and_maps_each_subspace_once(
     assert code == 0 and report["checks"][0]["pass"]
     subspaces = sum(gaussian_binomial(n + 1, k + 1, q) for k in range(n))
     if dual:  # a dual run also spans the perps of target points
-        assert (calls["meet"], calls["annihilator"]) == (subspaces, 0)
+        assert calls["meet"] == subspaces
     else:
-        assert calls == {"span": subspaces, "meet": 0, "annihilator": 0}
+        assert calls == {"span": subspaces, "meet": 0}
 
 
 def test_map_induce_reports_the_pairs_it_wrote(capsys, monkeypatch, tmp_path):

@@ -17,6 +17,7 @@ from bft.gf import GF, SUPPORTED_ORDERS, FieldError, Subspace, rref
 from bft.projective import ProjSpace
 
 ALL_FIELDS = [GF.of(q) for q in SUPPORTED_ORDERS]
+IDENTITY_4 = [tuple(int(i == j) for j in range(4)) for i in range(4)]
 
 
 # ---------------------------------------------------------------- tables
@@ -196,8 +197,8 @@ def test_two_planes_in_gf2_cubed_meet_in_a_line():
 
 def test_zero_and_full():
     gf = GF.of(3)
-    z = Subspace.zero(gf, 4)
-    f = Subspace.full(gf, 4)
+    z = Subspace(gf, 4, ())
+    f = Subspace.span(gf, 4, IDENTITY_4)
     assert z.rank == 0 and z.pdim == -1
     assert f.rank == 4 and f.pdim == 3
     assert z.annihilator() == f
@@ -235,7 +236,7 @@ def _subspaces_of_gf2_4():
     the full space."""
     parts = {part for c in chambers_of(ProjSpace.of(3, 2)) for part in c.parts}
     gf = GF.of(2)
-    return [Subspace.zero(gf, 4), *parts, Subspace.full(gf, 4)]
+    return [Subspace(gf, 4, ()), *parts, Subspace.span(gf, 4, IDENTITY_4)]
 
 
 def test_gf2_4_has_67_subspaces():
