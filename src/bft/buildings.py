@@ -6,11 +6,11 @@ adjacent when they differ in exactly one position; the n-1 shared
 subspaces form the common panel.  Every panel of PG(n, q) lies in
 exactly q + 1 chambers, so the complex is thick.
 
-A chamber is held as its tuple of subspace masks over the space's
-:class:`~bft.projective.Geometry`, so hashing and comparing chambers is
-hashing and comparing tuples of ints.  ``parts``, ``point``,
-``hyperplane`` and ``sort_key`` are read-only views in coordinates and
-canonical RREF rows.
+A chamber is its chain: the tuple of subspace masks over the space's
+:class:`~bft.projective.Geometry` that :func:`flags` yields, which is all a
+chamber map stores.  :class:`Chamber` wraps a chain with its geometry for
+``parts``, ``point``, ``hyperplane`` and ``sort_key``, read-only views in
+coordinates and canonical RREF rows.
 
 An apartment is the set of (n+1)! chambers built from one base: each
 ordering of the base points yields the chamber of its prefix spans.

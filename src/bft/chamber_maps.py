@@ -1,13 +1,14 @@
 """Maps of chamber sets and the recovery of the geometry behind them.
 
-A :class:`ChamberMap` is nothing but a total table from the chambers of one
-projective space to chambers of another of the same projective dimension.
-``induce`` produces the two honest ways to get one from a semilinear map:
-each subspace goes to the span of its points' images ("direct"), or to the
-meet of its points' image hyperplanes, the chain read backwards ("dual").
-``_chain_image`` is that one definition of an induced chain, for any point
-map; ``flag_image`` applies it to a semilinear map, and
-``jsonio.dump_induced`` writes from it with no table built.
+A :class:`ChamberMap` is a total table of mask chains, as ``flags`` yields
+them, from the chambers of one projective space to chambers of another of
+the same projective dimension; a :class:`Chamber` is built only as a view
+or a witness.  ``induce`` produces the two honest ways to get one from a
+semilinear map: each subspace goes to the span of its points' images
+("direct"), or to the meet of its points' image hyperplanes, the chain read
+backwards ("dual").  ``_chain_image`` is that one definition of an induced
+chain, for any point map; ``flag_image`` applies it to a semilinear map,
+and ``jsonio.dump_induced`` writes from it with no table built.
 
 The analysis direction asks: given only the table, was it induced?
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import reduce
+from functools import partial, reduce
 from operator import and_
 
 from .buildings import (
@@ -56,6 +57,7 @@ from .buildings import (
     apartment_of,
     chambers_of,
     check_chamber,
+    flags,
     iter_bases,
 )
 from .combinatorics import (
@@ -65,7 +67,7 @@ from .combinatorics import (
     copoint_family,
     point_family,
 )
-from .counts import apartment_count
+from .counts import apartment_count, chamber_count
 from .gf import Subspace
 from .projective import (
     Base,
@@ -131,7 +133,9 @@ class MixedKindError(ReconstructionError):
 
 
 class ChamberMap:
-    """A total mapping from the chambers of ``source`` to those of ``target``."""
+    """A total mapping from the chambers of ``source`` to those of ``target``:
+    ``chains`` maps chains of masks; ``table``, in ``chambers_of`` order, and
+    calls are its :class:`Chamber` view."""
 
     def __init__(self, source: ProjSpace, target: ProjSpace, table):
         if source.n != target.n:
@@ -139,45 +143,48 @@ class ChamberMap:
                 f"chamber maps need equal projective dimension, "
                 f"got {source.n} and {target.n}"
             )
-        self.source = source
-        self.target = target
-        self.table = dict(table)
+        table = dict(table)
         expected = set(chambers_of(source))
-        missing = expected - self.table.keys()
+        missing = expected - table.keys()
         if missing:
             raise MapError(f"table is missing {len(missing)} source chambers")
-        extra = self.table.keys() - expected
+        extra = table.keys() - expected
         if extra:
             raise MapError(f"table has {len(extra)} unknown source chambers")
-        for image in self.table.values():
+        for image in table.values():
             try:
                 check_chamber(target, image)
             except ValueError as exc:
                 raise MapError(f"invalid image chamber: {exc}") from exc
+        self.source, self.target = source, target
+        self.chains = {c.masks: image.masks for c, image in table.items()}
 
     @classmethod
-    def _trusted(cls, source: ProjSpace, target: ProjSpace, table: dict):
-        """A map on a table its caller guarantees: equal dimensions, every
-        chamber of ``source`` once, each mapped to a chamber of ``target``.
+    def _trusted(cls, source: ProjSpace, target: ProjSpace, chains: dict):
+        """A map on chains its caller guarantees: equal dimensions, every
+        chain of ``source`` once, each mapped to a chain of ``target``.
         None of it is checked again."""
         f = cls.__new__(cls)
-        f.source, f.target, f.table = source, target, table
+        f.source, f.target, f.chains = source, target, chains
         return f
 
+    @property
+    def table(self) -> dict:
+        target, chains = Geometry.of(self.target), self.chains
+        return {c: Chamber(target, chains[c.masks]) for c in chambers_of(self.source)}
+
     def __call__(self, chamber: Chamber) -> Chamber:
-        return self.table[chamber]
+        return Chamber(Geometry.of(self.target), self.chains[chamber.masks])
 
     def __repr__(self):
         return (
             f"ChamberMap(PG({self.source.n},{self.source.q}) -> "
-            f"PG({self.target.n},{self.target.q}), {len(self.table)} chambers)"
+            f"PG({self.target.n},{self.target.q}), {len(self.chains)} chambers)"
         )
 
-    def image_chambers(self) -> frozenset[Chamber]:
-        return frozenset(self.table.values())
-
     def is_surjective(self) -> bool:
-        return self.image_chambers() == set(chambers_of(self.target))
+        """Onto: as many distinct images as the target has chambers."""
+        return len(set(self.chains.values())) == chamber_count(self.target.n, self.target.q)
 
 
 def dual_point(space: ProjSpace, hyperplane: Subspace) -> tuple[int, ...]:
@@ -223,9 +230,9 @@ def flag_image(semi: Semilinear, dual: bool = False):
 def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
     """The chamber map sending each chamber to its :func:`flag_image`.  A
     nonsingular map sends flags to flags, so the table is not checked again."""
-    target, image = Geometry.of(semi.target), flag_image(semi, dual)
-    table = {c: Chamber(target, image(c.masks)) for c in chambers_of(semi.source)}
-    return ChamberMap._trusted(semi.source, semi.target, table)
+    image = flag_image(semi, dual)
+    chains = {chain: image(chain) for chain in flags(semi.source)}
+    return ChamberMap._trusted(semi.source, semi.target, chains)
 
 
 ApartmentCheck = namedtuple(
@@ -238,25 +245,15 @@ check names a ``witness_base`` and the ``witness_image`` chamber set."""
 
 
 def _image_apartment(f: ChamberMap, ap: Apartment):
-    """The target apartment carrying the image chamber set, or a reason not.
-
-    Returns ``(apartment, None)`` on success and ``(None, image_set)``
-    when the image chamber set is not an apartment.
-    """
-    table = f.table
-    image_set = frozenset([table[c] for c in ap.chambers])
-    if len(image_set) != len(ap):
-        return None, image_set
-    points = {c.masks[0].bit_length() - 1 for c in image_set}
-    if len(points) != f.target.n + 1:
-        return None, image_set
+    """The target apartment of the images of ``ap``'s chambers, or None."""
+    image = {f.chains[c.masks] for c in ap.chambers}
+    points = {chain[0].bit_length() - 1 for chain in image}
     geo = Geometry.of(f.target)
-    if not geo.is_independent(points):
-        return None, image_set
-    candidate = apartment_of(geo.base(points))
-    if image_set != candidate.chamber_set:
-        return None, image_set
-    return candidate, None
+    if len(image) == len(ap) and len(points) == f.target.n + 1 and geo.is_independent(points):
+        candidate = apartment_of(geo.base(points))
+        if all(c.masks in image for c in candidate.chambers):
+            return candidate
+    return None
 
 
 def preserves_apartments(f: ChamberMap, bases=None) -> ApartmentCheck:
@@ -272,9 +269,9 @@ def preserves_apartments(f: ChamberMap, bases=None) -> ApartmentCheck:
         bases = iter_bases(f.source)
     checked = 0
     for checked, base in enumerate(bases, start=1):
-        candidate, image_set = _image_apartment(f, apartment_of(base))
-        if candidate is None:
-            return ApartmentCheck(False, path, checked, base, image_set)
+        ap = apartment_of(base)
+        if _image_apartment(f, ap) is None:
+            return ApartmentCheck(False, path, checked, base, frozenset(map(f, ap.chambers)))
     return ApartmentCheck(True, path, checked)
 
 
@@ -307,11 +304,11 @@ def main_lemma_decompose(f: ChamberMap, base: Base):
     complement family of the image apartment, or the cases disagree.
     """
     ap = apartment_of(base)
-    image_ap, image_set = _image_apartment(f, ap)
+    image_ap = _image_apartment(f, ap)
     if image_ap is None:
         raise DecompositionError(
             "the image of the apartment is not an apartment",
-            witness=(base, image_set),
+            witness=(base, frozenset(map(f, ap.chambers))),
         )
     n = f.source.n
     pairs = [(i, j) for i in range(n + 1) for j in range(n + 1) if i != j]
@@ -431,30 +428,30 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     and sigma[i] is its index in the sorted image base.
     """
     source, target = Geometry.of(f.source), Geometry.of(f.target)
-    table = f.table
-    by_point = {}
-    for c in chambers_of(f.source):
-        by_point.setdefault(c.masks[0].bit_length() - 1, []).append(c)
+    chains, chamber = f.chains, partial(Chamber, source)  # chambers only for witnesses
+    by_point = {}  # the stars off one walk of flags: witnesses follow it, not the table
+    for chain in flags(f.source):
+        by_point.setdefault(chain[0].bit_length() - 1, []).append(chain)
 
     g, kinds = {}, {}
     for p, star in by_point.items():
-        images = [table[c] for c in star]
-        common_point = _common_value([c.masks[0] for c in images])
-        common_hyp = _common_value([c.masks[-1] for c in images])
+        images = [chains[c] for c in star]
+        common_point = _common_value([c[0] for c in images])
+        common_hyp = _common_value([c[-1] for c in images])
         if (common_point is None) == (common_hyp is None):
             if common_point is not None:
                 raise ReconstructionError(
-                    f"images of the chambers through {star[0].point} collapse; "
+                    f"images of the chambers through {source.point(p)} collapse; "
                     "no unique component map exists",
-                    witness=(star[0], star[-1]),
+                    witness=(chamber(star[0]), chamber(star[-1])),
                 )
             raise ReconstructionError(
-                f"chambers through {star[0].point} map to chambers sharing "
+                f"chambers through {source.point(p)} map to chambers sharing "
                 "neither a point nor a hyperplane",
-                witness=(
-                    *_witness_pair(star, images, lambda c: c.masks[0]),
-                    *_witness_pair(star, images, lambda c: c.masks[-1]),
-                ),
+                witness=tuple(map(chamber, (
+                    *_witness_pair(star, images, lambda c: c[0]),
+                    *_witness_pair(star, images, lambda c: c[-1]),
+                ))),
             )
         if common_point is not None:
             kinds[p], g[p] = "direct", common_point.bit_length() - 1
@@ -464,18 +461,18 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     if len(distinct) != 1:
         direct_p = next(p for p, k in kinds.items() if k == "direct")
         dual_p = next(p for p, k in kinds.items() if k == "dual")
-        a, b = by_point[direct_p][0], by_point[dual_p][0]
+        a, b = chamber(by_point[direct_p][0]), chamber(by_point[dual_p][0])
         raise MixedKindError(
             f"point {a.point} reconstructs as direct but {b.point} as dual",
             witness=(a, b),
         )
     kind = distinct.pop()
     image = _chain_image(target, g, kind == "dual")
-    for c in chambers_of(f.source):
-        if table[c].masks != image(c.masks):
+    for c in itertools.chain.from_iterable(by_point.values()):
+        if chains[c] != image(c):
             raise ReconstructionError(
                 "a chamber image is not componentwise induced by the point map",
-                witness=(c,),
+                witness=(chamber(c),),
             )
     preimage = {}
     for p in range(source.size):
@@ -484,7 +481,7 @@ def reconstruct(f: ChamberMap) -> Decomposition:
             raise ReconstructionError(
                 f"map is not injective: {source.point(other)} and "
                 f"{source.point(p)} share an image",
-                witness=(by_point[other][0], by_point[p][0]),
+                witness=(chamber(by_point[other][0]), chamber(by_point[p][0])),
             )
 
     try:

@@ -15,7 +15,7 @@ pairs of chains of masks in ``chambers_of`` order, which is the
 ``Chamber.sort_key`` order (so nothing is sorted), then the tables of RREF
 rows, each numbered in order of first use along the chains as written (a
 dual image chain after it is reversed).  ``dump_map`` feeds it a map's
-table, so a file round-trips byte-identically through
+chains, so a file round-trips byte-identically through
 ``dump_map``/``load_map``; ``encode_map`` returns the same document.
 ``dump_induced`` feeds it ``flags`` and ``flag_image`` of a semilinear map,
 so it builds no chamber and its memory grows with the subspaces.
@@ -23,10 +23,10 @@ so it builds no chamber and its memory grows with the subspaces.
 ``decode_map`` also reads ``chamber-map/1``, which spells every subspace of
 every chamber inline; its table is the distinct spellings, as read.  Each
 table entry is checked once, into a mask with no row reduction (a ``/2``
-table may not list a subspace twice).  A chamber is a lookup of its
-indices, its chain checked on the masks, and the map is built without the
-:class:`ChamberMap` constructor's second pass.  Every problem raises
-:class:`FormatError` with a message naming the offending entry.
+table may not list a subspace twice).  A chamber is the chain of masks at
+its indices, checked on the masks; the map holds those chains, with no
+:class:`Chamber` and no constructor pass.  Every problem raises
+:class:`FormatError` naming the offending entry.
 """
 
 from __future__ import annotations
@@ -118,9 +118,9 @@ def _table(geo: Geometry, entries, side: str) -> list:
     return list(pdims.items())
 
 
-def _chamber(geo: Geometry, table: list, side: str, ids) -> Chamber:
-    """The chamber at the indices ``ids`` of ``table``, a list of checked
-    ``(mask, pdim)``: the one path from a file to a chamber."""
+def _chamber(geo: Geometry, table: list, side: str, ids) -> tuple:
+    """The chain of masks at the indices ``ids`` of ``table``, a list of
+    checked ``(mask, pdim)``: the one path from a file to a chamber."""
     n, size = geo.space.n, len(table)
     # type(i) is int: JSON true and 1.0 would index like 1
     if not (isinstance(ids, list) and len(ids) == n
@@ -135,7 +135,7 @@ def _chamber(geo: Geometry, table: list, side: str, ids) -> Chamber:
             raise FormatError("not a chamber: chamber subspaces are not nested")
         masks.append(mask)
         prev = mask
-    return Chamber(geo, masks)
+    return tuple(masks)
 
 
 def _inline(geo: Geometry, table: list, side: str):
@@ -145,7 +145,7 @@ def _inline(geo: Geometry, table: list, side: str):
     n = geo.space.n
     memo = {}
 
-    def read(data) -> Chamber:
+    def read(data) -> tuple:
         if not isinstance(data, list) or len(data) != n:
             raise FormatError(f"a chamber must be a list of {n} subspaces, got {data!r}")
         ids = []
@@ -162,7 +162,8 @@ def _inline(geo: Geometry, table: list, side: str):
 
 def decode_chamber(space: ProjSpace, data) -> Chamber:
     """A chamber spelled as in ``chamber-map/1``: a list of subspaces."""
-    return _inline(Geometry.of(space), [], "source")(data)
+    geo = Geometry.of(space)
+    return Chamber(geo, _inline(geo, [], "source")(data))
 
 
 def _decode_space(entry, label: str) -> ProjSpace:
@@ -196,8 +197,8 @@ class _Numbering(dict):
 
 def _chains(f: ChamberMap):
     """The pairs of ``f`` as chains of masks, in ``chambers_of`` order."""
-    table = f.table
-    return ((c.masks, table[c].masks) for c in chambers_of(f.source))
+    chains = f.chains
+    return ((c.masks, chains[c.masks]) for c in chambers_of(f.source))
 
 
 def _indexed(chains):
@@ -264,17 +265,17 @@ def decode_map(data) -> ChamberMap:
         source_read = _inline(source_geo, [], "source")
         target_read = (source_read if target_geo is source_geo
                        else _inline(target_geo, [], "target"))
-    table = {}
+    chains = {}
     for entry in pairs:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"each pair must be [chamber, chamber], got {entry!r}")
         key = source_read(entry[0])
-        if key in table:
-            raise FormatError(f"duplicate source chamber {key!r}")
-        table[key] = target_read(entry[1])
-    # The keys are distinct chambers of source, at least chamber_count of
-    # them, so they are all of them once; every image is a target chamber.
-    return ChamberMap._trusted(source, target, table)
+        if key in chains:
+            raise FormatError(f"duplicate source chamber {Chamber(source_geo, key)!r}")
+        chains[key] = target_read(entry[1])
+    # The keys are distinct chains of source, at least chamber_count of
+    # them, so they are all of them once; every image is a target chain.
+    return ChamberMap._trusted(source, target, chains)
 
 
 def _compact(value) -> str:

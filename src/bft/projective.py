@@ -121,9 +121,10 @@ class Geometry:
 
     @classmethod
     def of(cls, space: ProjSpace) -> "Geometry":
-        geo = cls._instances.get(space)
+        key = space.n, space.q  # equal spaces; a ProjSpace hashes in Python
+        geo = cls._instances.get(key)
         if geo is None:
-            geo = cls._instances[space] = cls(space)
+            geo = cls._instances[key] = cls(space)
         return geo
 
     # ------------------------------------------------------------- points

@@ -128,7 +128,7 @@ def test_induced_tables_pass_the_public_checks(source, target):
 def test_identity_induces_identity():
     f = identity_map(PG22)
     assert all(f(c) == c for c in chambers_of(PG22))
-    assert len(f.image_chambers()) == len(f.table) and f.is_surjective()
+    assert len(set(f.table.values())) == len(f.table) and f.is_surjective()
 
 
 def test_correlation_reverses_roles_via_annihilators():
@@ -137,14 +137,14 @@ def test_correlation_reverses_roles_via_annihilators():
         image = f(c)
         assert image.parts[0] == dual_subspace(PG22, c.parts[1])
         assert image.parts[1] == dual_subspace(PG22, c.parts[0])
-    assert len(f.image_chambers()) == len(f.table) and f.is_surjective()
+    assert len(set(f.table.values())) == len(f.table) and f.is_surjective()
 
 
 def test_subfield_inclusion_map():
     semi = Semilinear.of(PG22, PG24, identity_semi(PG22).matrix)
     f = induce(semi)
     assert len(chambers_of(PG24)) == 105
-    assert len(f.image_chambers()) == len(f.table) == 21
+    assert len(set(f.table.values())) == len(f.table) == 21
     assert not f.is_surjective()
 
 

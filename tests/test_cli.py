@@ -493,6 +493,62 @@ def test_map_induce_builds_no_chamber_and_maps_each_subspace_once(
         assert calls == {"span": subspaces, "meet": 0}
 
 
+@pytest.mark.parametrize("n, q, target_q", [(3, 2, 2), (2, 3, 9)], ids=["PG32", "PG23-to-PG29"])
+@pytest.mark.parametrize("dual", [False, True], ids=["direct", "dual"])
+def test_certified_map_analyze_and_induce_build_no_chamber(
+    capsys, monkeypatch, tmp_path, n, q, target_q, dual
+):
+    """A chamber map is its table of mask chains.  ``map analyze`` reads an
+    induced file and certifies it with no ``chambers_of`` and no chamber,
+    and ``induce`` fills the table off the flag walk."""
+    from bft import buildings
+    from bft.counts import chamber_count
+    from bft.jsonio import dump_induced
+
+    source, target = bft.ProjSpace.of(n, q), bft.ProjSpace.of(n, target_q)
+    eye = [[int(r == c) for c in range(n + 1)] for r in range(n + 1)]
+    semi = bft.Semilinear.of(source, target, eye)
+    path = tmp_path / "m.json"
+    dump_induced(semi, path, dual=dual)
+
+    def refuse(*args):
+        raise AssertionError("a chamber was built")
+
+    _replace_everywhere(monkeypatch, buildings.chambers_of, refuse)
+    monkeypatch.setattr(buildings.Chamber, "__init__", refuse)
+    code, report, _ = run_json(capsys, "map", "analyze", str(path))
+    head = "collineation" if q == target_q else "strong-embedding"
+    assert code == 0
+    assert report["checks"][-1]["actual"] == f"{head}-{'dual' if dual else 'direct'}"
+    assert report["checks"][0]["note"].endswith("(certified: induced by a strong embedding)")
+    f = bft.induce(semi, dual=dual)
+    assert len(f.chains) == chamber_count(n, q)
+    with pytest.raises(AssertionError, match="a chamber was built"):
+        f.table  # the refusal is live: the Chamber view builds chambers
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 100), (3, 250)])
+def test_map_analyze_witness_does_not_follow_the_order_of_pairs(capsys, tmp_path, i, j):
+    """Pairs listed in reverse ``chambers_of`` order give the report, exit
+    code and stderr witness of the same pairs in order: reconstruction
+    walks the flags, not the file."""
+    path = tmp_path / "map.json"
+    run(capsys, "map", "induce", "--n", "3", "--q", "2",
+        "--matrix", "1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1", "--out", str(path))
+    data = json.loads(path.read_text())
+    pairs = data["pairs"]
+    pairs[i][1], pairs[j][1] = pairs[j][1], pairs[i][1]
+    results = []
+    for order in (pairs, pairs[::-1]):
+        path.write_text(json.dumps({**data, "pairs": order}))
+        code, out, err = run(capsys, "map", "analyze", str(path))
+        witness = [line for line in err.splitlines() if not line.startswith("elapsed ")]
+        results.append((code, out, witness))
+    assert results[0] == results[1]
+    code, _, witness = results[0]
+    assert code == 1 and witness[0].startswith("witness base: ")
+
+
 def test_map_induce_reports_the_pairs_it_wrote(capsys, monkeypatch, tmp_path):
     """``pairs-written`` is the count of pairs in the file, checked against
     the chamber count: a writer that came up short fails it."""

@@ -277,9 +277,10 @@ def test_map_induce_writes_the_pinned_bytes(tmp_path, argv, sha256):
 
 
 def _outcome(decode, data):
-    """The decoded table as ordered items, or the FormatError message."""
+    """The decoded chains as ordered items, in file order, or the
+    FormatError message."""
     try:
-        return list(decode(data).table.items())
+        return list(decode(data).chains.items())
     except FormatError as exc:
         return f"FormatError: {exc}"
 
@@ -376,7 +377,7 @@ def test_decode_map_matches_the_oracle(n, q, target_q, dual, perturb):
     assert isinstance(expected, str) == (perturb in CORRUPTIONS)
     assert _outcome(decode_map, data) == expected
     if perturb == "induced":
-        assert dict(expected) == f.table
+        assert dict(expected) == f.chains
 
 
 def _corrupt_v2(data, how):
@@ -442,7 +443,7 @@ def test_decode_map_matches_the_oracle_on_v2(n, q, target_q, dual, perturb):
     assert isinstance(expected, str) == (perturb in CORRUPTIONS_V2)
     assert _outcome(decode_map, data) == expected
     if perturb == "induced":
-        assert dict(expected) == f.table
+        assert dict(expected) == f.chains
 
 
 def test_v1_and_v2_files_decode_to_the_same_table():

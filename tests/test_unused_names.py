@@ -10,10 +10,10 @@ so ``apartment.chamber_of_perm(...)`` cannot keep a dead module-level
 used only if ``src/bft`` or ``perfbench/`` reads an attribute of that name,
 or if ``perfbench/`` holds the exact string ``"Class.method"``: a local
 variable that shares the method's name, or the other half of a dotted
-string, does not count.  One blind spot is left: an attribute counts for
-every class with a method of its name, so ``", ".join(...)`` keeps
-``Subspace.join`` alive.  Tests do not count: a helper only its own tests
-call is dead code.
+string, does not count, and neither does an attribute of a ``str`` or
+``bytes`` literal: ``", ".join(...)`` does not keep ``Subspace.join``
+alive.  Otherwise an attribute counts for every class with a method of its
+name.  Tests do not count: a helper only its own tests call is dead code.
 """
 
 import ast
@@ -107,11 +107,13 @@ def test_every_public_helper_is_used_or_kept_for_a_stated_reason():
 
 
 def _attributes(trees):
+    """Attributes read in ``trees``, except those of ``str`` and ``bytes`` literals."""
     return {
         node.attr
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
+        and not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, (str, bytes)))
     }
 
 
@@ -122,6 +124,11 @@ def _strings(trees):
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
+
+
+def test_an_attribute_of_a_string_literal_is_no_use():
+    tree = ast.parse('", ".split(text); b"".hex(); space.join(a, b)')
+    assert _attributes([tree]) == {"join"}
 
 
 def test_every_public_method_is_used_or_kept_for_a_stated_reason():
