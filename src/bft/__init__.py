@@ -24,12 +24,10 @@ from .buildings import (
     Apartment,
     Chamber,
     ScaleError,
-    adjacent,
     all_bases,
     apartment_of,
     apartments_containing,
     chambers_of,
-    common_apartment,
 )
 from .combinatorics import (
     FamilyConsistencyError,
@@ -40,7 +38,6 @@ from .combinatorics import (
     complement_chamber,
     complement_family,
     copoint_family,
-    d_transform,
     disposition,
     intersection_count,
     is_exact,

@@ -9,8 +9,8 @@ exactly q + 1 chambers, so the complex is thick.
 A chamber is its chain: the tuple of subspace masks over the space's
 :class:`~bft.projective.Geometry` that :func:`flags` yields, which is all a
 chamber map stores.  :class:`Chamber` wraps a chain with its geometry for
-``parts``, ``point``, ``hyperplane`` and ``sort_key``, read-only views in
-coordinates and canonical RREF rows.
+``point`` and ``sort_key``, read-only views in coordinates and canonical
+RREF rows.
 
 An apartment is the set of (n+1)! chambers built from one base: each
 ordering of the base points yields the chamber of its prefix spans.
@@ -22,9 +22,8 @@ every panel lies in exactly 2 chambers.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial
 
-from .gf import Subspace
 from .projective import Base, Geometry, ProjSpace, bits
 
 # Default ceilings for exhaustive sweeps; pass force=True to go beyond.
@@ -45,12 +44,6 @@ class Chamber:
         self.masks = tuple(masks)
         self._hash = hash(self.masks)
 
-    @classmethod
-    def of(cls, space: ProjSpace, parts) -> "Chamber":
-        """The chamber of a sequence of :class:`Subspace` values."""
-        geo = Geometry.of(space)
-        return cls(geo, [geo.mask_of(part) for part in parts])
-
     def __eq__(self, other):
         return (
             isinstance(other, Chamber)
@@ -62,16 +55,8 @@ class Chamber:
         return self._hash
 
     @property
-    def parts(self) -> tuple[Subspace, ...]:
-        return tuple(map(self.geometry.subspace, self.masks))
-
-    @property
     def point(self) -> tuple[int, ...]:
         return self.geometry.point(self.masks[0].bit_length() - 1)
-
-    @property
-    def hyperplane(self) -> Subspace:
-        return self.geometry.subspace(self.masks[-1])
 
     def sort_key(self):
         return tuple(map(self.geometry.rows, self.masks))
@@ -146,19 +131,6 @@ def chambers_of(space: ProjSpace) -> tuple[Chamber, ...]:
     """Every chamber, in the order of :func:`flags`."""
     # a list grows in place, a tuple read from an iterator is resized
     return tuple(list(map(partial(Chamber, Geometry.of(space)), flags(space))))
-
-
-def adjacent(c1: Chamber, c2: Chamber) -> bool:
-    """True when the chambers share a panel (differ in one position)."""
-    if len(c1.masks) != len(c2.masks):
-        raise ValueError("chambers of different rank")
-    return sum(a != b for a, b in zip(c1.masks, c2.masks)) == 1
-
-
-def panels_of(chamber: Chamber):
-    """The n walls of a chamber, as hashable keys."""
-    masks = chamber.masks
-    return tuple((k, masks[:k] + masks[k + 1 :]) for k in range(len(masks)))
 
 
 @lru_cache(maxsize=None)
@@ -304,35 +276,3 @@ def apartments_containing(space: ProjSpace, chambers):
         raise ValueError("not a chamber of this space") from None
     ids = frozenset.intersection(*sets)
     return tuple(bases[i] for i in sorted(ids))
-
-
-def common_apartment(c1: Chamber, c2: Chamber) -> Base:
-    """A base whose apartment contains both chambers.
-
-    Constructive: complete both flags with the zero and full spaces,
-    take the rank matrix d[i][j] of pairwise meets, and pick one new
-    point for each unit jump cell, lexicographically smallest outside
-    the two neighbouring meets.  The n+1 picked points are independent
-    and adapted to both chains.  Deterministic; the postcondition is
-    verified before returning.
-    """
-    geo = c1.geometry
-    space = geo.space
-    check_chamber(space, c1)
-    check_chamber(space, c2)
-    chain_u = [0, *c1.masks, geo.full]
-    chain_w = [0, *c2.masks, geo.full]
-    meets = [[u & w for w in chain_w] for u in chain_u]
-    ranks = [[geo.rank(m) for m in row] for row in meets]
-    picks = []
-    for i in range(1, space.ambient + 1):
-        for j in range(1, space.ambient + 1):
-            jump = ranks[i][j] - ranks[i - 1][j] - ranks[i][j - 1] + ranks[i - 1][j - 1]
-            if jump == 1:
-                boundary = reduce(geo.join_point, bits(meets[i][j - 1]), meets[i - 1][j])
-                picks.append(next(bits(meets[i][j] & ~boundary)))
-    base = Base.of(space, [geo.point(p) for p in picks])
-    apt = apartment_of(base)
-    if c1 not in apt.chamber_set or c2 not in apt.chamber_set:
-        raise AssertionError("common apartment construction failed its postcondition")
-    return base

@@ -67,7 +67,7 @@ from .combinatorics import (
     copoint_family,
     point_family,
 )
-from .counts import apartment_count, chamber_count
+from .counts import apartment_count
 from .gf import Subspace
 from .projective import (
     Base,
@@ -100,15 +100,6 @@ __all__ = [
     "classify",
     "dual_point",
 ]
-
-LABELS = (
-    "collineation-direct",
-    "collineation-dual",
-    "strong-embedding-direct",
-    "strong-embedding-dual",
-    "not-apartment-preserving",
-    "apartment-preserving-not-induced",
-)
 
 
 class AnalysisError(RuntimeError):
@@ -181,10 +172,6 @@ class ChamberMap:
             f"ChamberMap(PG({self.source.n},{self.source.q}) -> "
             f"PG({self.target.n},{self.target.q}), {len(self.chains)} chambers)"
         )
-
-    def is_surjective(self) -> bool:
-        """Onto: as many distinct images as the target has chambers."""
-        return len(set(self.chains.values())) == chamber_count(self.target.n, self.target.q)
 
 
 def dual_point(space: ProjSpace, hyperplane: Subspace) -> tuple[int, ...]:
@@ -587,7 +574,7 @@ def analyze(f: ChamberMap) -> Analysis:
                 return Analysis(check, "apartment-preserving-not-induced", error=exc)
         return Analysis(check, "not-apartment-preserving")
     check = ApartmentCheck(True, "certified", apartment_count(f.source.n, f.source.q))
-    onto = len(decomposition.g) == len(points_of(f.target))  # g is injective
+    onto = len(decomposition.g) == Geometry.of(f.target).size  # g is injective
     head = "collineation" if onto else "strong-embedding"
     return Analysis(check, f"{head}-{decomposition.kind}", decomposition)
 

@@ -57,7 +57,6 @@ __all__ = [
     "max_inexact_family",
     "complement_family",
     "complement_chamber",
-    "d_transform",
     "disposition",
     "intersection_count",
     "closed_form",
@@ -259,20 +258,6 @@ def complement_chamber(ap: Apartment, chamber: Chamber) -> Chamber:
     """
     perm = ap.perm_of_chamber(chamber)
     return ap.chamber_of_perm(tuple(reversed(perm)))
-
-
-def d_transform(ap: Apartment, i: int, j: int, chamber: Chamber) -> Chamber:
-    """Swap the roles of base points i and j in the chamber's permutation.
-
-    A fixed-point-free involution of the apartment; it exchanges
-    ``point_copoint_family(k, m) & residual_family(i, j)`` with its
-    complement inside ``point_copoint_family(k, m)`` for k, m outside
-    {i, j}.
-    """
-    _check_pair(ap.space.n, i, j)
-    perm = ap.perm_of_chamber(chamber)
-    swap = {i: j, j: i}
-    return ap.chamber_of_perm(tuple(swap.get(v, v) for v in perm))
 
 
 def _check_index_pair(pair) -> tuple[int, int]:

@@ -205,16 +205,6 @@ class GF:
                     return False
         return True
 
-    def frobenius(self) -> tuple[int, ...]:
-        """The code map of x -> x^char (identity on prime fields)."""
-        out = []
-        for a in range(self.q):
-            acc = 1
-            for _ in range(self.char):
-                acc = self.mul[acc][a]
-            out.append(acc)
-        return tuple(out)
-
 
 def rref(vectors, gf: GF, ambient: int | None = None):
     """Reduced row echelon form of a list of vectors; zero rows dropped.
@@ -256,9 +246,8 @@ def rref(vectors, gf: GF, ambient: int | None = None):
 class Subspace(Value):
     """A subspace of GF(q)^ambient held as its canonical RREF basis.
 
-    ``rank`` is the linear dimension; ``pdim = rank - 1`` is the
-    projective dimension, with -1 denoting the zero space.  Build
-    through :meth:`span` unless the rows are already canonical.
+    ``rank`` is the linear dimension.  Build through :meth:`span` unless
+    the rows are already canonical.
     """
 
     __slots__ = ("gf", "ambient", "rows")
@@ -274,16 +263,8 @@ class Subspace(Value):
     def rank(self) -> int:
         return len(self.rows)
 
-    @property
-    def pdim(self) -> int:
-        return len(self.rows) - 1
-
     def _pivots(self):
         return [next(c for c, x in enumerate(row) if x) for row in self.rows]
-
-    def _check_mate(self, other: "Subspace"):
-        if other.gf != self.gf or other.ambient != self.ambient:
-            raise FieldError("subspaces live over different fields or ambients")
 
     def contains_vector(self, v) -> bool:
         if len(v) != self.ambient:
@@ -295,21 +276,6 @@ class Subspace(Value):
             if c:
                 v = [add[x][neg[mul[c][y]]] for x, y in zip(v, row)]
         return not any(v)
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check_mate(other)
-        return all(self.contains_vector(r) for r in other.rows)
-
-    def extended_by(self, v) -> "Subspace":
-        return Subspace.span(self.gf, self.ambient, self.rows + (tuple(v),))
-
-    def join(self, other: "Subspace") -> "Subspace":
-        self._check_mate(other)
-        return Subspace.span(self.gf, self.ambient, self.rows + other.rows)
-
-    def meet(self, other: "Subspace") -> "Subspace":
-        self._check_mate(other)
-        return self.annihilator().join(other.annihilator()).annihilator()
 
     def annihilator(self) -> "Subspace":
         """The space of vectors orthogonal to every row under the

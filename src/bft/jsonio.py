@@ -46,7 +46,6 @@ __all__ = [
     "FormatError",
     "parse_rows",
     "encode_chamber",
-    "decode_chamber",
     "encode_map",
     "decode_map",
     "dump_map",
@@ -160,12 +159,6 @@ def _inline(geo: Geometry, table: list, side: str):
     return read
 
 
-def decode_chamber(space: ProjSpace, data) -> Chamber:
-    """A chamber spelled as in ``chamber-map/1``: a list of subspaces."""
-    geo = Geometry.of(space)
-    return Chamber(geo, _inline(geo, [], "source")(data))
-
-
 def _decode_space(entry, label: str) -> ProjSpace:
     if not isinstance(entry, dict) or "n" not in entry or "q" not in entry:
         raise FormatError(f"{label} must be an object with 'n' and 'q'")
@@ -237,6 +230,9 @@ def decode_map(data) -> ChamberMap:
         )
     source = _decode_space(data.get("source"), "source")
     target = _decode_space(data.get("target"), "target")
+    dual = data["target"].get("dual", False)
+    if type(dual) is not bool:
+        raise FormatError(f"target 'dual' must be true or false, got {dual!r}")
     if source.n != target.n:
         raise FormatError("source and target dimensions differ")
     pairs = data.get("pairs")

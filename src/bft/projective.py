@@ -288,9 +288,6 @@ class Base(Value):
             raise ValueError("base points are linearly dependent")
         return cls(space, pts)
 
-    def index(self, point) -> int:
-        return self.points.index(tuple(point))
-
 
 def standard_base(space: ProjSpace) -> Base:
     return Base.of(
@@ -322,7 +319,7 @@ class Semilinear(Value):
     """An injective semilinear map between spaces of equal dimension.
 
     ``sigma`` is a field homomorphism GF(q) -> GF(q') as a code table
-    (use ``GF.embedding_into`` or ``GF.frobenius``); ``matrix`` is an
+    (such as ``GF.embedding_into``); ``matrix`` is an
     (n+1) x (n+1) matrix over the target field, applied on the right of
     row vectors.  Construction fails if sigma is not a homomorphism or
     the matrix is singular over the target field, so every instance
@@ -367,9 +364,6 @@ class Semilinear(Value):
             if s:
                 w = [gf.add[a][gf.mul[s][b]] for a, b in zip(w, row)]
         return tuple(w)
-
-    def apply_point(self, point) -> tuple[int, ...]:
-        return normalize_point(self.target, self.apply_vector(point))
 
     def apply_subspace(self, sub: Subspace) -> Subspace:
         if sub.gf != self.source.gf or sub.ambient != self.source.ambient:

@@ -2,6 +2,7 @@ import random
 
 from bft.gf import Subspace
 from bft.projective import Base
+from reference import extended_by
 
 # The north star's ladder of spaces, as (n, q).
 LADDER = [(2, 2), (3, 2), (2, 9), (3, 3), (4, 2)]
@@ -24,6 +25,6 @@ def oracle_chamber_of_perm(base: Base, perm):
     current = base.space.subspace([base.points[perm[0]]])
     parts = [current]
     for idx in perm[1:-1]:
-        current = current.extended_by(base.points[idx])
+        current = extended_by(current, base.points[idx])
         parts.append(current)
     return tuple(parts)

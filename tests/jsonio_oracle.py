@@ -1,5 +1,5 @@
-"""The slow oracle for :func:`bft.jsonio.decode_map` and
-:func:`bft.jsonio.decode_chamber`, and the ``chamber-map/1`` encoder.
+"""The slow oracle for :func:`bft.jsonio.decode_map` and its
+``chamber-map/1`` chamber reader, and the ``chamber-map/1`` encoder.
 
 Every subspace, whether a ``chamber-map/2`` table entry or a subspace spelled
 inline in a ``chamber-map/1`` chamber, is shape-checked on its own and
@@ -123,6 +123,8 @@ def decode_map(data) -> ChamberMap:
         raise FormatError(f"unknown schema {schema!r}; expected {SCHEMA!r} or {SCHEMA_1!r}")
     source = _decode_space(data.get("source"), "source")
     target = _decode_space(data.get("target"), "target")
+    if "dual" in data["target"] and not isinstance(data["target"]["dual"], bool):
+        raise FormatError(f"target 'dual' must be true or false, got {data['target']['dual']!r}")
     if source.n != target.n:
         raise FormatError("source and target dimensions differ")
     pairs = data.get("pairs")

@@ -16,8 +16,6 @@ from bft.buildings import (
     all_bases,
     apartment_of,
     chambers_of,
-    common_apartment,
-    panels_of,
 )
 from bft.chamber_maps import ChamberMap, analyze, classify, induce
 from bft.combinatorics import (
@@ -37,6 +35,7 @@ from bft.combinatorics import (
 from bft.gf import GF
 from bft.projective import ProjSpace, Semilinear, points_of, standard_base
 from conftest import random_invertible
+from reference import apply_point, common_apartment, panels_of, parts
 
 PG22 = ProjSpace.of(2, 2)
 PG32 = ProjSpace.of(3, 2)
@@ -222,7 +221,7 @@ def test_collineation_round_trip():
                 problems.append(f"n={n} q={q} #{t}: direct label {label}")
                 continue
             d = result.decomposition
-            if d.g != {p: semi.apply_point(p) for p in points_of(space)}:
+            if d.g != {p: apply_point(semi, p) for p in points_of(space)}:
                 problems.append(f"n={n} q={q} #{t}: point action differs")
             dual_label = classify(induce(semi, dual=True))
             if dual_label != "collineation-dual":
@@ -274,7 +273,7 @@ def test_negative_detection():
     for k in range(10):
         c1 = chambers[k]
         c2 = next(
-            c for c in chambers if len(set(c.parts) & set(c1.parts)) == 1
+            c for c in chambers if len(set(parts(c)) & set(parts(c1))) == 1
         )
         table = dict(identity_table)
         table[c1], table[c2] = table[c2], table[c1]

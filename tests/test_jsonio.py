@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,14 +18,14 @@ from conftest import LADDER, LADDER_IDS, random_invertible
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bft.buildings import chambers_of, flags
+from bft.buildings import Chamber, chambers_of, flags
 from bft.chamber_maps import ChamberMap, induce
 from bft.cli import main
 from bft.counts import chamber_count
 from bft.jsonio import (
     SCHEMA,
     FormatError,
-    decode_chamber,
+    _inline,
     decode_map,
     dump_induced,
     dump_map,
@@ -55,6 +56,13 @@ def test_parse_rows():
 
 
 # ----------------------------------------------------------------- chambers
+
+
+def decode_chamber(space, data):
+    """A chamber spelled as in ``chamber-map/1``, read as ``decode_map``
+    reads the chambers of a ``/1`` file."""
+    geo = Geometry.of(space)
+    return Chamber(geo, _inline(geo, [], "source")(data))
 
 
 def test_chamber_round_trip():
@@ -120,6 +128,13 @@ def test_decode_map_validation():
             decode_map({**data, "source": {"n": 2, "q": 6}})
         with pytest.raises(FormatError, match="dimensions differ"):
             decode_map({**data, "target": {"n": 3, "q": 2, "dual": False}})
+        # only JSON true and false say whether a map is dual
+        for bad in ("yes", 1, 0, None, [True]):
+            target = {**data["target"], "dual": bad}
+            for decode in (decode_map, oracle.decode_map):
+                message = f"target 'dual' must be true or false, got {bad!r}"
+                with pytest.raises(FormatError, match=re.escape(message)):
+                    decode({**data, "target": target})
         # 2.0 == 2 and true == 1, but only a JSON integer names a dimension or order
         for bad in ({"n": 2, "q": 2.0}, {"n": 2.0, "q": 2}, {"n": 2, "q": True},
                     {"n": True, "q": 2}):

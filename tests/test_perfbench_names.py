@@ -67,6 +67,28 @@ def test_every_name_the_benchmark_looks_up_resolves():
     assert missing == []
 
 
+def test_import_cli_loads_every_module():
+    """``perfbench/traced.py`` runs ``import bft.cli`` and then patches only
+    the ``bft`` modules in ``sys.modules``: a module that loads later, on
+    first use, would go untraced, and the ``TRACED`` names in it would fail
+    with a ``KeyError`` inside ``traced.py``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, bft.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    modules = {f"bft.{p.stem}" for p in (ROOT / "src" / "bft").glob("*.py")} - {"bft.__init__"}
+    missing = sorted(modules - set(done.stdout.split()))
+    assert not missing, (
+        f"import bft.cli does not load {missing}; perfbench/traced.py patches only "
+        "the modules import bft.cli loads, so it cannot trace them"
+    )
+
+
 def test_a_traced_request_runs(tmp_path):
     out = tmp_path / "trace.json"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -17,6 +17,7 @@ from bft import ChamberMap, ProjSpace, analyze, points_of
 from bft.buildings import Chamber
 from bft.projective import Base
 from conftest import oracle_chamber_of_perm
+from reference import chamber_of
 
 PG22 = ProjSpace.of(2, 2)
 
@@ -25,7 +26,7 @@ def oracle_apartments(space):
     """The chamber sets of every apartment, from RREF rows alone."""
     perms = list(itertools.permutations(range(space.n + 1)))
     return [
-        frozenset(Chamber.of(space, oracle_chamber_of_perm(base, perm)) for perm in perms)
+        frozenset(chamber_of(space, oracle_chamber_of_perm(base, perm)) for perm in perms)
         for base in (
             Base.of(space, points)
             for points in itertools.combinations(points_of(space), space.n + 1)
