@@ -6,9 +6,9 @@ adjacent when they differ in exactly one position; the n-1 shared
 subspaces form the common panel.  Every panel of PG(n, q) lies in
 exactly q + 1 chambers, so the complex is thick.
 
-A chamber is its chain: the tuple of subspace masks over the space's
-:class:`~bft.projective.Geometry` that :func:`flags` yields, which is all a
-chamber map stores.  :class:`Chamber` wraps a chain with its geometry for
+A chamber is its chain: the tuple of subspace masks over its
+:class:`~bft.projective.ProjSpace` that :func:`flags` yields, which is all a
+chamber map stores.  :class:`Chamber` wraps a chain with its space for
 ``point`` and ``sort_key``, read-only views in coordinates and canonical
 RREF rows.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache, partial
 
-from .projective import Base, Geometry, ProjSpace, bits
+from .projective import Base, ProjSpace, bits
 
 # Default ceilings for exhaustive sweeps; pass force=True to go beyond.
 BASE_ENUM_CAP = (4, 3)  # (max n, max q) for enumerating every base
@@ -37,10 +37,10 @@ class ScaleError(RuntimeError):
 class Chamber:
     """A maximal flag, held as its subspace masks by pdim."""
 
-    __slots__ = ("geometry", "masks", "_hash")
+    __slots__ = ("space", "masks", "_hash")
 
-    def __init__(self, geometry: Geometry, masks):
-        self.geometry = geometry
+    def __init__(self, space: ProjSpace, masks):
+        self.space = space
         self.masks = tuple(masks)
         self._hash = hash(self.masks)
 
@@ -48,7 +48,7 @@ class Chamber:
         return (
             isinstance(other, Chamber)
             and self.masks == other.masks
-            and self.geometry is other.geometry
+            and self.space is other.space
         )
 
     def __hash__(self):
@@ -56,10 +56,10 @@ class Chamber:
 
     @property
     def point(self) -> tuple[int, ...]:
-        return self.geometry.point(self.masks[0].bit_length() - 1)
+        return self.space.point(self.masks[0].bit_length() - 1)
 
     def sort_key(self):
-        return tuple(map(self.geometry.rows, self.masks))
+        return tuple(map(self.space.rows, self.masks))
 
     def __repr__(self):
         return "Chamber" + repr(self.sort_key())
@@ -70,12 +70,11 @@ def check_chamber(space: ProjSpace, chamber: Chamber):
     masks = chamber.masks
     if len(masks) != space.n:
         raise ValueError(f"a chamber of {space!r} has {space.n} subspaces")
-    geo = chamber.geometry
-    if geo is not Geometry.of(space):
+    if chamber.space is not space:
         raise ValueError("chamber subspace does not live in this space")
     prev = 0
     for k, mask in enumerate(masks):
-        pdim = geo.rank(mask) - 1
+        pdim = space.rank(mask) - 1
         if pdim != k:
             raise ValueError(f"expected pdim {k} at position {k}, got {pdim}")
         if mask & prev != prev:
@@ -96,10 +95,9 @@ def flags(space: ProjSpace):
     those through its last point); only the points they leave out are
     joined to it, each giving a new cover.
     """
-    geo = Geometry.of(space)
     covers: dict[int, list[tuple[int]]] = {}
     # through[k][p]: the subspaces of pdim k found so far that hold point p
-    through = [[[] for _ in range(geo.size)] for _ in range(space.n)]
+    through = [[[] for _ in range(space.size)] for _ in range(space.n)]
 
     def extend(chain):
         """The chain followed by each cover of its last subspace, in order."""
@@ -107,20 +105,20 @@ def flags(space: ProjSpace):
         if last not in covers:
             level = through[len(chain)]
             found = [t for t in level[last.bit_length() - 1] if t & last == last]
-            rest = geo.full & ~last
+            rest = space.full & ~last
             for cover in found:
                 rest &= ~cover
             while rest:
-                cover = geo.join_point(last, (rest & -rest).bit_length() - 1)
+                cover = space.join_point(last, (rest & -rest).bit_length() - 1)
                 found.append(cover)
                 for p in bits(cover):
                     level[p].append(cover)
                 rest &= ~cover
-            covers[last] = [(cover,) for cover in sorted(found, key=geo.rows)]
+            covers[last] = [(cover,) for cover in sorted(found, key=space.rows)]
         return map(chain.__add__, covers[last])
 
     # Lazy iterators, one per level: a chain passes through no Python frame.
-    chains = iter([(1 << p,) for p in range(geo.size)])
+    chains = iter([(1 << p,) for p in range(space.size)])
     for _ in range(space.n - 1):
         chains = itertools.chain.from_iterable(map(extend, chains))
     return chains
@@ -130,7 +128,7 @@ def flags(space: ProjSpace):
 def chambers_of(space: ProjSpace) -> tuple[Chamber, ...]:
     """Every chamber, in the order of :func:`flags`."""
     # a list grows in place, a tuple read from an iterator is resized
-    return tuple(list(map(partial(Chamber, Geometry.of(space)), flags(space))))
+    return tuple(list(map(partial(Chamber, space), flags(space))))
 
 
 @lru_cache(maxsize=None)
@@ -159,17 +157,16 @@ class Apartment:
 
     def __init__(self, base: Base):
         self.base = base
-        self.space = base.space
-        geo = Geometry.of(self.space)
-        ids = [geo.id_of(p) for p in base.points]
+        self.space = space = base.space
+        ids = [space.id_of(p) for p in base.points]
         spans = [0] * (1 << len(ids))
         for subset in range(1, len(spans) - 1):
             top = subset.bit_length() - 1
-            spans[subset] = geo.join_point(spans[subset ^ 1 << top], ids[top])
+            spans[subset] = space.join_point(spans[subset ^ 1 << top], ids[top])
         table = _perm_prefixes(len(ids))
         self.perms = tuple(perm for perm, _ in table)
         self.chambers = tuple(
-            Chamber(geo, [spans[s] for s in prefixes]) for _, prefixes in table
+            Chamber(space, [spans[s] for s in prefixes]) for _, prefixes in table
         )
         self.chamber_set = frozenset(self.chambers)
 
@@ -230,18 +227,17 @@ def iter_bases(space: ProjSpace, force: bool = False):
             f"enumerating all bases of {space!r} exceeds the default cap "
             f"n <= {max_n}, q <= {max_q}; pass force=True to override"
         )
-    geo = Geometry.of(space)
     last = space.ambient - 1
 
     def extend(ids, span):
         start = ids[-1] + 1 if ids else 0
-        for p in range(start, geo.size):
+        for p in range(start, space.size):
             if span >> p & 1:
                 continue
             if len(ids) == last:
-                yield geo.base(ids + [p])
+                yield space.base(ids + [p])
             else:
-                yield from extend(ids + [p], geo.join_point(span, p))
+                yield from extend(ids + [p], space.join_point(span, p))
 
     yield from extend([], 0)
 

@@ -71,7 +71,6 @@ from .counts import apartment_count
 from .gf import Subspace
 from .projective import (
     Base,
-    Geometry,
     MapError,
     ProjSpace,
     Semilinear,
@@ -161,11 +160,11 @@ class ChamberMap:
 
     @property
     def table(self) -> dict:
-        target, chains = Geometry.of(self.target), self.chains
+        target, chains = self.target, self.chains
         return {c: Chamber(target, chains[c.masks]) for c in chambers_of(self.source)}
 
     def __call__(self, chamber: Chamber) -> Chamber:
-        return Chamber(Geometry.of(self.target), self.chains[chamber.masks])
+        return Chamber(self.target, self.chains[chamber.masks])
 
     def __repr__(self):
         return (
@@ -182,7 +181,7 @@ def dual_point(space: ProjSpace, hyperplane: Subspace) -> tuple[int, ...]:
     return ann.rows[0]
 
 
-def _chain_image(target: Geometry, images, dual: bool):
+def _chain_image(target: ProjSpace, images, dual: bool):
     """The function sending a source chain of masks to its image chain
     under a point map, memoised per source subspace.
 
@@ -207,7 +206,7 @@ def flag_image(semi: Semilinear, dual: bool = False):
     """The function sending a source chain of masks to its image chain
     under ``semi``: each point goes to the point ``semi`` sends it to, or
     with ``dual=True`` to that point's perp, a hyperplane."""
-    source, target = Geometry.of(semi.source), Geometry.of(semi.target)
+    source, target = semi.source, semi.target
     images = [target.id_of(semi.apply_vector(source.point(p))) for p in range(source.size)]
     if dual:
         images = list(map(target.perp, images))
@@ -235,9 +234,9 @@ def _image_apartment(f: ChamberMap, ap: Apartment):
     """The target apartment of the images of ``ap``'s chambers, or None."""
     image = {f.chains[c.masks] for c in ap.chambers}
     points = {chain[0].bit_length() - 1 for chain in image}
-    geo = Geometry.of(f.target)
-    if len(image) == len(ap) and len(points) == f.target.n + 1 and geo.is_independent(points):
-        candidate = apartment_of(geo.base(points))
+    target = f.target
+    if len(image) == len(ap) and len(points) == target.n + 1 and target.is_independent(points):
+        candidate = apartment_of(target.base(points))
         if all(c.masks in image for c in candidate.chambers):
             return candidate
     return None
@@ -272,10 +271,10 @@ def _witness_bases(*chambers: Chamber):
     """
     seen = set()
     for chamber in chambers:
-        geo = chamber.geometry
-        chain = (0, *chamber.masks, geo.full)
+        space = chamber.space
+        chain = (0, *chamber.masks, space.full)
         layers = [bits(high & ~low) for low, high in zip(chain, chain[1:])]
-        for base in map(geo.base, itertools.product(*layers)):
+        for base in map(space.base, itertools.product(*layers)):
             if base not in seen:
                 seen.add(base)
                 yield base
@@ -414,7 +413,7 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     base point i goes to g(p_i), or when dual to the meet of g(p_j), j != i,
     and sigma[i] is its index in the sorted image base.
     """
-    source, target = Geometry.of(f.source), Geometry.of(f.target)
+    source, target = f.source, f.target
     chains, chamber = f.chains, partial(Chamber, source)  # chambers only for witnesses
     by_point = {}  # the stars off one walk of flags: witnesses follow it, not the table
     for chain in flags(f.source):
@@ -483,7 +482,7 @@ def reconstruct(f: ChamberMap) -> Decomposition:
             ms = [reduce(and_, ms[:i] + ms[i + 1 :]) for i in range(len(ms))]
         sigma_by_base[base] = tuple(map(sorted(ms).index, ms)), case
 
-    view = target.subspace if kind == "dual" else target.point
+    view = target.subspace_of if kind == "dual" else target.point
     g = {source.point(p): view(m) for p, m in g.items()}
     return Decomposition(kind=kind, g=g, sigma_by_base=sigma_by_base)
 
@@ -518,16 +517,15 @@ def verify_strong_embedding(source: ProjSpace, target: ProjSpace, g: dict) -> No
                 f"map is not injective: {other} and {p} share an image",
                 witness=(other, p),
             )
-    sgeo, tgeo = Geometry.of(source), Geometry.of(target)
-    image_id = [tgeo.id_of(g[p]) for p in pts]
-    masks = {m for c in chambers_of(source) for m in c.masks} | {sgeo.full}
-    for mask in sorted(masks, key=lambda m: (sgeo.rank(m), m)):
-        rank = sgeo.rank(mask)
-        image_rank = tgeo.rank(tgeo.span(image_id[p] for p in bits(mask)))
+    image_id = [target.id_of(g[p]) for p in pts]
+    masks = {m for c in chambers_of(source) for m in c.masks} | {source.full}
+    for mask in sorted(masks, key=lambda m: (source.rank(m), m)):
+        rank = source.rank(mask)
+        image_rank = target.rank(target.span(image_id[p] for p in bits(mask)))
         if image_rank != rank:
             raise ReconstructionError(
-                f"subspace {sgeo.rows(mask)} of rank {rank} spans rank {image_rank}",
-                witness=sgeo.subspace(mask),
+                f"subspace {source.rows(mask)} of rank {rank} spans rank {image_rank}",
+                witness=source.subspace_of(mask),
             )
 
 
@@ -574,7 +572,7 @@ def analyze(f: ChamberMap) -> Analysis:
                 return Analysis(check, "apartment-preserving-not-induced", error=exc)
         return Analysis(check, "not-apartment-preserving")
     check = ApartmentCheck(True, "certified", apartment_count(f.source.n, f.source.q))
-    onto = len(decomposition.g) == Geometry.of(f.target).size  # g is injective
+    onto = len(decomposition.g) == f.target.size  # g is injective
     head = "collineation" if onto else "strong-embedding"
     return Analysis(check, f"{head}-{decomposition.kind}", decomposition)
 

@@ -36,7 +36,7 @@ from math import factorial
 
 from .buildings import apartment_of
 from .chamber_maps import analyze
-from .counts import apartment_count, chamber_count, gaussian_binomial, point_count
+from .counts import MAX_DIMENSION, apartment_count, chamber_count, gaussian_binomial, point_count
 from .gf import SUPPORTED_ORDERS, FieldError
 from .jsonio import FormatError, dump_induced, encode_chamber, load_map, parse_rows
 from .lemmas import CheckRow, case_row, structural_rows
@@ -111,8 +111,8 @@ def _fail(message: str) -> None:
 def _check_space_args(n: int, q: int, force: bool = True) -> str | None:
     if n < 2:
         return f"projective dimension must be at least 2, got {n}"
-    if n > 64:  # from n = 68 at q = 9, apartment_count has too many digits for str()
-        return f"projective dimension must be at most 64, got {n}"
+    if n > MAX_DIMENSION:
+        return f"projective dimension must be at most {MAX_DIMENSION}, got {n}"
     if q not in SUPPORTED_ORDERS:
         return (
             f"unsupported field order {q}; supported: "
@@ -156,9 +156,7 @@ def cmd_apartment(args) -> int:
         return 2
     space = ProjSpace.of(args.n, args.q)
     try:
-        base = (
-            Base.of(space, parse_rows(args.base)) if args.base else standard_base(space)
-        )
+        base = standard_base(space) if args.base is None else Base.of(space, parse_rows(args.base))
     except (FormatError, ValueError) as exc:
         _fail(f"bad base: {exc}")
         return 2

@@ -45,7 +45,6 @@ from .buildings import (
     Chamber,
     apartments_containing,
 )
-from .projective import Geometry
 
 __all__ = [
     "UndefinedCountError",
@@ -403,8 +402,7 @@ def classify_adjacent_family(pairs):
 @lru_cache(maxsize=None)
 def _point_masks(ap: Apartment) -> tuple[int, ...]:
     """The base points of ``ap`` as one-point subspace masks."""
-    geo = Geometry.of(ap.space)
-    return tuple(1 << geo.id_of(p) for p in ap.base.points)
+    return tuple(1 << ap.space.id_of(p) for p in ap.base.points)
 
 
 def _check_subset(ap: Apartment, chambers) -> tuple[Chamber, ...]:
@@ -426,7 +424,7 @@ def is_exact(ap: Apartment, chambers) -> bool:
     """
     subset = _check_subset(ap, chambers)
     trace = {mask for c in subset for mask in c.masks}
-    full = Geometry.of(ap.space).full
+    full = ap.space.full
     for point in _point_masks(ap):
         meet = full
         for mask in trace:

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 from math import factorial, prod
 
-__all__ = ["point_count", "gaussian_binomial", "chamber_count", "apartment_count"]
+__all__ = ["MAX_DIMENSION", "point_count", "gaussian_binomial", "chamber_count", "apartment_count"]
+
+# The largest n the CLI and the file reader take.  From n = 68 at q = 9,
+# apartment_count has too many digits for str(); and PG(n, q) has more than
+# 2**n chambers, so no file lists them all beyond it.
+MAX_DIMENSION = 64
 
 
 def point_count(n: int, q: int) -> int:

@@ -18,8 +18,8 @@ A :class:`Subspace` of GF(q)^m is kept in reduced row echelon form, so
 two Subspace values are equal exactly when their row spaces are equal.
 RREF rows are the outside view of a subspace: the chamber-map file
 format, semilinear-map input, and the reference the tests check the
-point-id masks of :class:`bft.projective.Geometry` against.  The
-building itself is computed on those masks.
+point-id masks of :class:`bft.projective.ProjSpace`, the one object per
+space, against.  The building itself is computed on those masks.
 """
 
 from __future__ import annotations
@@ -71,20 +71,6 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _factor(q):
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            deg = 0
-            m = q
-            while m > 1:
-                if m % p:
-                    raise FieldError(f"{q} is not a prime power")
-                m //= p
-                deg += 1
-            return p, deg
-    raise FieldError(f"{q} is not a prime power")
-
-
 def _poly_mul_mod(a, b, modulus, p):
     """Multiply two coefficient lists over GF(p) modulo a monic modulus."""
     deg = len(modulus) - 1
@@ -119,8 +105,8 @@ class GF:
                 f"unsupported field order {q}; supported orders: {SUPPORTED_ORDERS}"
             )
         self.q = q
-        self.char, self.degree = _factor(q)
-        p, deg = self.char, self.degree
+        self.char = p = next(d for d in (2, 3, 5, 7) if q % d == 0)
+        self.degree = deg = len(_MODULUS[q]) - 1 if q in _MODULUS else 1
 
         def digits(e):
             out = []

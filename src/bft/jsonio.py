@@ -37,9 +37,9 @@ from itertools import chain
 
 from .buildings import Chamber, chambers_of, flags
 from .chamber_maps import ChamberMap, flag_image
-from .counts import chamber_count
+from .counts import MAX_DIMENSION, chamber_count
 from .gf import SUPPORTED_ORDERS
-from .projective import Geometry, ProjSpace, Semilinear
+from .projective import ProjSpace, Semilinear
 
 __all__ = [
     "SCHEMA",
@@ -84,10 +84,9 @@ def encode_chamber(chamber: Chamber) -> list:
     return [[list(row) for row in rows] for rows in chamber.sort_key()]
 
 
-def _part_mask(geo: Geometry, part) -> int:
+def _part_mask(space: ProjSpace, part) -> int:
     """The mask of a subspace encoding, checked in full: the span of its
     row points, which must be independent (they need not be in RREF)."""
-    space = geo.space
     # type(x) is int: JSON true/false decode to bools, which are ints
     if not (isinstance(part, list) and part and all(
         isinstance(row, list) and len(row) == space.ambient
@@ -98,29 +97,29 @@ def _part_mask(geo: Geometry, part) -> int:
         if not 0 <= x < space.q:
             raise FormatError(f"code {x} out of range for GF({space.q}) in {part!r}")
     # a zero row names no point; mask 0 then fails the rank test
-    mask = geo.span(map(geo.id_of, part)) if all(map(any, part)) else 0
-    if geo.rank(mask) != len(part):
+    mask = space.span(map(space.id_of, part)) if all(map(any, part)) else 0
+    if space.rank(mask) != len(part):
         raise FormatError(f"dependent rows in subspace encoding {part!r}")
     return mask
 
 
-def _table(geo: Geometry, entries, side: str) -> list:
+def _table(space: ProjSpace, entries, side: str) -> list:
     """Each ``/2`` subspace table entry as ``(mask, pdim)``, checked once."""
     if not isinstance(entries, list):
         raise FormatError(f"'subspaces' must hold a list of {side} subspaces")
     pdims = {}
     for part in entries:
-        mask = _part_mask(geo, part)
+        mask = _part_mask(space, part)
         if mask in pdims:
             raise FormatError(f"duplicate {side} subspace {part!r}")
         pdims[mask] = len(part) - 1
     return list(pdims.items())
 
 
-def _chamber(geo: Geometry, table: list, side: str, ids) -> tuple:
+def _chamber(space: ProjSpace, table: list, side: str, ids) -> tuple:
     """The chain of masks at the indices ``ids`` of ``table``, a list of
     checked ``(mask, pdim)``: the one path from a file to a chamber."""
-    n, size = geo.space.n, len(table)
+    n, size = space.n, len(table)
     # type(i) is int: JSON true and 1.0 would index like 1
     if not (isinstance(ids, list) and len(ids) == n
             and all(type(i) is int and 0 <= i < size for i in ids)):
@@ -137,11 +136,11 @@ def _chamber(geo: Geometry, table: list, side: str, ids) -> tuple:
     return tuple(masks)
 
 
-def _inline(geo: Geometry, table: list, side: str):
+def _inline(space: ProjSpace, table: list, side: str):
     """The ``/1`` chamber reader.  A ``/1`` chamber spells its subspaces
     inline; each spelling not read before is checked and appended to
     ``table``, and the chamber is read at the indices of its spellings."""
-    n = geo.space.n
+    n = space.n
     memo = {}
 
     def read(data) -> tuple:
@@ -151,10 +150,10 @@ def _inline(geo: Geometry, table: list, side: str):
         for part in data:
             key = repr(part)  # JSON true and 1.0 equal 1, but are spelled apart
             if key not in memo:
-                table.append((_part_mask(geo, part), len(part) - 1))
+                table.append((_part_mask(space, part), len(part) - 1))
                 memo[key] = len(table) - 1
             ids.append(memo[key])
-        return _chamber(geo, table, side, ids)
+        return _chamber(space, table, side, ids)
 
     return read
 
@@ -204,7 +203,7 @@ def _indexed(chains):
 
 def _subspaces(f, tables) -> dict:
     return {
-        side: [list(map(list, Geometry.of(space).rows(mask))) for mask in table]
+        side: [list(map(list, space.rows(mask))) for mask in table]
         for side, space, table in zip(("source", "target"), (f.source, f.target), tables)
     }
 
@@ -213,11 +212,6 @@ def encode_map(f: ChamberMap, dual: bool = False) -> dict:
     pairs, tables = _indexed(_chains(f))
     pairs = [[list(map(int, ids)) for ids in pair] for pair in pairs]  # fills the tables
     return {**_header(f, dual), "pairs": pairs, "subspaces": _subspaces(f, tables)}
-
-
-# PG(n, q) has more than 2**n chambers, so no file lists them all beyond this
-# dimension; it is refused before chamber_count multiplies n large factors.
-_MAX_FILE_DIMENSION = 64
 
 
 def decode_map(data) -> ChamberMap:
@@ -238,9 +232,10 @@ def decode_map(data) -> ChamberMap:
     pairs = data.get("pairs")
     if not isinstance(pairs, list):
         raise FormatError("'pairs' must be a list")
-    if source.n > _MAX_FILE_DIMENSION:
+    # refused before chamber_count multiplies n large factors
+    if source.n > MAX_DIMENSION:
         raise FormatError(
-            f"{source!r} has over 2**{_MAX_FILE_DIMENSION} chambers; "
+            f"{source!r} has over 2**{MAX_DIMENSION} chambers; "
             f"{len(pairs)} pairs cannot cover them"
         )
     # Pairs with distinct, valid source chambers number at most the chamber
@@ -248,26 +243,24 @@ def decode_map(data) -> ChamberMap:
     short = chamber_count(source.n, source.q) - len(pairs)
     if short > 0:
         raise FormatError(f"{short} source chambers are missing a pair")
-    source_geo, target_geo = Geometry.of(source), Geometry.of(target)
     if schema == SCHEMA:
         subspaces = data.get("subspaces")
         if not isinstance(subspaces, dict):
             raise FormatError("'subspaces' must be an object")
         source_read, target_read = (
-            partial(_chamber, geo, _table(geo, subspaces.get(side), side), side)
-            for geo, side in ((source_geo, "source"), (target_geo, "target"))
+            partial(_chamber, space, _table(space, subspaces.get(side), side), side)
+            for space, side in ((source, "source"), (target, "target"))
         )
-    else:  # a /1 file: one table of spellings per geometry
-        source_read = _inline(source_geo, [], "source")
-        target_read = (source_read if target_geo is source_geo
-                       else _inline(target_geo, [], "target"))
+    else:  # a /1 file: one table of spellings per space
+        source_read = _inline(source, [], "source")
+        target_read = source_read if target is source else _inline(target, [], "target")
     chains = {}
     for entry in pairs:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"each pair must be [chamber, chamber], got {entry!r}")
         key = source_read(entry[0])
         if key in chains:
-            raise FormatError(f"duplicate source chamber {Chamber(source_geo, key)!r}")
+            raise FormatError(f"duplicate source chamber {Chamber(source, key)!r}")
         chains[key] = target_read(entry[1])
     # The keys are distinct chains of source, at least chamber_count of
     # them, so they are all of them once; every image is a target chain.

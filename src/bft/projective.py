@@ -3,63 +3,33 @@
 A point is a normalized coordinate tuple: the first nonzero coordinate
 is 1, so each rank-1 subspace has exactly one point representative.
 
-The core representation is a :class:`Geometry` per space.  A point is an
-id, its index in the lexicographic list ``points_of(space)``, and a
-subspace is an int mask over point ids: meet is ``&``, containment is
-``a & b == b``, the rank is read off the popcount, and a join is a union
-of lines, each line computed once from coordinates as {a + lambda b}.
-The echelon :class:`~bft.gf.Subspace` values of GF(q)^(n+1) are the
-outside view; the geometry translates masks to canonical RREF rows and
-back for file I/O, reports and semilinear-map input.
+Each space is one :class:`ProjSpace` object per (n, q), and it is also
+the core representation.  A point is an id, its index in the
+lexicographic list ``points_of(space)``, and a subspace is an int mask
+over point ids: meet is ``&``, containment is ``a & b == b``, the rank is
+read off the popcount, and a join is a union of lines, each line computed
+once from coordinates as {a + lambda b}.  The echelon
+:class:`~bft.gf.Subspace` values of GF(q)^(n+1) are the outside view; the
+space translates masks to canonical RREF rows and back for file I/O,
+reports and semilinear-map input.
 
 The dual space is materialized concretely: a hyperplane of P corresponds
 to the point of the dual space given by the normalized row spanning its
 annihilator, and in general ``dual_subspace`` sends a pdim-k subspace to
-the pdim-(n-k-1) annihilator.  Dual objects live in a ProjSpace of the
+the pdim-(n-k-1) annihilator.  Dual objects live in the ProjSpace of the
 same (n, q); the pairing is the standard dot product.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from .gf import GF, Subspace, Value
 
 
 class MapError(ValueError):
     """A semilinear map that is not injective or not well formed."""
-
-
-class ProjSpace(Value):
-    """PG(n, q): the projective space of GF(q)^(n+1)."""
-
-    __slots__ = ("n", "gf")
-    n: int
-    gf: GF
-
-    def __init__(self, n: int, gf: GF):
-        if n < 2:
-            raise ValueError(f"projective dimension must be >= 2, got {n}")
-        super().__init__(n, gf)
-
-    @classmethod
-    def of(cls, n: int, q: int) -> "ProjSpace":
-        return cls(n, GF.of(q))
-
-    @property
-    def q(self) -> int:
-        return self.gf.q
-
-    @property
-    def ambient(self) -> int:
-        return self.n + 1
-
-    def __repr__(self):
-        return f"PG({self.n},{self.q})"
-
-    def subspace(self, vectors) -> Subspace:
-        return Subspace.span(self.gf, self.ambient, vectors)
 
 
 def normalize_point(space: ProjSpace, vector) -> tuple[int, ...]:
@@ -94,38 +64,73 @@ def bits(mask: int):
         mask ^= low
 
 
-class Geometry:
-    """PG(n, q) on point ids and subspace masks; ``Geometry.of(space)``
-    returns the one instance per space.
+class ProjSpace:
+    """PG(n, q), the projective space of GF(q)^(n+1), on point ids and
+    subspace masks.  ``ProjSpace.of(n, q)`` and ``ProjSpace(n, gf)`` return
+    the one instance per (n, q), so equality and hashing are identity, and
+    every attribute is closed to assignment and deletion.
 
     Ids are computed from coordinates arithmetically, and lines, point
     perps and canonical rows are cached on first use, so work on one
     apartment builds only the part of the space that apartment touches.
-    No table maps rows back to masks; :meth:`mask_of` spans them afresh.
+    The tables that grow with n are built on first use as well, so making
+    a space costs the same at every n.  No table maps rows back to masks;
+    :meth:`mask_of` spans them afresh.
     """
 
     _instances: dict = {}
 
-    def __init__(self, space: ProjSpace):
-        self.space = space
-        q, m = space.q, space.ambient
-        self.size = (q**m - 1) // (q - 1)
-        self.full = (1 << self.size) - 1
-        # the number of points whose first nonzero coordinate is right of k
-        self._offset = [(q ** (m - 1 - k) - 1) // (q - 1) for k in range(m)]
-        self._rank_of_size = {(q**r - 1) // (q - 1): r for r in range(m + 1)}
-        self._ids: dict = {}
-        self._lines: dict = {}
-        # a line mask takes size/8 bytes: keep at most ~64 MB of them
-        self._line_slots = (1 << 29) // self.size
+    def __new__(cls, n: int, gf: GF):
+        key = n, gf.q
+        space = cls._instances.get(key)
+        if space is None:
+            if n < 2:
+                raise ValueError(f"projective dimension must be >= 2, got {n}")
+            space = cls._instances[key] = super().__new__(cls)
+            # set up here: Python runs __init__ again on every call
+            space.__dict__.update(n=n, gf=GF.of(gf.q), q=gf.q, ambient=n + 1, _ids={}, _lines={})
+        return space
 
     @classmethod
-    def of(cls, space: ProjSpace) -> "Geometry":
-        key = space.n, space.q  # equal spaces; a ProjSpace hashes in Python
-        geo = cls._instances.get(key)
-        if geo is None:
-            geo = cls._instances[key] = cls(space)
-        return geo
+    def of(cls, n: int, q: int) -> "ProjSpace":
+        return cls(n, GF.of(q))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"PG({self.n},{self.q})"
+
+    @cached_property
+    def size(self) -> int:
+        """The number of points."""
+        return (self.q**self.ambient - 1) // (self.q - 1)
+
+    @cached_property
+    def full(self) -> int:
+        return (1 << self.size) - 1
+
+    @cached_property
+    def _offset(self) -> list:
+        """Entry k: the number of points whose first nonzero coordinate is
+        right of k."""
+        q, m = self.q, self.ambient
+        return [(q ** (m - 1 - k) - 1) // (q - 1) for k in range(m)]
+
+    @cached_property
+    def _rank_of_size(self) -> dict:
+        return {(self.q**r - 1) // (self.q - 1): r for r in range(self.ambient + 1)}
+
+    @cached_property
+    def _line_slots(self) -> int:
+        """A line mask takes size/8 bytes: keep at most ~64 MB of them."""
+        return (1 << 29) // self.size
+
+    def subspace(self, vectors) -> Subspace:
+        return Subspace.span(self.gf, self.ambient, vectors)
 
     # ------------------------------------------------------------- points
 
@@ -134,12 +139,12 @@ class Geometry:
         key = tuple(vector)
         i = self._ids.get(key)
         if i is None:
-            i = self._ids[key] = self._id(normalize_point(self.space, key))
+            i = self._ids[key] = self._id(normalize_point(self, key))
         return i
 
     def _id(self, v) -> int:
         """The id of a nonzero vector of valid codes, scaled as it goes."""
-        gf, q = self.space.gf, self.space.q
+        gf, q = self.gf, self.q
         lead = next(k for k, x in enumerate(v) if x)
         scale = gf.mul[gf.inv[v[lead]]]
         i = 0
@@ -150,7 +155,7 @@ class Geometry:
     @cache
     def point(self, i: int) -> tuple[int, ...]:
         """The normalized coordinates of point id ``i``."""
-        q, m = self.space.q, self.space.ambient
+        q, m = self.q, self.ambient
         lead = next(k for k in range(m) if i >= self._offset[k])
         tail, digits = i - self._offset[lead], []
         for _ in range(m - 1 - lead):
@@ -160,7 +165,7 @@ class Geometry:
 
     def base(self, ids) -> "Base":
         """The base on independent point ids (not checked)."""
-        return Base(self.space, tuple(self.point(i) for i in sorted(ids)))
+        return Base(self, tuple(self.point(i) for i in sorted(ids)))
 
     # ---------------------------------------------------------- subspaces
 
@@ -173,10 +178,10 @@ class Geometry:
         key = a * self.size + b
         mask = self._lines.get(key)
         if mask is None:
-            add, mul = self.space.gf.add, self.space.gf.mul
+            add, mul = self.gf.add, self.gf.mul
             u, v = self.point(a), self.point(b)
             mask = 1 << a | 1 << b
-            for lam in range(1, self.space.q):
+            for lam in range(1, self.q):
                 mask |= 1 << self._id([add[x][mul[lam][y]] for x, y in zip(u, v)])
             if len(self._lines) < self._line_slots:
                 self._lines[key] = self._lines[b * self.size + a] = mask
@@ -216,7 +221,7 @@ class Geometry:
         With v = point(p) and v_l = 1 its lead coordinate, it is spanned by
         the m - 1 independent vectors e_j - v_j e_l, j != l.
         """
-        v, neg = self.point(p), self.space.gf.neg
+        v, neg = self.point(p), self.gf.neg
         lead = v.index(1)
         ids = []
         for j, x in enumerate(v):
@@ -241,14 +246,14 @@ class Geometry:
         return tuple(sorted(units, key=lambda p: p.index(1)))
 
     @cache
-    def subspace(self, mask: int) -> Subspace:
+    def subspace_of(self, mask: int) -> Subspace:
         """The interned :class:`Subspace` value of a mask."""
-        return Subspace(self.space.gf, self.space.ambient, self.rows(mask))
+        return Subspace(self.gf, self.ambient, self.rows(mask))
 
     def mask_of(self, sub: Subspace) -> int:
         """The mask of a :class:`Subspace` of this space, spanned from the
         points of its rows on every call."""
-        if sub.gf != self.space.gf or sub.ambient != self.space.ambient:
+        if sub.gf != self.gf or sub.ambient != self.ambient:
             raise ValueError("subspace does not live in this space")
         return self.span(map(self.id_of, sub.rows))
 
@@ -258,14 +263,12 @@ def span_points(space: ProjSpace, points) -> Subspace:
 
 
 def is_independent(space: ProjSpace, points) -> bool:
-    geo = Geometry.of(space)
-    return geo.is_independent(geo.id_of(p) for p in points)
+    return space.is_independent(map(space.id_of, points))
 
 
 def points_of_subspace(space: ProjSpace, sub: Subspace) -> tuple[tuple[int, ...], ...]:
     """The points lying in a subspace, sorted lexicographically."""
-    geo = Geometry.of(space)
-    return tuple(map(geo.point, bits(geo.mask_of(sub))))
+    return tuple(map(space.point, bits(space.mask_of(sub))))
 
 
 class Base(Value):

@@ -14,16 +14,15 @@ from functools import lru_cache
 
 from bft.buildings import Chamber, check_chamber
 from bft.chamber_maps import ChamberMap
-from bft.counts import chamber_count
+from bft.counts import MAX_DIMENSION, chamber_count
 from bft.gf import Subspace
 from bft.jsonio import (
-    _MAX_FILE_DIMENSION,
     SCHEMA,
     FormatError,
     _decode_space,
     encode_chamber,
 )
-from bft.projective import Geometry, ProjSpace
+from bft.projective import ProjSpace
 
 SCHEMA_1 = "chamber-map/1"
 
@@ -52,7 +51,7 @@ def _decode_part(space: ProjSpace, rows: tuple) -> int:
     sub = Subspace.span(space.gf, space.ambient, rows)
     if sub.rank != len(rows):
         raise FormatError(f"dependent rows in subspace encoding {listed!r}")
-    return Geometry.of(space).mask_of(sub)
+    return space.mask_of(sub)
 
 
 def _part(space: ProjSpace, part) -> int:
@@ -72,7 +71,7 @@ def _part(space: ProjSpace, part) -> int:
 
 
 def _checked(space: ProjSpace, masks: list) -> Chamber:
-    chamber = Chamber(Geometry.of(space), masks)
+    chamber = Chamber(space, masks)
     try:
         check_chamber(space, chamber)
     except ValueError as exc:
@@ -130,9 +129,9 @@ def decode_map(data) -> ChamberMap:
     pairs = data.get("pairs")
     if not isinstance(pairs, list):
         raise FormatError("'pairs' must be a list")
-    if source.n > _MAX_FILE_DIMENSION:
+    if source.n > MAX_DIMENSION:
         raise FormatError(
-            f"{source!r} has over 2**{_MAX_FILE_DIMENSION} chambers; "
+            f"{source!r} has over 2**{MAX_DIMENSION} chambers; "
             f"{len(pairs)} pairs cannot cover them"
         )
     # Pairs with distinct, valid source chambers number at most the chamber

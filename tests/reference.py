@@ -1,6 +1,7 @@
 """Reference code the tests hold ``bft`` to, which no request runs.
 
-``bft`` computes on point-id masks (:class:`bft.projective.Geometry`); these
+``bft`` computes on point-id masks, each over the one
+:class:`bft.projective.ProjSpace` object of its space; these
 compute the same things the slow, textbook way, or are the building's and the
 paper's definitions that the tests check the core against:
 
@@ -24,7 +25,7 @@ from bft.chamber_maps import ChamberMap
 from bft.combinatorics import _check_pair
 from bft.counts import chamber_count
 from bft.gf import GF, FieldError, Subspace
-from bft.projective import Base, Geometry, ProjSpace, Semilinear, bits, normalize_point
+from bft.projective import Base, ProjSpace, Semilinear, bits, normalize_point
 
 # ------------------------------------------------------------ field algebra
 
@@ -79,17 +80,16 @@ def apply_point(semi: Semilinear, point) -> tuple[int, ...]:
 
 def chamber_of(space: ProjSpace, subspaces) -> Chamber:
     """The chamber of a sequence of :class:`Subspace` values."""
-    geo = Geometry.of(space)
-    return Chamber(geo, [geo.mask_of(sub) for sub in subspaces])
+    return Chamber(space, [space.mask_of(sub) for sub in subspaces])
 
 
 def parts(chamber: Chamber) -> tuple[Subspace, ...]:
     """A chamber as its RREF subspaces, by pdim."""
-    return tuple(map(chamber.geometry.subspace, chamber.masks))
+    return tuple(map(chamber.space.subspace_of, chamber.masks))
 
 
 def hyperplane(chamber: Chamber) -> Subspace:
-    return chamber.geometry.subspace(chamber.masks[-1])
+    return chamber.space.subspace_of(chamber.masks[-1])
 
 
 def adjacent(c1: Chamber, c2: Chamber) -> bool:
@@ -115,22 +115,21 @@ def common_apartment(c1: Chamber, c2: Chamber) -> Base:
     and adapted to both chains.  Deterministic; the postcondition is
     verified before returning.
     """
-    geo = c1.geometry
-    space = geo.space
+    space = c1.space
     check_chamber(space, c1)
     check_chamber(space, c2)
-    chain_u = [0, *c1.masks, geo.full]
-    chain_w = [0, *c2.masks, geo.full]
+    chain_u = [0, *c1.masks, space.full]
+    chain_w = [0, *c2.masks, space.full]
     meets = [[u & w for w in chain_w] for u in chain_u]
-    ranks = [[geo.rank(m) for m in row] for row in meets]
+    ranks = [[space.rank(m) for m in row] for row in meets]
     picks = []
     for i in range(1, space.ambient + 1):
         for j in range(1, space.ambient + 1):
             jump = ranks[i][j] - ranks[i - 1][j] - ranks[i][j - 1] + ranks[i - 1][j - 1]
             if jump == 1:
-                boundary = reduce(geo.join_point, bits(meets[i][j - 1]), meets[i - 1][j])
+                boundary = reduce(space.join_point, bits(meets[i][j - 1]), meets[i - 1][j])
                 picks.append(next(bits(meets[i][j] & ~boundary)))
-    base = Base.of(space, [geo.point(p) for p in picks])
+    base = Base.of(space, [space.point(p) for p in picks])
     apt = apartment_of(base)
     if c1 not in apt.chamber_set or c2 not in apt.chamber_set:
         raise AssertionError("common apartment construction failed its postcondition")

@@ -35,7 +35,6 @@ from bft.counts import gaussian_binomial
 from bft.gf import GF, Subspace
 from bft.projective import (
     Base,
-    Geometry,
     MapError,
     ProjSpace,
     Semilinear,
@@ -103,8 +102,8 @@ def test_chamber_map_validation():
     skew = next(c.masks[1] for c in chs if not c.masks[1] & point)
     for image in (
         chambers_of(PG32)[0],  # a chamber of another space
-        Chamber(chs[0].geometry, (line, point)),  # pdims out of order
-        Chamber(chs[0].geometry, (point, skew)),  # a point off the line
+        Chamber(chs[0].space, (line, point)),  # pdims out of order
+        Chamber(chs[0].space, (point, skew)),  # a point off the line
     ):
         table = dict(zip(chs, chs))
         table[chs[5]] = image
@@ -436,13 +435,12 @@ def point_map_of(d, target) -> dict:
 
 @pytest.mark.parametrize("space", [PG23, PG32], ids=["PG23", "PG32"])
 def test_dual_point_is_the_point_whose_perp_is_the_hyperplane(space):
-    geo = Geometry.of(space)
     hyperplanes = {c.masks[-1] for c in chambers_of(space)}
     assert len(hyperplanes) == gaussian_binomial(space.ambient, space.n, space.q)
     for mask in hyperplanes:
-        p = dual_point(space, geo.subspace(mask))
+        p = dual_point(space, space.subspace_of(mask))
         assert p == normalize_point(space, p)
-        assert geo.perp(geo.id_of(p)) == mask
+        assert space.perp(space.id_of(p)) == mask
 
 
 def test_dual_point_rejects_what_is_not_a_hyperplane_of_its_space():

@@ -86,6 +86,10 @@ def test_apartment_custom_and_bad_base(capsys):
         capsys, "apartment", "--n", "2", "--q", "2", "--base", "1,1,1;0,1,0;1,0,1"
     )
     assert code == 2 and "bad base" in err
+    # an empty --base is a bad base, not the standard one
+    code, out, err = run(capsys, "apartment", "--n", "2", "--q", "2", "--base", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("bad base: empty row in ''\n")
 
 
 # ------------------------------------------------------------------- lemmas
@@ -453,7 +457,7 @@ def test_map_induce_builds_no_chamber_and_maps_each_subspace_once(
     points' image hyperplanes."""
     from bft import buildings, chamber_maps
     from bft.counts import gaussian_binomial
-    from bft.projective import Geometry
+    from bft.projective import ProjSpace
 
     def refuse(*args):
         raise AssertionError("a chamber was built")
@@ -461,15 +465,15 @@ def test_map_induce_builds_no_chamber_and_maps_each_subspace_once(
     _replace_everywhere(monkeypatch, buildings.chambers_of, refuse)
     monkeypatch.setattr(buildings.Chamber, "__init__", refuse)
     monkeypatch.setattr(chamber_maps.ChamberMap, "_trusted", refuse)
-    target = Geometry.of(bft.ProjSpace.of(n, target_q))
+    target = ProjSpace.of(n, target_q)
     calls = {"span": 0, "meet": 0}
 
-    def span(self, ids, _original=Geometry.span):
+    def span(self, ids, _original=ProjSpace.span):
         if self is target:
             calls["span"] += 1
         return _original(self, ids)
 
-    monkeypatch.setattr(Geometry, "span", span)
+    monkeypatch.setattr(ProjSpace, "span", span)
 
     def meet(function, parts, _reduce=chamber_maps.reduce):
         calls["meet"] += 1

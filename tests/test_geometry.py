@@ -1,9 +1,10 @@
 """The mask core against the RREF oracle, on the ladder of spaces.
 
-Every fast path of :class:`bft.projective.Geometry` (point ids, span, meet,
-containment, point perps and their meets, rank, canonical rows) and of the chamber layer
-built on it (``chambers_of``, apartments, ``iter_bases``, the apartments
-through a chamber that ``analyze`` searches, ``induce``) is compared with a slow
+Every fast path of :class:`bft.projective.ProjSpace`, the one object per
+space (point ids, span, meet, containment, point perps and their meets,
+rank, canonical rows) and of the chamber layer built on it
+(``chambers_of``, apartments, ``iter_bases``, the apartments through a
+chamber that ``analyze`` searches, ``induce``) is compared with a slow
 reference that works on :class:`bft.gf.Subspace` values and ``rref`` only.
 The reference walks are the implementations the mask core replaced.
 """
@@ -21,7 +22,6 @@ from bft.counts import gaussian_binomial
 from bft.gf import GF, Subspace
 from bft.projective import (
     Base,
-    Geometry,
     ProjSpace,
     Semilinear,
     bits,
@@ -91,35 +91,33 @@ def random_subspaces(space, rng, count):
 @pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
 def test_point_ids_follow_points_of(n, q):
     space = ProjSpace.of(n, q)
-    geo = Geometry.of(space)
-    assert geo is Geometry.of(ProjSpace.of(n, q))
+    assert ProjSpace.of(n, q) is ProjSpace.of(n, q)
     pts = points_of(space)
-    assert geo.size == len(pts)
-    assert [geo.point(i) for i in range(geo.size)] == list(pts)
-    assert [geo.id_of(p) for p in pts] == list(range(geo.size))
+    assert space.size == len(pts)
+    assert [space.point(i) for i in range(space.size)] == list(pts)
+    assert [space.id_of(p) for p in pts] == list(range(space.size))
     # any nonzero multiple names the same point
     gf = space.gf
     for p in pts[:: max(1, len(pts) // 20)]:
         for c in range(1, q):
-            assert geo.id_of([gf.mul[c][x] for x in p]) == geo.id_of(p)
+            assert space.id_of([gf.mul[c][x] for x in p]) == space.id_of(p)
 
 
 @pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
 def test_mask_ops_match_subspace_ops(n, q):
     space = ProjSpace.of(n, q)
-    geo = Geometry.of(space)
     rng = random.Random(n * 10 + q)
     subs = random_subspaces(space, rng, 14)
     masks = [oracle_mask(space, s) for s in subs]
     for sub, mask in zip(subs, masks):
-        assert geo.rank(mask) == sub.rank
-        assert geo.rows(mask) == sub.rows
-        assert geo.subspace(mask) == sub
-        assert geo.mask_of(sub) == mask
-        ids = [i for i in range(geo.size) if mask >> i & 1]
-        assert geo.span(ids) == mask
+        assert space.rank(mask) == sub.rank
+        assert space.rows(mask) == sub.rows
+        assert space.subspace_of(mask) == sub
+        assert space.mask_of(sub) == mask
+        ids = [i for i in range(space.size) if mask >> i & 1]
+        assert space.span(ids) == mask
     for (a, ma), (b, mb) in itertools.product(zip(subs, masks), repeat=2):
-        assert geo.span(bits(ma | mb)) == oracle_mask(space, join(a, b))
+        assert space.span(bits(ma | mb)) == oracle_mask(space, join(a, b))
         assert ma & mb == oracle_mask(space, meet(a, b))
         assert (ma & mb == mb) == contains(a, b)
 
@@ -128,8 +126,8 @@ def test_mask_ops_match_subspace_ops(n, q):
 def test_perp_matches_the_dot_product(n, q):
     """Each point's perp, spanned from a basis, is the set of points whose
     dot product with it vanishes."""
-    geo = Geometry.of(ProjSpace.of(n, q))
-    gf, point = geo.space.gf, geo.point
+    space = ProjSpace.of(n, q)
+    gf, point = space.gf, space.point
 
     def dot(u, v):
         acc = 0
@@ -137,9 +135,9 @@ def test_perp_matches_the_dot_product(n, q):
             acc = gf.add[acc][gf.mul[x][y]]
         return acc
 
-    for p in range(geo.size):
-        expected = sum(1 << i for i in range(geo.size) if not dot(point(i), point(p)))
-        assert geo.perp(p) == expected
+    for p in range(space.size):
+        expected = sum(1 << i for i in range(space.size) if not dot(point(i), point(p)))
+        assert space.perp(p) == expected
 
 
 @pytest.mark.parametrize("n,q", [(2, 9), (3, 3)], ids=["PG29", "PG33"])
@@ -147,27 +145,25 @@ def test_annihilator_of_every_chamber_component_matches_rref(n, q):
     """The meet of the perps of a subspace's points, which is what a dual
     map's ``_chain_image`` computes, is its RREF annihilator."""
     space = ProjSpace.of(n, q)
-    geo = Geometry.of(space)
     masks = {m for c in chambers_of(space) for m in c.masks}
     for mask in masks:
-        meet = functools.reduce(operator.and_, map(geo.perp, bits(mask)), geo.full)
-        assert meet == oracle_mask(space, geo.subspace(mask).annihilator())
+        meet = functools.reduce(operator.and_, map(space.perp, bits(mask)), space.full)
+        assert meet == oracle_mask(space, space.subspace_of(mask).annihilator())
 
 
 @pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
 def test_lines_and_independence_match_rref(n, q):
     space = ProjSpace.of(n, q)
-    geo = Geometry.of(space)
     pts = points_of(space)
     rng = random.Random(q * 10 + n)
     for _ in range(30):
-        a, b = rng.sample(range(geo.size), 2)
-        line = geo.line(a, b)
+        a, b = rng.sample(range(space.size), 2)
+        line = space.line(a, b)
         assert line == oracle_mask(space, space.subspace([pts[a], pts[b]]))
         assert line.bit_count() == q + 1
-        ids = rng.sample(range(geo.size), rng.randint(2, space.ambient))
+        ids = rng.sample(range(space.size), rng.randint(2, space.ambient))
         rank = space.subspace([pts[i] for i in ids]).rank
-        assert geo.is_independent(ids) == (rank == len(ids))
+        assert space.is_independent(ids) == (rank == len(ids))
 
 
 # ---------------------------------------------------------- chamber layer
@@ -189,13 +185,13 @@ def test_chambers_of_builds_each_cover_once(n, q, monkeypatch):
     one subspace is reused by every other subspace it covers."""
     space = ProjSpace.of(n, q)
     calls = []
-    join_point = Geometry.join_point
+    join_point = ProjSpace.join_point
 
     def counted(self, mask, p):
         calls.append(p)
         return join_point(self, mask, p)
 
-    monkeypatch.setattr(Geometry, "join_point", counted)
+    monkeypatch.setattr(ProjSpace, "join_point", counted)
     chambers = chambers_of.__wrapped__(space)
     assert len(chambers) == len(chambers_of(space))
     assert len(calls) == sum(gaussian_binomial(n + 1, k + 1, q) for k in range(1, n))

@@ -79,6 +79,11 @@ def test_gf9_facts():
     assert gf.char == 3 and gf.degree == 2
 
 
+def test_characteristic_and_degree_of_every_order():
+    expected = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+    assert {gf.q: (gf.char, gf.degree) for gf in ALL_FIELDS} == expected
+
+
 def test_unsupported_orders_rejected():
     for q in (0, 1, 6, 10, 11, 16, 25):
         with pytest.raises(FieldError):

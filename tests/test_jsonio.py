@@ -34,7 +34,7 @@ from bft.jsonio import (
     load_map,
     parse_rows,
 )
-from bft.projective import Geometry, ProjSpace, Semilinear
+from bft.projective import ProjSpace, Semilinear
 
 PG22 = ProjSpace.of(2, 2)
 
@@ -61,8 +61,7 @@ def test_parse_rows():
 def decode_chamber(space, data):
     """A chamber spelled as in ``chamber-map/1``, read as ``decode_map``
     reads the chambers of a ``/1`` file."""
-    geo = Geometry.of(space)
-    return Chamber(geo, _inline(geo, [], "source")(data))
+    return Chamber(space, _inline(space, [], "source")(data))
 
 
 def test_chamber_round_trip():
@@ -419,10 +418,10 @@ def _corrupt_v2(data, how):
     elif how == "wrong-pdim":
         ids[0] = ids[1]
     elif how == "unnested":
-        geo = Geometry.of(ProjSpace.of(data["source"]["n"], data["source"]["q"]))
-        line = geo.span(map(geo.id_of, tables["source"][ids[1]]))
+        space = ProjSpace.of(data["source"]["n"], data["source"]["q"])
+        line = space.span(map(space.id_of, tables["source"][ids[1]]))
         ids[0] = next(j for j, part in enumerate(tables["source"])
-                      if len(part) == 1 and not line >> geo.id_of(part[0]) & 1)
+                      if len(part) == 1 and not line >> space.id_of(part[0]) & 1)
     elif how == "no-subspaces":
         del data["subspaces"]
     elif how == "missing-side":
@@ -515,7 +514,7 @@ def test_memoized_subspace_spelled_otherwise_is_rejected(tmp_path, capsys, spell
 
 
 def test_load_map_runs_no_row_reduction_and_no_second_check(tmp_path, monkeypatch):
-    """The read path spans row points in the geometry: no rref, no
+    """The read path spans row points in the space: no rref, no
     check_chamber, and no pass of the public ChamberMap constructor.  Each
     table entry of a chamber-map/2 file is checked once, and no pair checks
     a subspace again."""

@@ -116,7 +116,6 @@ def _identity(space):
 
 VALUES = {  # each call builds a fresh value, equal to the one the last call built
     "Subspace": lambda: PG32.subspace([(0, 1, 1, 0), (1, 0, 0, 0)]),
-    "ProjSpace": lambda: ProjSpace.of(2, 3),
     "Base": lambda: standard_base(PG32),
     "Semilinear": lambda: Semilinear.of(PG22, PG22, _identity(PG22)),
 }
@@ -139,6 +138,26 @@ def test_values_are_equal_on_fields_and_closed_to_assignment(make):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == b
+
+
+def test_a_space_is_one_object_closed_to_assignment():
+    """``ProjSpace.of`` and the constructor return the one object of an
+    (n, q), also from a GF that is not interned; ``n`` and ``gf`` can be
+    neither assigned nor deleted; and a second constructor call keeps the
+    lines the first object cached."""
+    fresh = GF(3)
+    assert fresh is not GF.of(3)
+    space = ProjSpace.of(2, 3)
+    assert space is ProjSpace(2, fresh) and space.gf is GF.of(3)
+    assert space is not ProjSpace.of(3, 3) and space != ProjSpace.of(2, 9)
+    for name in ("n", "gf"):
+        with pytest.raises(AttributeError):
+            setattr(space, name, getattr(space, name))
+        with pytest.raises(AttributeError):
+            delattr(space, name)
+    line = space.line(0, 1)
+    assert ProjSpace(2, fresh) is space
+    assert space._lines[0 * space.size + 1] == line  # keyed a * size + b
 
 
 def test_value_reprs_and_validation():

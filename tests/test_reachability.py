@@ -41,7 +41,7 @@ from test_perfbench_names import PERFBENCH, _assigned
 
 import bft
 from bft.jsonio import dump_induced
-from bft.projective import Geometry, ProjSpace, Semilinear
+from bft.projective import ProjSpace, Semilinear
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bft"
@@ -77,6 +77,7 @@ KEPT = {
     "combinatorics.intersection_count": PINNED,
     "combinatorics.star_intersections": PINNED,
     "gf.GF.__eq__": DUNDER,
+    "gf.GF.__hash__": DUNDER,
     "gf.GF.__repr__": DUNDER,
     "gf.Subspace._pivots": callee("gf.Subspace.contains_vector"),
     "gf.Subspace.annihilator": PINNED,
@@ -87,7 +88,9 @@ KEPT = {
     "jsonio._chains": PINNED,
     "jsonio.dump_map": PINNED,
     "jsonio.encode_map": PINNED,
-    "projective.Geometry.mask_of": callee("projective.points_of_subspace"),
+    "projective.ProjSpace.__delattr__": DUNDER,
+    "projective.ProjSpace.__setattr__": DUNDER,
+    "projective.ProjSpace.mask_of": callee("projective.points_of_subspace"),
     "projective.ProjSpace.subspace": callee("projective.span_points"),
     "projective.Semilinear.apply_subspace": PINNED,
     "projective.dual_subspace": PINNED,
@@ -132,10 +135,10 @@ def _malformed(doc: dict) -> dict:
     """One document per kind of malformed input ``decode_map`` names."""
     pairs, tables = doc["pairs"], doc["subspaces"]
     src = tables["source"]
-    geo = Geometry.of(ProjSpace.of(doc["source"]["n"], doc["source"]["q"]))
-    masks = [geo.span(map(geo.id_of, part)) for part in src]
+    space = ProjSpace.of(doc["source"]["n"], doc["source"]["q"])
+    masks = [space.span(map(space.id_of, part)) for part in src]
     line = pairs[0][0][1]
-    off_line = next(i for i, m in enumerate(masks) if geo.rank(m) == 1 and not m & masks[line])
+    off_line = next(i for i, m in enumerate(masks) if space.rank(m) == 1 and not m & masks[line])
 
     def edited(**fields):
         return {**doc, **fields}
@@ -423,7 +426,7 @@ def test_a_reason_that_does_not_hold_is_found(run):
         "combinatorics.disposition": PINNED,
         "gf.Value.__init__": DUNDER,
         "gf.Subspace._pivots": callee("gf.Subspace.annihilator"),  # holds
-        "projective.Geometry.mask_of": callee("jsonio.encode_map"),
+        "projective.ProjSpace.mask_of": callee("jsonio.encode_map"),
         "gf.rref": "used by the oracles",
         "gf.Subspace.contains_vector": callee("gf.Subspace.annihilator"),
         "gf.Subspace.annihilator": callee("gf.Subspace.contains_vector"),
