@@ -8,13 +8,15 @@ exactly q + 1 chambers, so the complex is thick.
 
 A chamber is its chain: the tuple of subspace masks over its
 :class:`~bft.projective.ProjSpace` that :func:`flags` yields, which is all a
-chamber map stores.  :class:`Chamber` wraps a chain with its space for
-``point`` and ``sort_key``, read-only views in coordinates and canonical
-RREF rows.
+chamber map or an apartment stores.  :class:`Chamber` is a view: it wraps
+a chain with its space for ``point`` and ``sort_key``, read-only views in
+coordinates and canonical RREF rows, and is built only for a report, a
+lemma row or a witness.
 
-An apartment is the set of (n+1)! chambers built from one base: each
-ordering of the base points yields the chamber of its prefix spans.
-That bijection with permutations is the combinatorial skeleton used by
+An apartment is the set of (n+1)! chambers built from one base, a
+:class:`~bft.projective.Base` held as its point ids: each ordering of the
+base points yields the chain of its prefix spans.  That bijection with
+permutations is the combinatorial skeleton used by
 :mod:`bft.combinatorics`.  Apartments are thin: inside one apartment
 every panel lies in exactly 2 chambers.
 """
@@ -133,50 +135,42 @@ def chambers_of(space: ProjSpace) -> tuple[Chamber, ...]:
 
 @lru_cache(maxsize=None)
 def _perm_prefixes(m: int):
-    """All orderings of 0..m-1 in lexicographic order, each with the index
-    sets of its m-1 proper prefixes as bitmasks."""
-    out = []
-    for perm in itertools.permutations(range(m)):
-        subset, prefixes = 0, []
-        for idx in perm[:-1]:
-            subset |= 1 << idx
-            prefixes.append(subset)
-        out.append((perm, tuple(prefixes)))
-    return tuple(out)
+    """All orderings of 0..m-1 in lexicographic order, and for each the
+    index sets of its m-1 proper prefixes as bitmasks (sums of distinct bits)."""
+    perms = tuple(itertools.permutations(range(m)))
+    return perms, tuple(tuple(itertools.accumulate(1 << i for i in perm[:-1])) for perm in perms)
 
 
 class Apartment:
     """All (n+1)! chambers over one base, with the permutation model.
 
-    ``perms[k]`` (lexicographic order) corresponds to ``chambers[k]``;
-    the dictionaries go both ways.  Equality and hashing follow the
-    base, so apartments of equal bases are interchangeable.  The spans of
-    the 2^(n+1) - 2 proper subsets of the base are built once, and each
-    chamber is read off them.
+    ``chains[k]`` is the chain of masks of the chamber in which the base
+    points enter in the order ``perms[k]`` (lexicographic order): its
+    prefix spans.  The spans of the 2^(n+1) - 2 proper subsets of the base
+    are built once, and each chain is read off them.  ``chambers`` and
+    ``chamber_set`` are the :class:`Chamber` view, built on first use.
+    Equality and hashing follow the base, so apartments of equal bases are
+    interchangeable.
     """
 
     def __init__(self, base: Base):
         self.base = base
         self.space = space = base.space
-        ids = [space.id_of(p) for p in base.points]
+        ids = base.ids
         spans = [0] * (1 << len(ids))
         for subset in range(1, len(spans) - 1):
             top = subset.bit_length() - 1
             spans[subset] = space.join_point(spans[subset ^ 1 << top], ids[top])
-        table = _perm_prefixes(len(ids))
-        self.perms = tuple(perm for perm, _ in table)
-        self.chambers = tuple(
-            Chamber(space, [spans[s] for s in prefixes]) for _, prefixes in table
-        )
-        self.chamber_set = frozenset(self.chambers)
+        self.perms, prefixes = _perm_prefixes(len(ids))
+        self.chains = tuple([tuple([spans[s] for s in subsets]) for subsets in prefixes])
 
     @cached_property
-    def chamber_by_perm(self) -> dict:
-        return dict(zip(self.perms, self.chambers))
+    def chambers(self) -> tuple[Chamber, ...]:
+        return tuple(map(partial(Chamber, self.space), self.chains))
 
     @cached_property
-    def perm_by_chamber(self) -> dict:
-        return dict(zip(self.chambers, self.perms))
+    def chamber_set(self) -> frozenset:
+        return frozenset(self.chambers)
 
     def __eq__(self, other):
         return isinstance(other, Apartment) and other.base == self.base
@@ -185,22 +179,10 @@ class Apartment:
         return hash(self.base)
 
     def __len__(self):
-        return len(self.chambers)
+        return len(self.chains)
 
     def __repr__(self):
         return f"Apartment({self.base.space!r}, {self.base.points})"
-
-    def chamber_of_perm(self, perm) -> Chamber:
-        try:
-            return self.chamber_by_perm[tuple(perm)]
-        except KeyError:
-            raise ValueError(f"perm must reorder 0..{self.space.n}") from None
-
-    def perm_of_chamber(self, chamber: Chamber) -> tuple[int, ...]:
-        try:
-            return self.perm_by_chamber[chamber]
-        except KeyError:
-            raise ValueError("chamber does not belong to this apartment") from None
 
 
 # A bound, so an exhaustive sweep over tens of thousands of bases holds a

@@ -232,12 +232,12 @@ check names a ``witness_base`` and the ``witness_image`` chamber set."""
 
 def _image_apartment(f: ChamberMap, ap: Apartment):
     """The target apartment of the images of ``ap``'s chambers, or None."""
-    image = {f.chains[c.masks] for c in ap.chambers}
+    image = set(map(f.chains.__getitem__, ap.chains))
     points = {chain[0].bit_length() - 1 for chain in image}
     target = f.target
     if len(image) == len(ap) and len(points) == target.n + 1 and target.is_independent(points):
         candidate = apartment_of(target.base(points))
-        if all(c.masks in image for c in candidate.chambers):
+        if image.issuperset(candidate.chains):
             return candidate
     return None
 
@@ -477,7 +477,7 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     case = 1 if kind == "direct" else 2
     sigma_by_base = {}
     for base in bases:
-        ms = [g[source.id_of(p)] for p in base.points]
+        ms = [g[p] for p in base.ids]
         if kind == "dual":  # point i goes to the meet of the other images
             ms = [reduce(and_, ms[:i] + ms[i + 1 :]) for i in range(len(ms))]
         sigma_by_base[base] = tuple(map(sorted(ms).index, ms)), case

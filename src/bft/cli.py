@@ -14,8 +14,9 @@ battery of :mod:`bft.lemmas`.  ``map analyze`` certifies its verdict by
 reconstructing the point map, checking that it induces every chamber image
 and that it is injective; a map that fails that is checked on the
 apartments through the source chambers its failure names, then, if none
-fails, swept over every base within the cap, to find a witness base.  ``--mode``, ``--k`` and ``--seed`` select nothing: they are accepted
-and echoed in the report so that existing command lines keep working.
+fails, swept over every base within the cap, to find a witness base.
+``--mode``, ``--k`` and ``--seed`` select nothing: they are accepted and
+echoed in the report so that existing command lines keep working.
 
 Exit codes are stable across commands: 0 when every check passes, 1 when a
 mathematical check fails (the first witness is printed to stderr), 2 for
@@ -302,7 +303,7 @@ def cmd_map_analyze(args) -> int:
             }
             for base, (sigma, case) in sorted(
                 decomposition.sigma_by_base.items(),
-                key=lambda kv: kv[0].points,
+                key=lambda kv: kv[0].ids,
             )
         ]
     report.add("classification", "induced", result.label, decomposition is not None)

@@ -255,8 +255,11 @@ def complement_chamber(ap: Apartment, chamber: Chamber) -> Chamber:
     ``point_family(i)`` with ``copoint_family(i)`` and sends
     ``residual_family(i, j)`` onto ``residual_family(j, i)``.
     """
-    perm = ap.perm_of_chamber(chamber)
-    return ap.chamber_of_perm(tuple(reversed(perm)))
+    try:
+        perm = ap.perms[ap.chambers.index(chamber)]
+    except ValueError:
+        raise ValueError("chamber does not belong to this apartment") from None
+    return ap.chambers[ap.perms.index(perm[::-1])]
 
 
 def _check_index_pair(pair) -> tuple[int, int]:
@@ -402,7 +405,7 @@ def classify_adjacent_family(pairs):
 @lru_cache(maxsize=None)
 def _point_masks(ap: Apartment) -> tuple[int, ...]:
     """The base points of ``ap`` as one-point subspace masks."""
-    return tuple(1 << ap.space.id_of(p) for p in ap.base.points)
+    return tuple(1 << p for p in ap.base.ids)
 
 
 def _check_subset(ap: Apartment, chambers) -> tuple[Chamber, ...]:

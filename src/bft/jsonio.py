@@ -158,7 +158,8 @@ def _inline(space: ProjSpace, table: list, side: str):
     return read
 
 
-def _decode_space(entry, label: str) -> ProjSpace:
+def _decode_space(entry, label: str) -> tuple[int, int]:
+    """The checked ``(n, q)`` of a space entry."""
     if not isinstance(entry, dict) or "n" not in entry or "q" not in entry:
         raise FormatError(f"{label} must be an object with 'n' and 'q'")
     n, q = entry["n"], entry["q"]
@@ -170,7 +171,7 @@ def _decode_space(entry, label: str) -> ProjSpace:
             f"{label} order {q!r} unsupported; supported: "
             + ", ".join(map(str, SUPPORTED_ORDERS))
         )
-    return ProjSpace.of(n, q)
+    return n, q
 
 
 def _header(f, dual: bool) -> dict:
@@ -222,27 +223,28 @@ def decode_map(data) -> ChamberMap:
         raise FormatError(
             f"unknown schema {schema!r}; expected {SCHEMA!r} or {_SCHEMA_1!r}"
         )
-    source = _decode_space(data.get("source"), "source")
-    target = _decode_space(data.get("target"), "target")
+    n, q = _decode_space(data.get("source"), "source")
+    target_n, target_q = _decode_space(data.get("target"), "target")
     dual = data["target"].get("dual", False)
     if type(dual) is not bool:
         raise FormatError(f"target 'dual' must be true or false, got {dual!r}")
-    if source.n != target.n:
+    if n != target_n:
         raise FormatError("source and target dimensions differ")
     pairs = data.get("pairs")
     if not isinstance(pairs, list):
         raise FormatError("'pairs' must be a list")
-    # refused before chamber_count multiplies n large factors
-    if source.n > MAX_DIMENSION:
+    # refused before chamber_count multiplies n large factors or a space is kept
+    if n > MAX_DIMENSION:
         raise FormatError(
-            f"{source!r} has over 2**{MAX_DIMENSION} chambers; "
+            f"PG({n},{q}) has over 2**{MAX_DIMENSION} chambers; "
             f"{len(pairs)} pairs cannot cover them"
         )
     # Pairs with distinct, valid source chambers number at most the chamber
     # count, so at least that many of them make the file complete.
-    short = chamber_count(source.n, source.q) - len(pairs)
+    short = chamber_count(n, q) - len(pairs)
     if short > 0:
         raise FormatError(f"{short} source chambers are missing a pair")
+    source, target = ProjSpace.of(n, q), ProjSpace.of(target_n, target_q)
     if schema == SCHEMA:
         subspaces = data.get("subspaces")
         if not isinstance(subspaces, dict):

@@ -8,7 +8,9 @@ the core representation.  A point is an id, its index in the
 lexicographic list ``points_of(space)``, and a subspace is an int mask
 over point ids: meet is ``&``, containment is ``a & b == b``, the rank is
 read off the popcount, and a join is a union of lines, each line computed
-once from coordinates as {a + lambda b}.  The echelon
+once from coordinates as {a + lambda b}.  A :class:`Base` is its sorted
+point ids.  Coordinates enter only at the edges: the rows of a file, the
+``--base`` and ``--matrix`` text, and :class:`Semilinear`.  The echelon
 :class:`~bft.gf.Subspace` values of GF(q)^(n+1) are the outside view; the
 space translates masks to canonical RREF rows and back for file I/O,
 reports and semilinear-map input.
@@ -70,11 +72,12 @@ class ProjSpace:
     the one instance per (n, q), so equality and hashing are identity, and
     every attribute is closed to assignment and deletion.
 
-    Ids are computed from coordinates arithmetically, and lines, point
-    perps and canonical rows are cached on first use, so work on one
-    apartment builds only the part of the space that apartment touches.
-    The tables that grow with n are built on first use as well, so making
-    a space costs the same at every n.  No table maps rows back to masks;
+    Ids are computed from coordinates arithmetically (:meth:`id_of`
+    memoises them, as file rows repeat points), and lines, point perps and
+    canonical rows are cached on first use, so work on one apartment
+    builds only the part of the space that apartment touches.  The tables
+    that grow with n are built on first use as well, so making a space
+    costs the same at every n.  No table maps rows back to masks;
     :meth:`mask_of` spans them afresh.
     """
 
@@ -165,7 +168,7 @@ class ProjSpace:
 
     def base(self, ids) -> "Base":
         """The base on independent point ids (not checked)."""
-        return Base(self, tuple(self.point(i) for i in sorted(ids)))
+        return Base(self, tuple(sorted(ids)))
 
     # ---------------------------------------------------------- subspaces
 
@@ -272,34 +275,32 @@ def points_of_subspace(space: ProjSpace, sub: Subspace) -> tuple[tuple[int, ...]
 
 
 class Base(Value):
-    """n + 1 points spanning the space; an unordered set stored sorted.
-
-    The sorted order provides the canonical indexing 0..n used by
-    apartments: ``points[i]`` is the i-th base point.
+    """n + 1 points spanning the space; an unordered set of point ids
+    stored sorted, so ``ids[i]`` is the i-th base point of the apartment.
+    Ids ascend with coordinates, and ``points`` is their coordinate view.
     """
 
-    __slots__ = ("space", "points")
+    __slots__ = ("space", "ids")
     space: ProjSpace
-    points: tuple[tuple[int, ...], ...]
+    ids: tuple[int, ...]
+
+    @property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.space.point, self.ids))
 
     @classmethod
     def of(cls, space: ProjSpace, points) -> "Base":
-        pts = tuple(sorted(normalize_point(space, p) for p in points))
-        if len(set(pts)) != space.ambient:
+        ids = tuple(sorted(space._id(normalize_point(space, p)) for p in points))
+        if len(set(ids)) != space.ambient:
             raise ValueError(f"a base of {space!r} needs {space.ambient} distinct points")
-        if not is_independent(space, pts):
+        if not space.is_independent(ids):
             raise ValueError("base points are linearly dependent")
-        return cls(space, pts)
+        return cls(space, ids)
 
 
 def standard_base(space: ProjSpace) -> Base:
-    return Base.of(
-        space,
-        [
-            tuple(1 if j == i else 0 for j in range(space.ambient))
-            for i in range(space.ambient)
-        ],
-    )
+    """The unit vectors: e_k is the first point whose lead coordinate is k."""
+    return space.base(space._offset)
 
 
 # ---------------------------------------------------------------- duality

@@ -120,25 +120,26 @@ def decode_map(data) -> ChamberMap:
     schema = data.get("schema")
     if schema not in (SCHEMA, SCHEMA_1):
         raise FormatError(f"unknown schema {schema!r}; expected {SCHEMA!r} or {SCHEMA_1!r}")
-    source = _decode_space(data.get("source"), "source")
-    target = _decode_space(data.get("target"), "target")
+    n, q = _decode_space(data.get("source"), "source")
+    target_n, target_q = _decode_space(data.get("target"), "target")
     if "dual" in data["target"] and not isinstance(data["target"]["dual"], bool):
         raise FormatError(f"target 'dual' must be true or false, got {data['target']['dual']!r}")
-    if source.n != target.n:
+    if n != target_n:
         raise FormatError("source and target dimensions differ")
     pairs = data.get("pairs")
     if not isinstance(pairs, list):
         raise FormatError("'pairs' must be a list")
-    if source.n > MAX_DIMENSION:
+    if n > MAX_DIMENSION:
         raise FormatError(
-            f"{source!r} has over 2**{MAX_DIMENSION} chambers; "
+            f"PG({n},{q}) has over 2**{MAX_DIMENSION} chambers; "
             f"{len(pairs)} pairs cannot cover them"
         )
     # Pairs with distinct, valid source chambers number at most the chamber
     # count, so at least that many of them make the file complete.
-    short = chamber_count(source.n, source.q) - len(pairs)
+    short = chamber_count(n, q) - len(pairs)
     if short > 0:
         raise FormatError(f"{short} source chambers are missing a pair")
+    source, target = ProjSpace.of(n, q), ProjSpace.of(target_n, target_q)
     if schema == SCHEMA:
         subspaces = data.get("subspaces")
         if not isinstance(subspaces, dict):

@@ -40,7 +40,7 @@ from bft.lemmas import CheckRow
 def _positions(n: int) -> tuple[tuple[int, ...], ...]:
     """The position vector of each permutation: pos[i] is where i stands,
     0 first and n last."""
-    perms = (perm for perm, _ in _perm_prefixes(n + 1))
+    perms = _perm_prefixes(n + 1)[0]
     return tuple(tuple(map(perm.index, range(n + 1))) for perm in perms)
 
 
@@ -91,7 +91,7 @@ def _prefix_meets(n: int, i: int) -> tuple[int, ...]:
     as an index bitmask (all of 0..n when no proper prefix contains i)."""
     return tuple(
         reduce(int.__and__, (p for p in prefixes if p >> i & 1), (1 << n + 1) - 1)
-        for _, prefixes in _perm_prefixes(n + 1)
+        for prefixes in _perm_prefixes(n + 1)[1]
     )
 
 

@@ -12,8 +12,9 @@ paper's definitions that the tests check the core against:
 * a chamber as RREF subspaces (``chamber_of``, ``parts``, ``hyperplane``);
 * the building's checks: adjacency, panels, and a common apartment of two
   chambers, built with no enumeration;
-* the paper's d-transform inside one apartment, and whether a chamber map is
-  onto.
+* a chamber of an apartment by its permutation and back
+  (``chamber_of_perm``, ``perm_of_chamber``), the paper's d-transform
+  inside one apartment, and whether a chamber map is onto.
 """
 
 from __future__ import annotations
@@ -139,6 +140,16 @@ def common_apartment(c1: Chamber, c2: Chamber) -> Base:
 # ------------------------------------------------------- apartments and maps
 
 
+def chamber_of_perm(ap, perm) -> Chamber:
+    """The chamber of ``ap`` whose base points enter in the order ``perm``."""
+    return ap.chambers[ap.perms.index(tuple(perm))]
+
+
+def perm_of_chamber(ap, chamber: Chamber) -> tuple[int, ...]:
+    """The order in which the base points of ``ap`` enter ``chamber``."""
+    return ap.perms[ap.chambers.index(chamber)]
+
+
 def d_transform(ap, i: int, j: int, chamber: Chamber) -> Chamber:
     """Swap the roles of base points i and j in the chamber's permutation.
 
@@ -148,9 +159,8 @@ def d_transform(ap, i: int, j: int, chamber: Chamber) -> Chamber:
     {i, j}.
     """
     _check_pair(ap.space.n, i, j)
-    perm = ap.perm_of_chamber(chamber)
     swap = {i: j, j: i}
-    return ap.chamber_of_perm(tuple(swap.get(v, v) for v in perm))
+    return chamber_of_perm(ap, [swap.get(v, v) for v in perm_of_chamber(ap, chamber)])
 
 
 def is_surjective(f: ChamberMap) -> bool:

@@ -21,9 +21,18 @@ from bft.buildings import (
     chambers_of,
     check_chamber,
 )
+from bft.combinatorics import complement_chamber
 from bft.projective import ProjSpace, standard_base
 from lemma_oracle import positions, prefix_sets
-from reference import adjacent, chamber_of, common_apartment, hyperplane, panels_of, parts
+from reference import (
+    adjacent,
+    chamber_of,
+    chamber_of_perm,
+    common_apartment,
+    hyperplane,
+    panels_of,
+    parts,
+)
 
 PG22 = ProjSpace.of(2, 2)
 PG32 = ProjSpace.of(3, 2)
@@ -87,10 +96,10 @@ def test_check_chamber_rejects_bad_chains():
 def test_adjacency_examples():
     base = standard_base(PG22)
     ap = apartment_of(base)
-    c_012 = ap.chamber_of_perm((0, 1, 2))
-    c_102 = ap.chamber_of_perm((1, 0, 2))  # same line, other point
-    c_021 = ap.chamber_of_perm((0, 2, 1))  # same point, other line
-    c_210 = ap.chamber_of_perm((2, 1, 0))
+    c_012 = chamber_of_perm(ap, (0, 1, 2))
+    c_102 = chamber_of_perm(ap, (1, 0, 2))  # same line, other point
+    c_021 = chamber_of_perm(ap, (0, 2, 1))  # same point, other line
+    c_210 = chamber_of_perm(ap, (2, 1, 0))
     assert adjacent(c_012, c_102)
     assert adjacent(c_012, c_021)
     assert not adjacent(c_012, c_012)
@@ -144,6 +153,7 @@ def test_apartment_sizes_and_trace():
     assert len(ap3) == 24 and len(ap3.chamber_set) == 24
     assert len({m for c in ap2.chambers for m in c.masks}) == 2**3 - 2
     assert len({m for c in ap3.chambers for m in c.masks}) == 2**4 - 2
+    assert ap3.chains == tuple(c.masks for c in ap3.chambers)
 
 
 def test_apartment_chambers_are_chambers_of_the_space():
@@ -151,22 +161,11 @@ def test_apartment_chambers_are_chambers_of_the_space():
     assert ap.chamber_set <= set(chambers_of(PG32))
 
 
-def test_perm_round_trip():
-    ap = apartment_of(standard_base(PG32))
-    for perm in ap.perms:
-        assert ap.perm_of_chamber(ap.chamber_of_perm(perm)) == perm
-    assert len({ap.chamber_of_perm(p) for p in ap.perms}) == 24
-
-
-def test_perm_lookup_rejects_foreign_input():
+def test_complement_chamber_rejects_a_chamber_outside_the_apartment():
     ap = apartment_of(standard_base(PG22))
-    with pytest.raises(ValueError):
-        ap.chamber_of_perm((0, 1))
-    foreign = chambers_of(PG22)[0]
-    if foreign in ap.chamber_set:
-        foreign = next(c for c in chambers_of(PG22) if c not in ap.chamber_set)
-    with pytest.raises(ValueError):
-        ap.perm_of_chamber(foreign)
+    foreign = next(c for c in chambers_of(PG22) if c not in ap.chamber_set)
+    with pytest.raises(ValueError, match="chamber does not belong to this apartment"):
+        complement_chamber(ap, foreign)
 
 
 def test_positions_and_prefix_sets():

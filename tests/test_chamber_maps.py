@@ -55,6 +55,7 @@ PG24 = ProjSpace.of(2, 4)
 PG34 = ProjSpace.of(3, 4)
 PG29 = ProjSpace.of(2, 9)
 PG33 = ProjSpace.of(3, 3)
+PG42 = ProjSpace.of(4, 2)
 
 
 def identity_semi(space):
@@ -203,6 +204,54 @@ def test_witness_bases_follow_what_the_witness_names():
     assert len(expected) < sum(map(len, through.values()))  # they share bases
     assert list(_witness_bases(chambers[7], chambers[7])) == through[chambers[7]]
 
+
+def adjacent_swap_pg42():
+    """The PG(4,2) identity with the images of its first chamber and of the
+    first chamber on another point exchanged, and those two chambers.  They
+    are adjacent at their point, so the walk through them checks 512
+    preserved apartments before the one that fails."""
+    f = identity_map(PG42)
+    chambers = chambers_of(PG42)
+    a = chambers[0]
+    b = next(c for c in chambers if c.point != a.point)
+    chains = dict(f.chains)
+    chains[a.masks], chains[b.masks] = chains[b.masks], chains[a.masks]
+    return ChamberMap._trusted(PG42, PG42, chains), a, b
+
+
+def chambers_built(monkeypatch) -> list:
+    """A one-item list counting the :class:`Chamber` objects built from now
+    on, through ``Chamber.__init__``."""
+    built, init = [0], Chamber.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Chamber, "__init__", counted)
+    return built
+
+
+def test_the_witness_walk_builds_chambers_only_for_witnesses(monkeypatch):
+    """Of the 513 apartments ``analyze`` checks on the PG(4,2) adjacent swap,
+    only the failing one is seen as chambers: at most 4 for the witness
+    ``reconstruct`` names, and 5! for that apartment and 5! for its images."""
+    f, _, _ = adjacent_swap_pg42()
+    apartment_of.cache_clear()
+    built = chambers_built(monkeypatch)
+    result = analyze(f)
+    assert result.label == "not-apartment-preserving" and result.check.checked == 513
+    assert built[0] <= 4 + 2 * 120
+
+
+def test_preserved_apartments_build_no_chamber(monkeypatch):
+    f = identity_map(PG42)
+    _, a, b = adjacent_swap_pg42()
+    bases = list(_witness_bases(a, b))
+    apartment_of.cache_clear()
+    built = chambers_built(monkeypatch)
+    assert preserves_apartments(f, bases) == ApartmentCheck(True, "local", 1536)
+    assert built[0] == 0
 
 @pytest.mark.parametrize("dual", [False, True], ids=["direct", "dual"])
 @pytest.mark.parametrize("space", [PG22, PG23], ids=["PG22", "PG23"])

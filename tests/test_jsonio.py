@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from bft.buildings import Chamber, chambers_of, flags
 from bft.chamber_maps import ChamberMap, induce
 from bft.cli import main
-from bft.counts import chamber_count
+from bft.counts import MAX_DIMENSION, chamber_count
 from bft.jsonio import (
     SCHEMA,
     FormatError,
@@ -147,6 +147,19 @@ def test_decode_map_validation():
             with pytest.raises(FormatError, match="source chambers|cannot cover"):
                 decode_map({**data, "source": space, "target": space})
 
+
+def test_a_refused_dimension_makes_no_space():
+    """A dimension above MAX_DIMENSION is refused before the file's spaces
+    are made, as every ``ProjSpace`` stays for the life of the process."""
+    data = encode_map(identity_map())
+    before = dict(ProjSpace._instances)
+    for n in range(100, 400):
+        space = {"n": n, "q": 2}
+        message = f"PG({n},2) has over 2**{MAX_DIMENSION} chambers"
+        for decode in (decode_map, oracle.decode_map):
+            with pytest.raises(FormatError, match=re.escape(message)):
+                decode({**data, "source": space, "target": {**space, "dual": False}})
+    assert ProjSpace._instances == before
 
 def test_dump_load_byte_stable(tmp_path):
     f = identity_map()

@@ -6,6 +6,7 @@ subfield inclusion and the Frobenius map on PG(2,4).
 """
 
 import random
+import re
 
 import pytest
 
@@ -23,7 +24,7 @@ from bft.projective import (
     span_points,
     standard_base,
 )
-from conftest import random_invertible
+from conftest import LADDER, LADDER_IDS, random_invertible
 from reference import apply_point, frobenius, pdim
 
 PG22 = ProjSpace.of(2, 2)
@@ -93,6 +94,33 @@ def test_base_rejects_bad_input():
     with pytest.raises(ValueError):
         Base.of(PG22, [(0, 0, 1), (0, 1, 0), (0, 0, 1)])
 
+
+
+@pytest.mark.parametrize("n, q", LADDER, ids=LADDER_IDS)
+def test_a_base_is_its_sorted_point_ids(n, q):
+    """A base holds the sorted ids of its points: ``points`` reads them back
+    as the sorted normalized points, a base made on ids equals the one made
+    on their points, and repeated or dependent points are refused."""
+    space, rng = ProjSpace.of(n, q), random.Random(f"base:{n}:{q}")
+    gf = space.gf
+    for _ in range(10):
+        rows = random_invertible(gf, space.ambient, rng)
+        pts = [tuple(map(gf.mul[rng.randrange(1, q)].__getitem__, row)) for row in rows]
+        base = Base.of(space, pts)
+        assert base.points == tuple(sorted(normalize_point(space, p) for p in pts))
+        ids = [space.id_of(p) for p in pts]
+        rng.shuffle(ids)
+        made = space.base(ids)
+        assert made == Base.of(space, map(space.point, ids)) == base
+        assert hash(made) == hash(base) and made.ids == tuple(sorted(ids))
+        scaled = tuple(gf.mul[gf.neg[1]][x] for x in pts[0])  # -p_0 is p_0
+        with pytest.raises(ValueError, match=re.escape(
+            f"a base of {space!r} needs {space.ambient} distinct points"
+        )):
+            Base.of(space, pts[:-1] + [scaled])
+        on_line = tuple(gf.add[x][y] for x, y in zip(pts[0], pts[1]))
+        with pytest.raises(ValueError, match="base points are linearly dependent"):
+            Base.of(space, pts[:-1] + [on_line])
 
 # ----------------------------------------------------------------- duality
 
@@ -166,7 +194,7 @@ def test_value_reprs_and_validation():
         "Subspace(gf=GF(2), ambient=4, rows=((1, 0, 0, 0), (0, 1, 1, 0)))"
     )
     assert repr(standard_base(PG22)) == (
-        "Base(space=PG(2,2), points=((0, 0, 1), (0, 1, 0), (1, 0, 0)))"
+        "Base(space=PG(2,2), ids=(0, 1, 3))"
     )
     with pytest.raises(ValueError):
         ProjSpace(1, GF.of(2))

@@ -59,10 +59,6 @@ def callee(name: str) -> str:
 KEPT = {
     "buildings.Apartment.__eq__": DUNDER,
     "buildings.Apartment.__repr__": DUNDER,
-    "buildings.Apartment.chamber_by_perm": callee("buildings.Apartment.chamber_of_perm"),
-    "buildings.Apartment.chamber_of_perm": callee("combinatorics.complement_chamber"),
-    "buildings.Apartment.perm_by_chamber": callee("buildings.Apartment.perm_of_chamber"),
-    "buildings.Apartment.perm_of_chamber": callee("combinatorics.complement_chamber"),
     "buildings.Chamber.point": PINNED,
     "buildings.check_chamber": PINNED,
     "chamber_maps.ChamberMap.__init__": PINNED,
@@ -94,6 +90,7 @@ KEPT = {
     "projective.ProjSpace.subspace": callee("projective.span_points"),
     "projective.Semilinear.apply_subspace": PINNED,
     "projective.dual_subspace": PINNED,
+    "projective.is_independent": PINNED,
     "projective.points_of": PINNED,
     "projective.points_of_subspace": PINNED,
     "projective.span_points": PINNED,
