@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import partial, reduce
-from operator import and_
+from operator import and_, itemgetter
 
 from .buildings import (
     Apartment,
@@ -84,7 +84,6 @@ __all__ = [
     "AnalysisError",
     "DecompositionError",
     "ReconstructionError",
-    "MixedKindError",
     "ChamberMap",
     "ApartmentCheck",
     "Decomposition",
@@ -116,10 +115,6 @@ class DecompositionError(AnalysisError):
 
 class ReconstructionError(AnalysisError):
     """No strong embedding's point map explains the chamber images."""
-
-
-class MixedKindError(ReconstructionError):
-    """Different stars demand different kinds (direct vs dual)."""
 
 
 class ChamberMap:
@@ -268,6 +263,26 @@ def _witness_bases(*chambers: Chamber):
     A chamber V_0 < ... < V_{n-1} lies in the apartment of a base exactly
     when the base has one point in each V_k minus V_{k-1}, with V_{-1} = 0
     and V_n the whole space, so these are listed with no base enumeration.
+
+    For two of the failures :func:`reconstruct` names, this walk is proved
+    complete: an apartment it lists is not preserved.  Both rest on counts
+    in an apartment A(B): its chambers are the orderings of B, so it holds
+    n! chambers through a point of B (fixed first), n! inside a hyperplane
+    spanned by B (fixed last), and (n-1)! through one and inside the other.
+    A preserved apartment has (n+1)! distinct images forming an apartment.
+
+    * A collapsing star: every chamber through p maps to a chamber through
+      one point x inside one hyperplane H.  Every base listed for the
+      witness's first chamber holds p, so its n! chambers through p land on
+      at most (n-1)! chambers of any apartment, and n! > (n-1)!: the first
+      apartment listed fails.
+    * A non-injective g: points p' and p have one image, a point (or when
+      dual a hyperplane), and the witness names the first chambers of
+      their stars, p' first.  A base through the first chamber that also
+      holds p exists, as p lies in one of that chamber's layers; its 2 n!
+      chambers through p' or p land on chambers through that one point (or
+      inside that one hyperplane), of which an apartment holds n!.  So the
+      walk stops no later than the first such base.
     """
     seen = set()
     for chamber in chambers:
@@ -358,23 +373,6 @@ def main_lemma_decompose(f: ChamberMap, base: Base):
     return tuple(sigma), case
 
 
-def _common_value(values):
-    first = next(iter(values))
-    return first if all(v == first for v in values) else None
-
-
-def _witness_pair(star, images, key):
-    """Two chambers of ``star`` whose images differ under ``key``."""
-    seen = {}
-    for chamber, image in zip(star, images):
-        value = key(image)
-        for other_value, other_chamber in seen.items():
-            if other_value != value:
-                return other_chamber, chamber
-        seen.setdefault(value, chamber)
-    return None
-
-
 Decomposition = namedtuple("Decomposition", "kind g sigma_by_base")
 Decomposition.__doc__ = """A certified map: ``kind`` is "direct" or "dual"; ``g``
 sends a source point to a target point (direct) or target hyperplane (dual),
@@ -415,46 +413,39 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     """
     source, target = f.source, f.target
     chains, chamber = f.chains, partial(Chamber, source)  # chambers only for witnesses
-    by_point = {}  # the stars off one walk of flags: witnesses follow it, not the table
-    for chain in flags(f.source):
-        by_point.setdefault(chain[0].bit_length() - 1, []).append(chain)
-
-    g, kinds = {}, {}
-    for p, star in by_point.items():
+    walk = list(flags(source))  # star by star, in point order: witnesses follow it
+    g, first = [], {}  # g[p], and the first chain of the first star of each kind
+    for head, star in itertools.groupby(walk, itemgetter(0)):
+        star = list(star)
         images = [chains[c] for c in star]
-        common_point = _common_value([c[0] for c in images])
-        common_hyp = _common_value([c[-1] for c in images])
-        if (common_point is None) == (common_hyp is None):
-            if common_point is not None:
-                raise ReconstructionError(
-                    f"images of the chambers through {source.point(p)} collapse; "
-                    "no unique component map exists",
-                    witness=(chamber(star[0]), chamber(star[-1])),
-                )
+        point, hyp = images[0][0], images[0][-1]
+        # the first chambers whose image point, and image hyperplane, differ
+        moved = next((c for c, d in zip(star, images) if d[0] != point), None)
+        turned = next((c for c, d in zip(star, images) if d[-1] != hyp), None)
+        p = head.bit_length() - 1
+        if moved is None and turned is None:
+            raise ReconstructionError(
+                f"images of the chambers through {source.point(p)} collapse; "
+                "no unique component map exists",
+                witness=(chamber(star[0]), chamber(star[-1])),
+            )
+        if moved is not None and turned is not None:
             raise ReconstructionError(
                 f"chambers through {source.point(p)} map to chambers sharing "
                 "neither a point nor a hyperplane",
-                witness=tuple(map(chamber, (
-                    *_witness_pair(star, images, lambda c: c[0]),
-                    *_witness_pair(star, images, lambda c: c[-1]),
-                ))),
+                witness=tuple(map(chamber, (star[0], moved, star[0], turned))),
             )
-        if common_point is not None:
-            kinds[p], g[p] = "direct", common_point.bit_length() - 1
-        else:
-            kinds[p], g[p] = "dual", common_hyp
-    distinct = set(kinds.values())
-    if len(distinct) != 1:
-        direct_p = next(p for p, k in kinds.items() if k == "direct")
-        dual_p = next(p for p, k in kinds.items() if k == "dual")
-        a, b = chamber(by_point[direct_p][0]), chamber(by_point[dual_p][0])
-        raise MixedKindError(
+        first.setdefault("direct" if moved is None else "dual", star[0])
+        g.append(point.bit_length() - 1 if moved is None else hyp)
+    if len(first) > 1:  # after every star, so a later star's failure comes first
+        a, b = chamber(first["direct"]), chamber(first["dual"])
+        raise ReconstructionError(
             f"point {a.point} reconstructs as direct but {b.point} as dual",
             witness=(a, b),
         )
-    kind = distinct.pop()
+    (kind,) = first
     image = _chain_image(target, g, kind == "dual")
-    for c in itertools.chain.from_iterable(by_point.values()):
+    for c in walk:
         if chains[c] != image(c):
             raise ReconstructionError(
                 "a chamber image is not componentwise induced by the point map",
@@ -464,10 +455,11 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     for p in range(source.size):
         other = preimage.setdefault(g[p], p)
         if other != p:
+            a, b = (next(c for c in walk if c[0] == 1 << x) for x in (other, p))
             raise ReconstructionError(
                 f"map is not injective: {source.point(other)} and "
                 f"{source.point(p)} share an image",
-                witness=(chamber(by_point[other][0]), chamber(by_point[p][0])),
+                witness=(chamber(a), chamber(b)),
             )
 
     try:
@@ -483,7 +475,7 @@ def reconstruct(f: ChamberMap) -> Decomposition:
         sigma_by_base[base] = tuple(map(sorted(ms).index, ms)), case
 
     view = target.subspace_of if kind == "dual" else target.point
-    g = {source.point(p): view(m) for p, m in g.items()}
+    g = {source.point(p): view(m) for p, m in enumerate(g)}
     return Decomposition(kind=kind, g=g, sigma_by_base=sigma_by_base)
 
 

@@ -46,6 +46,7 @@ from .projective import Base, MapError, ProjSpace, Semilinear, standard_base
 __all__ = ["main", "RunReport", "CheckRow"]
 
 RANK_CAP = 5  # dimensions beyond this need --force
+PAIR_CAP = 2**22  # map induce writes more chambers than this only with --force
 
 
 # ------------------------------------------------------------- run reports
@@ -132,10 +133,6 @@ def _encode_base(base: Base) -> list:
 
 
 def cmd_space(args) -> int:
-    problem = _check_space_args(args.n, args.q)
-    if problem:
-        _fail(problem)
-        return 2
     n, q = args.n, args.q
     report = RunReport("space", {"n": n, "q": q})
     for name, value in [
@@ -151,10 +148,6 @@ def cmd_space(args) -> int:
 
 
 def cmd_apartment(args) -> int:
-    problem = _check_space_args(args.n, args.q, args.force)
-    if problem:
-        _fail(problem)
-        return 2
     space = ProjSpace.of(args.n, args.q)
     try:
         base = standard_base(space) if args.base is None else Base.of(space, parse_rows(args.base))
@@ -174,10 +167,6 @@ def cmd_apartment(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    problem = _check_space_args(args.n, args.q, args.force)
-    if problem:
-        _fail(problem)
-        return 2
     n, q = args.n, args.q
     cases = [args.case] if args.case else list(range(1, 7))
     report = RunReport(
@@ -199,9 +188,10 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_map_induce(args) -> int:
-    problem = _check_space_args(args.n, args.q, args.force)
-    if problem:
-        _fail(problem)
+    pairs = chamber_count(args.n, args.q)
+    if pairs > PAIR_CAP and not args.force:
+        _fail(f"PG({args.n},{args.q}) has {pairs} chambers, more than the cap {PAIR_CAP}; "
+              "use --force")
         return 2
     target_q = args.target_q if args.target_q is not None else args.q
     if target_q not in SUPPORTED_ORDERS:
@@ -249,8 +239,7 @@ def cmd_map_induce(args) -> int:
             "out": args.out,
         },
     )
-    expected = chamber_count(args.n, args.q)
-    report.add("pairs-written", expected, written, written == expected)
+    report.add("pairs-written", pairs, written, written == pairs)
     _emit(report, "json")
     return 0 if report.passed() else 1
 
@@ -392,6 +381,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        force = getattr(args, "force", True)  # space has no --force and no rank cap
+        problem = hasattr(args, "n") and _check_space_args(args.n, args.q, force)
+        if problem:
+            _fail(problem)
+            return 2
         return args.func(args)
     finally:
         elapsed = (time.perf_counter() - start) * 1000

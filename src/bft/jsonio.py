@@ -55,6 +55,7 @@ __all__ = [
 
 SCHEMA = "chamber-map/2"
 _SCHEMA_1 = "chamber-map/1"  # still read
+_INT = frozenset({int})  # _INT.issuperset(map(type, row)): only ints, no bools
 
 
 class FormatError(ValueError):
@@ -87,10 +88,10 @@ def encode_chamber(chamber: Chamber) -> list:
 def _part_mask(space: ProjSpace, part) -> int:
     """The mask of a subspace encoding, checked in full: the span of its
     row points, which must be independent (they need not be in RREF)."""
-    # type(x) is int: JSON true/false decode to bools, which are ints
+    # no bools: JSON true/false decode to bools, which are ints
     if not (isinstance(part, list) and part and all(
         isinstance(row, list) and len(row) == space.ambient
-        and all(type(x) is int for x in row) for row in part
+        and _INT.issuperset(map(type, row)) for row in part
     )):
         raise FormatError(f"invalid subspace encoding: {part!r}")
     for x in chain.from_iterable(part):

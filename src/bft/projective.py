@@ -141,7 +141,9 @@ class ProjSpace:
         """The id of the point spanned by a nonzero vector."""
         key = tuple(vector)
         i = self._ids.get(key)
-        if i is None:
+        # (1.0, 0, 0) finds the entry of (1, 0, 0): a hit stands only if the codes
+        # sum to an int, which one float, Fraction or Decimal code prevents
+        if i is None or type(sum(key)) is not int:
             i = self._ids[key] = self._id(normalize_point(self, key))
         return i
 

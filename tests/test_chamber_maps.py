@@ -318,6 +318,28 @@ def test_star_rotations_and_glued_collineations_fail_on_the_apartments_they_name
     assert (sum(checked[:20]), sum(checked[20:])) == {2: (105, 35), 3: (33, 49)}[space.q]
 
 
+@pytest.mark.parametrize("dual", [False, True], ids=["direct", "dual"])
+@pytest.mark.parametrize("space", [PG22, PG23, PG32], ids=["PG22", "PG23", "PG32"])
+def test_a_collapsing_star_fails_on_the_first_apartment_it_names(space, dual):
+    """Each point star of the identity, its images all set to one chamber,
+    collapses, and the first base the walk lists fails: the first argument
+    in the docstring of ``_witness_bases``."""
+    f = induce(identity_semi(space), dual=dual)
+    stars = {}
+    for chain in f.chains:
+        stars.setdefault(chain[0], []).append(chain)
+    for star in stars.values():
+        collapsed = ChamberMap._trusted(
+            space, space, {**f.chains, **dict.fromkeys(star, f.chains[star[0]])}
+        )
+        with pytest.raises(ReconstructionError, match="collapse"):
+            reconstruct(collapsed)
+        result = analyze(collapsed)
+        assert result.label == "not-apartment-preserving"
+        assert result.check[:3] == (False, "local", 1)
+    assert len(stars) == space.size
+
+
 # ------------------------------------------------------------ decomposition
 
 
@@ -610,16 +632,15 @@ def pg22_point_maps_whose_lines_span_lines():
             yield {pts[i]: pts[g[i]] for i in range(7)}
 
 
-def test_reconstruct_certifies_exactly_the_strong_embeddings():
-    """Over every PG(2,2) point map whose lines span lines (fixing the first
-    point), the table it induces, direct or dual, passes ``reconstruct``
-    exactly when ``verify_strong_embedding`` accepts the point map.  Every
-    other map fails on injectivity alone and is not apartment-preserving,
-    with a witness found on the apartments the failure names."""
+@functools.cache
+def pg22_induced_tables() -> tuple:
+    """``(g, direct, dual)`` for each point map of
+    :func:`pg22_point_maps_whose_lines_span_lines`: the tables it induces,
+    built on RREF subspaces."""
     pts = points_of(PG22)
     flags = [(c, c.point, [p for p in pts if parts(c)[1].contains_vector(p)])
              for c in chambers_of(PG22)]
-    accepted = rejected = 0
+    found = []
     for g in pg22_point_maps_whose_lines_span_lines():
         ids = {p: frozenset([pts.index(g[p])]) for p in pts}
         direct, dual = {}, {}
@@ -628,6 +649,18 @@ def test_reconstruct_certifies_exactly_the_strong_embeddings():
             line = pg22_span(frozenset().union(*map(ids.get, on)))
             direct[c] = chamber_of(PG22, [point, line])
             dual[c] = chamber_of(PG22, [line.annihilator(), point.annihilator()])
+        found.append((g, direct, dual))
+    return tuple(found)
+
+
+def test_reconstruct_certifies_exactly_the_strong_embeddings():
+    """Over every PG(2,2) point map whose lines span lines (fixing the first
+    point), the table it induces, direct or dual, passes ``reconstruct``
+    exactly when ``verify_strong_embedding`` accepts the point map.  Every
+    other map fails on injectivity alone and is not apartment-preserving,
+    with a witness found on the apartments the failure names."""
+    accepted = rejected = 0
+    for g, direct, dual in pg22_induced_tables():
         embedding = embeds(PG22, PG22, g)
         for table in (direct, dual):
             f = ChamberMap(PG22, PG22, table)
@@ -644,6 +677,30 @@ def test_reconstruct_certifies_exactly_the_strong_embeddings():
                 assert embedding and point_map_of(d, PG22) == g
         accepted, rejected = accepted + embedding, rejected + (not embedding)
     assert (accepted, rejected) == (168 // 7, 5880 // 7)
+
+
+def test_a_non_injective_map_fails_by_the_first_base_holding_both_points():
+    """On each of the 1,680 non-injective tables above, the walk stops no
+    later than the first base it lists through the witness's first chamber
+    that holds the other colliding point, and that base fails: the second
+    argument in the docstring of ``_witness_bases``."""
+    tables = 0
+    for g, *induced in pg22_induced_tables():
+        if len(set(g.values())) == len(g):
+            continue
+        for table in induced:
+            f = ChamberMap(PG22, PG22, table)
+            with pytest.raises(ReconstructionError, match="not injective") as info:
+                reconstruct(f)
+            a, b = info.value.witness
+            bases = list(_witness_bases(a, b))
+            other = PG22.id_of(b.point)
+            k = next(k for k, base in enumerate(bases, 1) if other in base.ids)
+            assert not preserves_apartments(f, bases[k - 1 : k]).ok
+            check = analyze(f).check
+            assert check.path == "local" and check.checked <= k
+            tables += 1
+    assert tables == 2 * 5880 // 7
 
 
 # ------------------------------------------------------------ classification

@@ -9,6 +9,7 @@ import pytest
 
 import bft
 from bft import cli
+from bft.counts import chamber_count
 
 IDENTITY = "1,0,0;0,1,0;0,0,1"
 
@@ -690,6 +691,39 @@ def test_map_induce_over_rank_cap_exits_2(tmp_path):
     assert "Traceback" not in done.stderr
     assert "dimension 30 exceeds the cap 5; use --force" in done.stderr
     assert not (tmp_path / "x.json").exists()
+
+
+def _identity(n: int) -> str:
+    return ";".join(",".join("1" if r == c else "0" for c in range(n + 1)) for r in range(n + 1))
+
+
+@pytest.mark.parametrize("n, q", [(4, 5), (5, 3), (4, 9)])
+def test_map_induce_of_too_many_chambers_exits_2_before_writing(tmp_path, n, q):
+    """In rank but over the chamber cap: refused without ``--force``, with
+    no file written."""
+    out = tmp_path / "x.json"
+    done = _bft_subprocess("map", "induce", "--n", str(n), "--q", str(q),
+                           "--matrix", _identity(n), "--out", str(out), timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    count = chamber_count(n, q)
+    assert f"PG({n},{q}) has {count} chambers, more than the cap 4194304; use --force" in (
+        done.stderr
+    )
+    assert not out.exists()
+
+
+def test_map_induce_chamber_cap_keeps_the_largest_spaces_in_cap(capsys, monkeypatch, tmp_path):
+    """PG(5,2), PG(4,3), PG(3,9) and PG(4,4) are written without ``--force``,
+    and a forced PG(4,5) is not refused (the writer is replaced, so nothing
+    is walked)."""
+    monkeypatch.setattr(cli, "dump_induced",
+                        lambda semi, out, dual: chamber_count(semi.source.n, semi.source.q))
+    for n, q, *force in [(5, 2), (4, 3), (3, 9), (4, 4), (4, 5, "--force")]:
+        code, report, _ = run_json(capsys, "map", "induce", "--n", str(n), "--q", str(q),
+                                   "--matrix", _identity(n), "--out", str(tmp_path / "m.json"),
+                                   *force)
+        assert code == 0 and report["checks"][0]["actual"] == chamber_count(n, q)
 
 
 def test_map_induce_accepts_force_in_cap(capsys, tmp_path):

@@ -5,12 +5,14 @@ the lexicographic order of the points of PG(2,2), and the images of the
 subfield inclusion and the Frobenius map on PG(2,4).
 """
 
+import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
-from bft.gf import GF
+from bft.gf import GF, FieldError
 from bft.projective import (
     Base,
     MapError,
@@ -56,6 +58,26 @@ def test_normalize_point():
         normalize_point(PG22, (0, 0, 0))
     with pytest.raises(ValueError):
         normalize_point(PG22, (1, 0))
+
+
+def test_id_of_answers_alike_on_a_fresh_and_a_warmed_space():
+    """A vector's id does not depend on what was asked before: a float or a
+    Fraction code is refused even once the equal int vector is in the memo,
+    and bools, which are ints, are read as 0 and 1."""
+    vectors = [(1.0, 0, 0), (Fraction(1), 0, 0), (2.0, 0, 0), (True, False, False),
+               (1, 0, 0), (2, 0, 0)]
+    fresh = [FieldError, FieldError, FieldError, 4, 4, 4]
+
+    def answer(v):
+        try:
+            return PG23.id_of(v)
+        except FieldError:
+            return FieldError
+
+    for order in itertools.permutations(range(len(vectors))):
+        PG23._ids.clear()
+        assert [answer(vectors[k]) for k in order] == [fresh[k] for k in order]
+    PG23._ids.clear()
 
 
 def test_low_dimension_rejected():

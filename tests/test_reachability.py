@@ -40,8 +40,9 @@ import pytest
 from test_perfbench_names import PERFBENCH, _assigned
 
 import bft
+from bft.buildings import flags
 from bft.jsonio import dump_induced
-from bft.projective import ProjSpace, Semilinear
+from bft.projective import ProjSpace, Semilinear, bits
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bft"
@@ -59,7 +60,6 @@ def callee(name: str) -> str:
 KEPT = {
     "buildings.Apartment.__eq__": DUNDER,
     "buildings.Apartment.__repr__": DUNDER,
-    "buildings.Chamber.point": PINNED,
     "buildings.check_chamber": PINNED,
     "chamber_maps.ChamberMap.__init__": PINNED,
     "chamber_maps.ChamberMap.__repr__": DUNDER,
@@ -98,6 +98,7 @@ KEPT = {
 
 IDENTITY = "1,0,0;0,1,0;0,0,1"
 SWAP = "0,1,0;1,0,0;0,0,1"
+EYE5 = "1,0,0,0,0;0,1,0,0,0;0,0,1,0,0;0,0,0,1,0;0,0,0,0,1"
 # the workloads whose inputs perfbench/gen.py writes, and a seed
 SETUP = [("analyze-exhaustive", 1), ("analyze-sample", 1)]
 
@@ -170,6 +171,38 @@ def _malformed(doc: dict) -> dict:
     }
 
 
+def _uninduced(doc: dict) -> dict:
+    """One ``/1`` document per failure of the certificate: the identity of
+    ``doc``'s PG(2,2) with the images of some chains moved."""
+    space = ProjSpace.of(2, 2)
+    chains = list(flags(space))
+    star = [c for c in chains if c[0] == chains[0][0]]
+    last = [c for c in chains if c[0] == chains[-1][0]]
+    off = next(c[1] for c in chains if not c[1] & chains[0][0])
+    g = (0, 0, 1, 0, 1, 3, 0)  # not injective; lines span lines, no star collapses
+
+    def induced(chain):
+        return 1 << g[chain[0].bit_length() - 1], space.span(g[p] for p in bits(chain[1]))
+
+    moved = {
+        "collapse": dict.fromkeys(star, star[0]),
+        "neither": dict(zip(star, [star[0], chains[-1], chains[-1]])),
+        "mixed-kinds": dict(zip(star, [c for c in chains if c[1] == off])),
+        "not-induced": {last[0]: last[-1], last[-1]: last[0]},
+        "not-injective": {c: induced(c) for c in chains},
+    }
+
+    def spelled(chain):
+        return [[list(row) for row in space.rows(mask)] for mask in chain]
+
+    head = {k: doc[k] for k in ("source", "target")}
+    return {
+        kind: {"schema": "chamber-map/1", **head,
+               "pairs": [[spelled(c), spelled(images.get(c, c))] for c in chains]}
+        for kind, images in moved.items()
+    }
+
+
 def _requests(tmp: Path) -> list:
     """The request set, as ``(argv, exit code)``, with the files it reads
     written under ``tmp``."""
@@ -203,6 +236,7 @@ def _requests(tmp: Path) -> list:
     negatives = [
         [written("swap.json", {**doc, "pairs": swapped})],
         [written("shuffle.json", {**doc, "pairs": shuffled}), "--format", "csv"],
+        *([written(f"{kind}.json", bad)] for kind, bad in _uninduced(doc).items()),
     ]
     broken = [[written(f"{kind}.json", bad)] for kind, bad in _malformed(doc).items()]
     not_json = tmp / "not.json"
@@ -244,6 +278,8 @@ def _requests(tmp: Path) -> list:
         (induce + ["--matrix", "1,0,0;1,0,0;0,0,1"], 1),
         (induce[:-1] + [str(tmp), "--matrix", IDENTITY], 2),
         (["map", "induce", "--n", "6", "--q", "2", "--matrix", IDENTITY,
+          "--out", str(tmp / "big.json")], 2),
+        (["map", "induce", "--n", "4", "--q", "9", "--matrix", EYE5,
           "--out", str(tmp / "big.json")], 2),
         *((analyze + argv, 0) for argv in positives),
         *((analyze + argv, 1) for argv in negatives),
