@@ -543,13 +543,15 @@ def analyze(f: ChamberMap) -> Analysis:
     dual case is the same with annihilators.
 
     By the theorem, a map that fails the certificate does not preserve
-    apartments, and the failure's witness shows where: the apartments
-    through the source chambers it names (see :func:`_witness_bases`) are
-    checked first, for a witness base of ``"not-apartment-preserving"``.
-    Only if all of them are preserved are all apartments swept, within the
-    base cap.  A sweep that finds no witness contradicts the theorem and is
-    labelled ``"apartment-preserving-not-induced"``; beyond the cap the map
-    keeps ``"not-apartment-preserving"``.  Either way ``error`` is set.
+    apartments.  The apartments through the source chambers its witness
+    names (see :func:`_witness_bases`) are checked first, for a witness
+    base of ``"not-apartment-preserving"``.  Only if all of them are
+    preserved are all apartments swept, within the base cap: a map whose
+    stars are all direct but whose g is not injective fails the table check
+    first, on a chamber whose apartments can all be preserved.  A sweep
+    that finds no witness contradicts the theorem and is labelled
+    ``"apartment-preserving-not-induced"``; beyond the cap the map keeps
+    ``"not-apartment-preserving"``.  Either way ``error`` is set.
     """
     try:
         decomposition = reconstruct(f)

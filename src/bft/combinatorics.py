@@ -4,8 +4,7 @@ Fix an apartment on a base p_0, ..., p_n.  Each of its chambers corresponds
 to a permutation ``perm`` of ``0..n`` (the order in which base points enter
 the flag), so every family below is really a set of permutations.  Each
 ``*_bits(n, ...)`` is one, as an int whose bit k is ``Apartment.perms[k]``,
-computed for all (n+1)! permutations at once on byte lanes (one byte per
-permutation, see ``_equals``) and cached per n and indices; each
+cut with & and | from the position table ``_at`` built once per n; each
 ``*_family(ap, ...)`` reads those bits off as chambers of ``ap``.  Indices
 are 0-based positions into the base, so valid indices are ``range(n + 1)``.
 
@@ -87,63 +86,20 @@ def _check_pair(n: int, i: int, j: int):
         raise ValueError(f"indices must be distinct, got ({i}, {j})")
 
 
-# The (n+1)! permutations of 0..n, in ``itertools.permutations`` order, are
-# held as byte lanes, one byte per permutation: byte k of lane c is the element
-# at position c of permutation k.  ``bytes.translate`` reads values off a lane,
-# and a lane read as a big int (byte k at bits 8k..8k+7) is combined with
-# others byte by byte: & | ^ on 0/1 lanes, and SWAR comparisons on lanes of
-# small values.  ``_bits`` turns a 0/1 lane into the family's bitset.
-
-
 @lru_cache(maxsize=None)
-def _ones(n: int) -> int:
-    """The lane with every byte 1."""
-    return int.from_bytes(b"\1" * factorial(n + 1), "little")
-
-
-@lru_cache(maxsize=None)
-def _equals(n: int) -> tuple[tuple[int, ...], ...]:
-    """``_equals(n)[c][i]``: the 0/1 lane of "position c holds i"."""
+def _at(n: int) -> tuple[tuple[int, ...], ...]:
+    """``_at(n)[c][i]``: the permutations with i at position c, the one table
+    every family is cut from with & and |.  The (n+1)! permutations of 0..n
+    are read in ``itertools.permutations`` order as one byte string, and
+    ``bytes.translate`` turns the bytes of position c into the 0/1 lane of
+    "holds i", one byte per permutation, which ``_bits`` packs."""
     m = n + 1
     flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(m))))
     equals = [bytes(x == i for x in range(256)) for i in range(m)]
     return tuple(
-        tuple(int.from_bytes(flat[c::m].translate(eq), "little") for eq in equals)
+        tuple(_bits(n, int.from_bytes(flat[c::m].translate(eq), "little")) for eq in equals)
         for c in range(m)
     )
-
-
-@lru_cache(maxsize=None)
-def _position_lanes(n: int) -> tuple[int, ...]:
-    """``_position_lanes(n)[i]``: the lane of pos(i), where i stands, 0 first
-    and n last."""
-    at = _equals(n)
-    return tuple(sum(c * at[c][i] for c in range(n + 1)) for i in range(n + 1))
-
-
-def _prefixes(positions) -> tuple[tuple[int, ...], ...]:
-    """The prefix sets of ``positions`` (rows of ``_equals``, in the order
-    the permutation is read): entry L - 1, i is the 0/1 lane of "i is among
-    the first L positions read"."""
-    out, members = [], (0,) * len(positions[0])
-    for at in positions:
-        members = tuple(map(int.__or__, members, at))
-        out.append(members)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _prefix_lanes(n: int) -> tuple[tuple[int, ...], ...]:
-    """The proper prefix sets: ``_prefix_lanes(n)[L - 1][i]`` is the 0/1 lane
-    of "i is among the first L elements", for L = 1..n."""
-    return _prefixes(_equals(n)[:-1])
-
-
-def _less(n: int, a: int, b: int) -> int:
-    """The 0/1 lane of a < b, for lanes of values below 128: the high bit of
-    each byte of (b + 128) - a - 1 is set iff b > a, and no byte borrows."""
-    ones = _ones(n)
-    return ((b | ones << 7) - a - ones) >> 7 & ones
 
 
 def _bits(n: int, lane: int) -> int:
@@ -156,21 +112,34 @@ def _bits(n: int, lane: int) -> int:
     return int.from_bytes(lane.to_bytes(factorial(n + 1), "little")[::8], "little")
 
 
+def _prefixes(positions) -> tuple[tuple[int, ...], ...]:
+    """The prefix sets of ``positions`` (rows of ``_at``, in the order the
+    permutation is read): entry L - 1, i is the bitset of "i is among the
+    first L positions read"."""
+    return tuple(
+        itertools.accumulate(positions, lambda members, at: tuple(map(int.__or__, members, at)))
+    )
+
+
 @lru_cache(maxsize=None)
+def _prefix_sets(n: int) -> tuple[tuple[int, ...], ...]:
+    """The proper prefix sets: ``_prefix_sets(n)[L - 1][i]`` is the bitset
+    of "i is among the first L elements", for L = 1..n."""
+    return _prefixes(_at(n)[:-1])
+
+
 def point_bits(n: int, i: int) -> int:
     """Chambers whose 0-component is the i-th base point.  Size n!."""
     _check_index(n, i)
-    return _bits(n, _equals(n)[0][i])
+    return _at(n)[0][i]
 
 
-@lru_cache(maxsize=None)
 def copoint_bits(n: int, i: int) -> int:
     """Chambers whose hyperplane, span(base - {p_i}), omits p_i.  Size n!."""
     _check_index(n, i)
-    return _bits(n, _equals(n)[n][i])
+    return _at(n)[n][i]
 
 
-@lru_cache(maxsize=None)
 def point_copoint_bits(n: int, i: int, j: int) -> int:
     """Chambers through p_i whose hyperplane omits p_j.
 
@@ -178,8 +147,8 @@ def point_copoint_bits(n: int, i: int, j: int) -> int:
     every hyperplane of its own chamber).
     """
     _check_index(n, i, j)
-    at = _equals(n)
-    return _bits(n, at[0][i] & at[n][j])
+    at = _at(n)
+    return at[0][i] & at[n][j]
 
 
 @lru_cache(maxsize=None)
@@ -190,9 +159,9 @@ def residual_bits(n: int, i: int, j: int) -> int:
     room for two interior indices).
     """
     _check_pair(n, i, j)
-    pos, last = _position_lanes(n), n * _ones(n)
-    inside = _less(n, 0, pos[i]) & _less(n, pos[j], last)
-    return _bits(n, inside & _less(n, pos[i], pos[j]))
+    at = _at(n)
+    pairs = itertools.combinations(range(1, n), 2)
+    return reduce(int.__or__, (at[c][i] & at[d][j] for c, d in pairs), 0)
 
 
 @lru_cache(maxsize=None)
@@ -204,15 +173,15 @@ def max_inexact_bits(n: int, i: int, j: int) -> int:
     lies in every proper prefix that contains i.
     """
     _check_pair(n, i, j)
-    return _bits(n, _max_inexact_lane(n, _prefix_lanes(n), i, j))
+    return _max_inexact(n, _prefix_sets(n), i, j)
 
 
-def _max_inexact_lane(n: int, prefixes, i: int, j: int) -> int:
-    """The 0/1 lane of "j is in every prefix of ``prefixes`` holding i"."""
-    lane = ones = _ones(n)
+def _max_inexact(n: int, prefixes, i: int, j: int) -> int:
+    """The bitset of "j is in every prefix of ``prefixes`` holding i"."""
+    family = full = (1 << factorial(n + 1)) - 1
     for members in prefixes:
-        lane &= members[j] | ones ^ members[i]
-    return lane
+        family &= members[j] | full ^ members[i]
+    return family
 
 
 @lru_cache(maxsize=None)
@@ -402,7 +371,7 @@ def classify_adjacent_family(pairs):
 # --------------------------------------------------------------- exactness
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=APARTMENT_CACHE_SIZE)
 def _point_masks(ap: Apartment) -> tuple[int, ...]:
     """The base points of ``ap`` as one-point subspace masks."""
     return tuple(1 << p for p in ap.base.ids)

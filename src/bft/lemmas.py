@@ -12,9 +12,9 @@ from math import factorial
 
 from .buildings import apartment_of
 from .combinatorics import (
-    _equals,
-    _max_inexact_lane,
-    _prefix_lanes,
+    _at,
+    _max_inexact,
+    _prefix_sets,
     _prefixes,
     classify_adjacent_family,
     closed_form,
@@ -98,10 +98,10 @@ def structural_rows(n: int, q: int) -> list[CheckRow]:
     # complement_chamber reverses each permutation, so read the prefixes of
     # the reversed permutations off positions n, n-1, .., 1; a complement
     # family is the rest of a max-inexact one, so comparing those decides it
-    reversed_prefixes = _prefixes(_equals(n)[:0:-1])
+    reversed_prefixes = _prefixes(_at(n)[:0:-1])
     ok = all(
-        _max_inexact_lane(n, reversed_prefixes, i, j)
-        == _max_inexact_lane(n, _prefix_lanes(n), j, i)
+        _max_inexact(n, reversed_prefixes, i, j)
+        == _max_inexact(n, _prefix_sets(n), j, i)
         for i, j in pairs
     )
     rows.append(CheckRow("complement-involution", True, ok, ok))

@@ -6,7 +6,7 @@ position vector or its prefix sets, and every overlap is a set
 intersection.  ``positions`` and ``prefix_sets`` are the per-apartment tables
 the families were read from.
 
-The ``*_bits`` functions are the oracle for the byte-lane families of
+The ``*_bits`` functions are the oracle for the bitset families of
 :mod:`bft.combinatorics`: the same bitsets, built by one predicate call per
 permutation from its position vector or its proper prefix sets.
 """

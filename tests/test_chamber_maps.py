@@ -45,7 +45,7 @@ from bft.projective import (
     points_of_subspace,
     standard_base,
 )
-from conftest import oracle_chamber_of_perm, random_invertible
+from conftest import oracle_chamber_of_perm, random_invertible, sweep_only_map
 from reference import apply_point, chamber_of, frobenius, hyperplane, is_surjective, parts
 
 PG22 = ProjSpace.of(2, 2)
@@ -338,6 +338,34 @@ def test_a_collapsing_star_fails_on_the_first_apartment_it_names(space, dual):
         assert result.label == "not-apartment-preserving"
         assert result.check[:3] == (False, "local", 1)
     assert len(stars) == space.size
+
+
+@pytest.mark.parametrize("space, base", [(PG22, 9), (PG23, 28)], ids=["PG22", "PG23"])
+def test_a_map_only_the_sweep_refutes(space, base):
+    """``reconstruct`` checks the table before injectivity, so for a map
+    whose stars are all direct but whose g is not injective it names the
+    one chamber not induced.  Every apartment through that chamber is
+    preserved, so the witness walk finds nothing and only the sweep of
+    every base finds the apartment that breaks: the walk is not complete
+    for the "not induced" kind."""
+    f = sweep_only_map(space)
+    first = next(iter(f.chains))
+    with pytest.raises(ReconstructionError, match="not componentwise induced") as caught:
+        reconstruct(f)
+    assert [c.masks for c in caught.value.witness] == [first]
+    assert preserves_apartments(f, _witness_bases(*caught.value.witness)).ok
+    result = analyze(f)
+    assert result.label == "not-apartment-preserving" and result.error is None
+    assert result.check[:3] == (False, "sweep", base)
+
+
+def test_a_map_only_the_sweep_refutes_keeps_its_label_beyond_the_cap():
+    """On PG(2, 4), beyond the base cap, the walk passes every apartment it
+    lists and no sweep runs, so the label stays negative with no witness."""
+    result = analyze(sweep_only_map(PG24))
+    assert result.check == ApartmentCheck(True, "local", 64)
+    assert result.label == "not-apartment-preserving"
+    assert isinstance(result.error, ReconstructionError)
 
 
 # ------------------------------------------------------------ decomposition

@@ -10,6 +10,7 @@ import pytest
 import bft
 from bft import cli
 from bft.counts import chamber_count
+from conftest import sweep_only_map
 
 IDENTITY = "1,0,0;0,1,0;0,0,1"
 
@@ -419,6 +420,27 @@ def test_map_analyze_names_a_witness_for_a_late_swap_on_pg42(capsys, tmp_path):
     assert report["checks"][-1]["actual"] == "not-apartment-preserving"
     assert report["checks"][0]["note"].endswith("apartments checked (local)")
     assert "witness base: " in err
+
+
+@pytest.mark.parametrize(
+    "q, note, stderr",
+    [
+        (2, "9 apartments checked (sweep)", "witness base: 0,0,1;1,0,0;1,1,0"),
+        (4, "64 apartments checked (local)", "reconstruction failed: a chamber image"),
+    ],
+    ids=["sweep", "beyond-cap"],
+)
+def test_map_analyze_a_map_only_the_sweep_refutes(capsys, tmp_path, q, note, stderr):
+    """The apartments through the chamber ``reconstruct`` names are all
+    preserved: on PG(2, 2) the sweep finds the witness base, and on PG(2, 4),
+    beyond the cap, the map keeps the negative label with no witness base."""
+    out_path = tmp_path / "map.json"
+    bft.dump_map(sweep_only_map(bft.ProjSpace.of(2, q)), out_path)
+    code, report, err = run_json(capsys, "map", "analyze", str(out_path))
+    assert code == 1 and not report["passed"]
+    assert report["checks"][0]["note"] == note
+    assert report["checks"][-1]["actual"] == "not-apartment-preserving"
+    assert stderr in err and ("witness base: " in err) == (q == 2)
 
 
 def test_map_induce_unwritable_out_exits_2(tmp_path):

@@ -5,6 +5,7 @@ apartment; ``bft.lemmas`` must give the same rows (name, expected, actual,
 pass and note) from the bitsets of ``bft.combinatorics``.
 """
 
+import functools
 import itertools
 import random
 from math import factorial
@@ -70,7 +71,8 @@ def test_apartment_family_caches_are_bounded():
         ap = apartment_of(base)
         combinatorics.point_family(ap, 0)
         combinatorics.complement_family(ap, 0, 1)
-    for name in FAMILIES:
+        combinatorics.is_exact(ap, ())
+    for name in FAMILIES + ("_point_masks",):
         info = getattr(combinatorics, name).cache_info()
         assert info.maxsize == APARTMENT_CACHE_SIZE
         assert info.currsize <= APARTMENT_CACHE_SIZE
@@ -78,8 +80,8 @@ def test_apartment_family_caches_are_bounded():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_permutation_bits_match_the_literal_definitions(n):
-    """Each byte-lane family equals the per-permutation predicate it
-    computes, for every valid index tuple."""
+    """Each family equals the per-permutation predicate it computes, for
+    every valid index tuple."""
     indices = range(n + 1)
     for i in indices:
         for name in ("point_bits", "copoint_bits"):
@@ -96,8 +98,9 @@ def test_permutation_bits_match_the_literal_definitions(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_bits_packs_a_lane_as_its_base_2_digit_string(n):
-    """The SWAR pack of ``_bits`` equals reading the lane's bytes as the
-    binary digits of the bitset, on the full lane and on random lanes."""
+    """The shift-and-gather pack of ``_bits`` equals reading the lane's bytes
+    as the binary digits of the bitset, on the full lane and on random
+    lanes."""
     size = factorial(n + 1)
     ones = int.from_bytes(b"\1" * size, "little")
     rng = random.Random(n)
@@ -107,15 +110,33 @@ def test_bits_packs_a_lane_as_its_base_2_digit_string(n):
         assert combinatorics._bits(n, lane) == int(flags[::-1], 2)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_the_position_table_is_a_latin_square_of_bitsets(n):
+    """Each row and each column of ``_at(n)`` splits the (n+1)! permutations
+    into n+1 blocks of n! (n+1 sets of n! covering (n+1)! are disjoint), and
+    row 0 is the lexicographic order cut into contiguous blocks.  This runs
+    to n = 8, which ``lemmas --force`` reaches, past the oracle's n = 6."""
+    size, block = factorial(n + 1), factorial(n)
+    at = combinatorics._at(n)
+    lines = list(at) + [tuple(row[i] for row in at) for i in range(n + 1)]
+    for line in lines:
+        assert len(line) == n + 1
+        assert all(bits.bit_count() == block for bits in line)
+        assert functools.reduce(int.__or__, line) == (1 << size) - 1
+    for i, bits in enumerate(at[0]):
+        assert bits == ((1 << block) - 1) << (i * block)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_reversed_prefixes_match_the_permutation_dict(n):
-    """The max-inexact lane on the prefix sets read backwards, as the
-    ``complement-involution`` row builds it, flags each permutation whose
-    reversal is in the family, found in the dict of permutation tuples."""
+    """The max-inexact family on the prefix sets read backwards, as the
+    ``complement-involution`` row builds them from ``_at``, flags each
+    permutation whose reversal is in the family, found in the dict of
+    permutation tuples."""
     reverse = oracle.reversal(n)(range(factorial(n + 1)))
-    backwards = combinatorics._prefixes(combinatorics._equals(n)[:0:-1])
+    backwards = combinatorics._prefixes(combinatorics._at(n)[:0:-1])
     for i, j in itertools.permutations(range(n + 1), 2):
-        lane = combinatorics._max_inexact_lane(n, backwards, i, j)
+        got = combinatorics._max_inexact(n, backwards, i, j)
         flags = format(oracle.max_inexact_bits(n, i, j), f"0{len(reverse)}b")[::-1]
         expected = int("".join(flags[k] for k in reverse)[::-1], 2)
-        assert combinatorics._bits(n, lane) == expected, (i, j)
+        assert got == expected, (i, j)

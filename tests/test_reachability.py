@@ -37,11 +37,12 @@ from collections import namedtuple
 from pathlib import Path
 
 import pytest
+from conftest import sweep_only_map
 from test_perfbench_names import PERFBENCH, _assigned
 
 import bft
 from bft.buildings import flags
-from bft.jsonio import dump_induced
+from bft.jsonio import dump_induced, dump_map
 from bft.projective import ProjSpace, Semilinear, bits
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -218,6 +219,11 @@ def _requests(tmp: Path) -> list:
         path.write_text(json.dumps(doc))
         return str(path)
 
+    def sweep_only(name, q):
+        path = tmp / name
+        dump_map(sweep_only_map(ProjSpace.of(2, q)), path)
+        return str(path)
+
     eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     direct = induced("direct.json", 2, 2, 2, eye, False)
     doc = json.loads(Path(direct).read_text())
@@ -237,6 +243,8 @@ def _requests(tmp: Path) -> list:
         [written("swap.json", {**doc, "pairs": swapped})],
         [written("shuffle.json", {**doc, "pairs": shuffled}), "--format", "csv"],
         *([written(f"{kind}.json", bad)] for kind, bad in _uninduced(doc).items()),
+        [sweep_only("sweep-only.json", 2)],  # the sweep finds the witness
+        [sweep_only("sweep-only-pg24.json", 4)],  # beyond the cap: no sweep
     ]
     broken = [[written(f"{kind}.json", bad)] for kind, bad in _malformed(doc).items()]
     not_json = tmp / "not.json"
