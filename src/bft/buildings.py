@@ -8,7 +8,8 @@ exactly q + 1 chambers, so the complex is thick.
 
 A chamber is its chain: the tuple of subspace masks over its
 :class:`~bft.projective.ProjSpace` that :func:`flags` yields, which is all a
-chamber map or an apartment stores.  :class:`Chamber` is a view: it wraps
+chamber map or an apartment stores.  The chains are the leaves of the flag
+tree of one cover table per space, :func:`covers`.  :class:`Chamber` is a view: it wraps
 a chain with its space for ``point`` and ``sort_key``, read-only views in
 coordinates and canonical RREF rows, and is built only for a report, a
 lemma row or a witness.
@@ -85,39 +86,62 @@ def check_chamber(space: ProjSpace, chamber: Chamber):
     return chamber
 
 
-def flags(space: ProjSpace):
-    """Every chamber as its chain of masks, in a fixed depth-first
-    lexicographic order: points by coordinates, then the subspaces
-    covering each by their RREF rows.  That is the order of
-    :meth:`Chamber.sort_key`.  Nothing is walked until the first chain
-    is asked for.
+class _Covers(dict):
+    """A subspace mask -> the masks of the subspaces one dimension up that
+    contain it, by their RREF rows, each tuple built on first lookup.
 
     Each subspace is built once.  The covers of a subspace are first the
     ones already found at the next level that contain it (looked up among
     those through its last point); only the points they leave out are
     joined to it, each giving a new cover.
     """
-    covers: dict[int, list[tuple[int]]] = {}
-    # through[k][p]: the subspaces of pdim k found so far that hold point p
-    through = [[[] for _ in range(space.size)] for _ in range(space.n)]
+
+    def __init__(self, space: ProjSpace):
+        self.space = space
+        # through[k][p]: the subspaces of pdim k found so far that hold point p
+        self.through = [[[] for _ in range(space.size)] for _ in range(space.n)]
+
+    def __missing__(self, last: int) -> tuple[int, ...]:
+        space = self.space
+        level = self.through[space.rank(last)]
+        found = [t for t in level[last.bit_length() - 1] if t & last == last]
+        rest = space.full & ~last
+        for cover in found:
+            rest &= ~cover
+        while rest:
+            cover = space.join_point(last, (rest & -rest).bit_length() - 1)
+            found.append(cover)
+            for p in bits(cover):
+                level[p].append(cover)
+            rest &= ~cover
+        found = self[last] = tuple(sorted(found, key=space.rows))
+        return found
+
+
+@lru_cache(maxsize=None)
+def covers(space: ProjSpace) -> _Covers:
+    """The cover table of a space, one per space.  The flag tree is read
+    off it: its roots are the points, and the children of a node are the
+    covers of its last subspace."""
+    return _Covers(space)
+
+
+def flags(space: ProjSpace):
+    """Every chamber as its chain of masks, in a fixed depth-first
+    lexicographic order: points by coordinates, then the subspaces
+    covering each by their RREF rows.  That is the order of
+    :meth:`Chamber.sort_key`, and the leaf order of the flag tree of
+    :func:`covers`.  Nothing is walked until the first chain is asked for.
+    """
+    table, ones = covers(space), {}
 
     def extend(chain):
         """The chain followed by each cover of its last subspace, in order."""
         last = chain[-1]
-        if last not in covers:
-            level = through[len(chain)]
-            found = [t for t in level[last.bit_length() - 1] if t & last == last]
-            rest = space.full & ~last
-            for cover in found:
-                rest &= ~cover
-            while rest:
-                cover = space.join_point(last, (rest & -rest).bit_length() - 1)
-                found.append(cover)
-                for p in bits(cover):
-                    level[p].append(cover)
-                rest &= ~cover
-            covers[last] = [(cover,) for cover in sorted(found, key=space.rows)]
-        return map(chain.__add__, covers[last])
+        added = ones.get(last)
+        if added is None:
+            added = ones[last] = tuple(zip(table[last]))  # 1-tuples
+        return map(chain.__add__, added)
 
     # Lazy iterators, one per level: a chain passes through no Python frame.
     chains = iter([(1 << p,) for p in range(space.size)])

@@ -6,9 +6,10 @@ the same projective dimension; a :class:`Chamber` is built only as a view
 or a witness.  ``induce`` produces the two honest ways to get one from a
 semilinear map: each subspace goes to the span of its points' images
 ("direct"), or to the meet of its points' image hyperplanes, the chain read
-backwards ("dual").  ``_chain_image`` is that one definition of an induced
-chain, for any point map; ``flag_image`` applies it to a semilinear map,
-and ``jsonio.dump_induced`` writes from it with no table built.
+backwards ("dual").  ``_subspace_image`` and ``_chain_image`` are that one
+definition of an induced chain, for any point map; ``subspace_image``
+applies it to a semilinear map, and ``jsonio.dump_induced`` writes from it
+with no table built and no chain imaged.
 
 The analysis direction asks: given only the table, was it induced?
 
@@ -88,7 +89,7 @@ __all__ = [
     "ApartmentCheck",
     "Decomposition",
     "Analysis",
-    "flag_image",
+    "subspace_image",
     "induce",
     "preserves_apartments",
     "main_lemma_decompose",
@@ -176,15 +177,14 @@ def dual_point(space: ProjSpace, hyperplane: Subspace) -> tuple[int, ...]:
     return ann.rows[0]
 
 
-def _chain_image(target: ProjSpace, images, dual: bool):
-    """The function sending a source chain of masks to its image chain
-    under a point map, memoised per source subspace.
+def _subspace_image(target: ProjSpace, images, dual: bool):
+    """The function sending a source subspace mask to its image under a
+    point map, memoised per subspace.
 
     With ``dual=False`` ``images[p]`` is the id of point p's image, and a
     subspace goes to the span of its points' images.  With ``dual=True``
-    ``images[p]`` is the mask of a hyperplane, a subspace goes to the meet
-    of its points' hyperplanes, and the chain is read backwards, so points
-    and hyperplanes trade places.
+    ``images[p]`` is the mask of a hyperplane, and a subspace goes to the
+    meet of its points' hyperplanes.
     """
 
     class Images(dict):
@@ -193,25 +193,34 @@ def _chain_image(target: ProjSpace, images, dual: bool):
             image = self[mask] = reduce(and_, parts) if dual else target.span(parts)
             return image
 
-    image, order = Images().__getitem__, reversed if dual else iter
+    return Images().__getitem__
+
+
+def _chain_image(image, dual: bool):
+    """The function sending a source chain of masks to its image chain:
+    each subspace to its ``image``, the chain read backwards when ``dual``,
+    so points and hyperplanes trade places."""
+    order = reversed if dual else iter
     return lambda chain: tuple(map(image, order(chain)))
 
 
-def flag_image(semi: Semilinear, dual: bool = False):
-    """The function sending a source chain of masks to its image chain
-    under ``semi``: each point goes to the point ``semi`` sends it to, or
-    with ``dual=True`` to that point's perp, a hyperplane."""
+def subspace_image(semi: Semilinear, dual: bool = False):
+    """The function sending a source subspace mask to its image under
+    ``semi``: each point goes to the point ``semi`` sends it to, or with
+    ``dual=True`` to that point's perp, a hyperplane.  The image of a chain
+    is its subspaces' images, read backwards when dual (``_chain_image``)."""
     source, target = semi.source, semi.target
     images = [target.id_of(semi.apply_vector(source.point(p))) for p in range(source.size)]
     if dual:
         images = list(map(target.perp, images))
-    return _chain_image(target, images, dual)
+    return _subspace_image(target, images, dual)
 
 
 def induce(semi: Semilinear, dual: bool = False) -> ChamberMap:
-    """The chamber map sending each chamber to its :func:`flag_image`.  A
-    nonsingular map sends flags to flags, so the table is not checked again."""
-    image = flag_image(semi, dual)
+    """The chamber map sending each chamber to the image chain of
+    :func:`subspace_image`.  A nonsingular map sends flags to flags, so the
+    table is not checked again."""
+    image = _chain_image(subspace_image(semi, dual), dual)
     chains = {chain: image(chain) for chain in flags(semi.source)}
     return ChamberMap._trusted(semi.source, semi.target, chains)
 
@@ -444,7 +453,8 @@ def reconstruct(f: ChamberMap) -> Decomposition:
             witness=(a, b),
         )
     (kind,) = first
-    image = _chain_image(target, g, kind == "dual")
+    dual = kind == "dual"
+    image = _chain_image(_subspace_image(target, g, dual), dual)
     for c in walk:
         if chains[c] != image(c):
             raise ReconstructionError(
@@ -470,11 +480,11 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     sigma_by_base = {}
     for base in bases:
         ms = [g[p] for p in base.ids]
-        if kind == "dual":  # point i goes to the meet of the other images
+        if dual:  # point i goes to the meet of the other images
             ms = [reduce(and_, ms[:i] + ms[i + 1 :]) for i in range(len(ms))]
         sigma_by_base[base] = tuple(map(sorted(ms).index, ms)), case
 
-    view = target.subspace_of if kind == "dual" else target.point
+    view = target.subspace_of if dual else target.point
     g = {source.point(p): view(m) for p, m in enumerate(g)}
     return Decomposition(kind=kind, g=g, sigma_by_base=sigma_by_base)
 

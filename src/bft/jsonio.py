@@ -10,15 +10,18 @@ A ``chamber-map/2`` file writes each distinct subspace once::
 Each side's table lists subspaces as linearly independent rows of field
 codes.  A pair gives a source chamber and its image as the indices of their
 subspaces (one per projective dimension, ascending) in those tables, and
-``pairs`` covers every source chamber exactly once.  One writer streams
-pairs of chains of masks in ``chambers_of`` order, which is the
-``Chamber.sort_key`` order (so nothing is sorted), then the tables of RREF
-rows, each numbered in order of first use along the chains as written (a
-dual image chain after it is reversed).  ``dump_map`` feeds it a map's
-chains, so a file round-trips byte-identically through
-``dump_map``/``load_map``; ``encode_map`` returns the same document.
-``dump_induced`` feeds it ``flags`` and ``flag_image`` of a semilinear map,
-so it builds no chamber and its memory grows with the subspaces.
+``pairs`` covers every source chamber exactly once.  One writer streams the
+pairs along the flag tree of ``buildings.covers``, in ``flags`` order,
+which is the ``Chamber.sort_key`` order (so nothing is sorted), then the
+tables of RREF rows.  The source table is numbered in order of first use
+along the pairs as written, and so is the target table, along the target
+keys: a chamber map's image chains (``dump_map``; ``encode_map`` returns
+the same document), so a file round-trips byte-identically through
+``dump_map``/``load_map``.  A semilinear map is injective on subspaces, so
+``dump_induced`` keys the target table by source subspace: a direct line
+is ``[x,x]``, and a dual one reads a second numbering along the reversed
+chain.  It images each table entry once and no chain, builds no chamber,
+and its memory grows with the subspaces.
 
 ``decode_map`` also reads ``chamber-map/1``, which spells every subspace of
 every chamber inline; its table is the distinct spellings, as read.  Each
@@ -31,12 +34,13 @@ its indices, checked on the masks; the map holds those chains, with no
 
 from __future__ import annotations
 
+import io
 import json
 from functools import partial
 from itertools import chain
 
-from .buildings import Chamber, chambers_of, flags
-from .chamber_maps import ChamberMap, flag_image
+from .buildings import Chamber, covers
+from .chamber_maps import ChamberMap, subspace_image
 from .counts import MAX_DIMENSION, chamber_count
 from .gf import SUPPORTED_ORDERS
 from .projective import ProjSpace, Semilinear
@@ -189,31 +193,11 @@ class _Numbering(dict):
         return index
 
 
-def _chains(f: ChamberMap):
-    """The pairs of ``f`` as chains of masks, in ``chambers_of`` order."""
-    chains = f.chains
-    return ((c.masks, chains[c.masks]) for c in chambers_of(f.source))
-
-
-def _indexed(chains):
-    """Each pair of chains as two iterators of index strings into two
-    tables that fill in order of first use as the pairs are read."""
-    source, target = tables = _Numbering(), _Numbering()
-    return ((map(source.__getitem__, s), map(target.__getitem__, t))
-            for s, t in chains), tables
-
-
-def _subspaces(f, tables) -> dict:
-    return {
-        side: [list(map(list, space.rows(mask))) for mask in table]
-        for side, space, table in zip(("source", "target"), (f.source, f.target), tables)
-    }
-
-
 def encode_map(f: ChamberMap, dual: bool = False) -> dict:
-    pairs, tables = _indexed(_chains(f))
-    pairs = [[list(map(int, ids)) for ids in pair] for pair in pairs]  # fills the tables
-    return {**_header(f, dual), "pairs": pairs, "subspaces": _subspaces(f, tables)}
+    """The document :func:`dump_map` writes."""
+    out = io.StringIO()
+    _write(out, f, dual)
+    return json.loads(out.getvalue())
 
 
 def decode_map(data) -> ChamberMap:
@@ -270,40 +254,91 @@ def decode_map(data) -> ChamberMap:
     return ChamberMap._trusted(source, target, chains)
 
 
-def _compact(value) -> str:
-    """Compact JSON of nested lists of ints, which ``repr`` spells with spaces."""
-    return repr(value).replace(" ", "")
+def _table_rows(space: ProjSpace, masks) -> str:
+    """A subspace table as compact JSON: the RREF rows of each mask (``repr``
+    spells nested lists of ints with spaces)."""
+    return repr([list(map(list, space.rows(mask))) for mask in masks]).replace(" ", "")
 
 
-def _write(out, f, dual: bool, chains) -> int:
-    """Stream ``chamber-map/2`` from ``(source chain, target chain)`` pairs,
-    each formatted from its index strings; return the number written."""
-    pairs, tables = _indexed(chains)
-    lines = (f"[[{','.join(s)}],[{','.join(t)}]]" for s, t in pairs)
+def _targets(f, dual: bool, source: _Numbering, path: list):
+    """The target side of the pairs of ``f``: ``lines(prefix, leaves)``,
+    the lines of the chains ``path`` + (leaf,) whose source index string
+    up to the leaf is ``prefix``, and ``masks()``, the target table once
+    every line is written.  A chamber map's target keys are its image
+    chains.  A semilinear map is injective on subspaces, so an induced
+    map's are its source chains, read backwards when dual: a direct line
+    is ``[x,x]``, and a dual one numbers the source subspaces a second time,
+    along the reversed chains.  Each key is imaged once, for the table.
+    """
+    if isinstance(f, ChamberMap):
+        chains, keys = f.chains, _Numbering()
+
+        def image_lines(prefix, leaves):
+            head = tuple(path)
+            for leaf in leaves:
+                target = ",".join(map(keys.__getitem__, chains[head + (leaf,)]))
+                yield f",\n[[{prefix}{source[leaf]}],[{target}]]"
+
+        return image_lines, lambda: keys
+    image = subspace_image(f, dual)
+    if not dual:
+        def direct_lines(prefix, leaves):
+            return (f",\n[[{prefix}{i}],[{prefix}{i}]]" for i in map(source.__getitem__, leaves))
+
+        return direct_lines, lambda: map(image, source)
+    keys = _Numbering()
+
+    def dual_lines(prefix, leaves):
+        keys[leaves[0]]  # read backwards, the first chain here numbers its leaf first
+        rest = ",".join(map(keys.__getitem__, reversed(path)))
+        return (f",\n[[{prefix}{i}],[{d},{rest}]]"
+                for i, d in zip(map(source.__getitem__, leaves), map(keys.__getitem__, leaves)))
+
+    return dual_lines, lambda: map(image, keys)
+
+
+def _write(out, f, dual: bool) -> int:
+    """Stream the ``chamber-map/2`` of ``f``, a chamber map or a semilinear
+    map, and return the number of pairs written.  The pairs go along the
+    flag tree of ``covers``: a node's source index string is its parent's
+    and its own index, built once, and each leaf adds its last index."""
+    space, source = f.source, _Numbering()
+    table, path, written = covers(space), [0] * (space.n - 1), 0
+    lines, masks = _targets(f, dual, source, path)
+
+    def walk(k, nodes, prefix):
+        nonlocal written
+        for node in nodes:
+            path[k] = node
+            here = f"{prefix}{source[node]},"
+            if k < space.n - 2:
+                yield from walk(k + 1, table[node], here)
+            else:
+                leaves = table[node]
+                written += len(leaves)
+                yield lines(here, leaves)
+
+    pairs = chain.from_iterable(walk(0, [1 << p for p in range(space.size)], ""))
     head = json.dumps(_header(f, dual), separators=(",", ":"))
-    out.write(head[:-1] + ',"pairs":[\n' + next(lines))
-    written = 1
-    for written, line in enumerate(lines, 2):
-        out.write(",\n" + line)
-    source, target = map(_compact, _subspaces(f, tables).values())
-    out.write(f'\n],"subspaces":{{"source":{source},"target":{target}}}}}\n')
+    out.write(head[:-1] + ',"pairs":[' + next(pairs)[1:])  # "\n[[...", not ",\n[[..."
+    out.writelines(pairs)
+    rows = _table_rows(space, source), _table_rows(f.target, masks())
+    out.write('\n],"subspaces":{"source":%s,"target":%s}}\n' % rows)
     return written
 
 
 def dump_map(f: ChamberMap, path, dual: bool = False) -> None:
     """Write ``f`` as ``chamber-map/2``."""
     with open(path, "w", encoding="utf-8") as out:
-        _write(out, f, dual, _chains(f))
+        _write(out, f, dual)
 
 
 def dump_induced(semi: Semilinear, path, dual: bool = False) -> int:
     """Write ``dump_map(induce(semi, dual), path, dual)``'s bytes with no
-    chamber built; ``path`` is opened before any flag is walked.  Returns
-    the number of pairs written."""
+    chamber built and no chain imaged; ``path`` is opened before any flag
+    is walked.  Returns the number of pairs written."""
     with open(path, "w", encoding="utf-8") as out:
-        image = flag_image(semi, dual)
-        chains = ((chain, image(chain)) for chain in flags(semi.source))
-        return _write(out, semi, dual, chains)
+        return _write(out, semi, dual)
 
 
 def load_map(path) -> ChamberMap:

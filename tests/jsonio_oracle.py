@@ -1,5 +1,6 @@
 """The slow oracle for :func:`bft.jsonio.decode_map` and its
-``chamber-map/1`` chamber reader, and the ``chamber-map/1`` encoder.
+``chamber-map/1`` chamber reader, and the ``chamber-map/1`` and
+``chamber-map/2`` encoders.
 
 Every subspace, whether a ``chamber-map/2`` table entry or a subspace spelled
 inline in a ``chamber-map/1`` chamber, is shape-checked on its own and
@@ -36,6 +37,23 @@ def encode_map_v1(f: ChamberMap, dual: bool = False) -> dict:
         "source": {"n": f.source.n, "q": f.source.q},
         "target": {"n": f.target.n, "q": f.target.q, "dual": bool(dual)},
         "pairs": [[encode_chamber(a), encode_chamber(b)] for a, b in pairs],
+    }
+
+
+def encode_map_v2(f: ChamberMap, dual: bool = False) -> dict:
+    """The ``chamber-map/2`` document of ``f``, from its definition: pairs
+    sorted by source chamber, and each side's table the RREF rows of its
+    subspaces in order of first use along them."""
+    tables, pairs = ({}, {}), []
+    for chambers in sorted(f.table.items(), key=lambda kv: kv[0].sort_key()):
+        pairs.append([[table.setdefault(rows, len(table)) for rows in chamber.sort_key()]
+                      for table, chamber in zip(tables, chambers)])
+    return {
+        **encode_map_v1(f, dual),
+        "schema": SCHEMA,
+        "pairs": pairs,
+        "subspaces": {side: [list(map(list, rows)) for rows in table]
+                      for side, table in zip(("source", "target"), tables)},
     }
 
 

@@ -454,12 +454,14 @@ def test_map_induce_unwritable_out_exits_2(tmp_path):
 
 @pytest.mark.parametrize("where", ["missing-dir/x.json", "."], ids=["missing-dir", "directory"])
 def test_map_induce_opens_out_before_walking_any_flag(capsys, monkeypatch, tmp_path, where):
+    """The writer and ``flags`` walk the flag tree of one cover table, so a
+    stubbed ``covers`` refuses every walk."""
     from bft import buildings
 
     def refuse(space):
         raise AssertionError("a flag was walked")
 
-    _replace_everywhere(monkeypatch, buildings.flags, refuse)
+    _replace_everywhere(monkeypatch, buildings.covers, refuse)
     argv = ["map", "induce", "--n", "2", "--q", "2", "--matrix", IDENTITY, "--out"]
     code, out, err = run(capsys, *argv, str(tmp_path / where))
     assert code == 2 and out == ""

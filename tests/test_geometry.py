@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from bft.buildings import apartment_of, chambers_of, iter_bases
+from bft.buildings import apartment_of, chambers_of, covers, iter_bases
 from bft.chamber_maps import _witness_bases, induce
 from bft.counts import gaussian_binomial
 from bft.gf import GF, Subspace
@@ -182,8 +182,10 @@ def test_chambers_of_matches_the_rref_walk(n, q):
 @pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
 def test_chambers_of_builds_each_cover_once(n, q, monkeypatch):
     """One ``join_point`` per subspace of pdim 1..n-1: a cover found from
-    one subspace is reused by every other subspace it covers."""
+    one subspace is reused by every other subspace it covers.  The cover
+    table is kept per space, so it is built afresh here."""
     space = ProjSpace.of(n, q)
+    covers.cache_clear()
     calls = []
     join_point = ProjSpace.join_point
 

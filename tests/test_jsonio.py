@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from bft.buildings import Chamber, chambers_of, flags
 from bft.chamber_maps import ChamberMap, induce
-from bft.cli import main
+from bft.cli import build_parser, main
 from bft.counts import MAX_DIMENSION, chamber_count
 from bft.jsonio import (
     SCHEMA,
@@ -212,11 +213,12 @@ WRITTEN = pytest.mark.parametrize(
 
 @WRITTEN
 def test_dump_map_matches_json_oracle(tmp_path, n, q, target_q, dual):
-    """The streamed file parses to the document ``encode_map`` builds."""
+    """The streamed file parses to the document the oracle builds from the
+    definition, and ``encode_map`` returns it."""
     f = induce(_semilinear(n, q, target_q, seed=n * q), dual=dual)
     path = tmp_path / "map.json"
     dump_map(f, path, dual=dual)
-    assert json.loads(path.read_text()) == encode_map(f, dual=dual)
+    assert json.loads(path.read_text()) == oracle.encode_map_v2(f, dual) == encode_map(f, dual)
 
 
 @WRITTEN
@@ -228,19 +230,52 @@ def test_dump_load_dump_is_byte_identical(tmp_path, n, q, target_q, dual):
     assert first.read_bytes() == second.read_bytes()
 
 
-_STREAMED = {**_WRITTEN, "PG42": (4, 2, 2, False), "PG42-dual": (4, 2, 2, True)}
+# The induced writer keys the target table by source subspace; dual maps
+# into a larger field and PG(2,9) are where that breaks first.
+_STREAMED = {
+    **_WRITTEN, "PG42": (4, 2, 2, False), "PG42-dual": (4, 2, 2, True),
+    "PG22-to-PG24-dual": (2, 2, 4, True), "PG23-to-PG29-dual": (2, 3, 9, True),
+    "PG29": (2, 9, 9, False), "PG29-dual": (2, 9, 9, True),
+}
 
 
 @pytest.mark.parametrize("n, q, target_q, dual", list(_STREAMED.values()), ids=list(_STREAMED))
 def test_dump_induced_writes_the_bytes_of_dump_map_of_induce(tmp_path, n, q, target_q, dual):
-    """The streamed writer against the one that builds the map first.  A
-    dual target table is numbered along the reversed chains, as written."""
+    """The streamed writer against the one that builds the map first, and
+    against the oracle's document.  A dual target table is numbered along
+    the reversed chains, as written."""
     semi = _semilinear(n, q, target_q, seed=n * q)
+    assert semi.matrix != tuple(tuple(int(r == c) for c in range(n + 1)) for r in range(n + 1))
     streamed, built = tmp_path / "streamed.json", tmp_path / "built.json"
     written = dump_induced(semi, streamed, dual=dual)
-    dump_map(induce(semi, dual=dual), built, dual=dual)
+    f = induce(semi, dual=dual)
+    dump_map(f, built, dual=dual)
     assert streamed.read_bytes() == built.read_bytes()
-    assert written == len(json.loads(streamed.read_text())["pairs"]) == chamber_count(n, q)
+    data = json.loads(streamed.read_text())
+    assert data == oracle.encode_map_v2(f, dual)
+    assert written == len(data["pairs"]) == chamber_count(n, q)
+
+
+def _induce_requests(seed):
+    """The ``map induce`` requests of the bench plan, read from
+    ``perfbench/plan.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "plan", Path(__file__).resolve().parents[1] / "perfbench" / "plan.py")
+    plan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plan)
+    return [r["argv"] for r in plan.build("induce", seed)["requests"]]
+
+
+@pytest.mark.parametrize("argv", _induce_requests(1), ids=lambda argv: argv[-1][:-5])
+def test_dump_induced_writes_the_bytes_of_dump_map_on_each_bench_request(tmp_path, argv):
+    args = build_parser().parse_args(argv)
+    source = ProjSpace.of(args.n, args.q)
+    target = ProjSpace.of(args.n, args.target_q or args.q)
+    semi = Semilinear.of(source, target, parse_rows(args.matrix))
+    streamed, built = tmp_path / "streamed.json", tmp_path / "built.json"
+    dump_induced(semi, streamed, dual=args.dual)
+    dump_map(induce(semi, dual=args.dual), built, dual=args.dual)
+    assert streamed.read_bytes() == built.read_bytes()
 
 
 @pytest.mark.parametrize("n, q", LADDER, ids=LADDER_IDS)

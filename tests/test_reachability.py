@@ -82,7 +82,7 @@ KEPT = {
     "gf.Value.__delattr__": DUNDER,
     "gf.Value.__repr__": DUNDER,
     "gf.Value.__setattr__": DUNDER,
-    "jsonio._chains": PINNED,
+    "jsonio._targets.<locals>.image_lines": PINNED,
     "jsonio.dump_map": PINNED,
     "jsonio.encode_map": PINNED,
     "projective.ProjSpace.__delattr__": DUNDER,
