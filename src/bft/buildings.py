@@ -29,12 +29,12 @@ from functools import cached_property, lru_cache, partial
 
 from .projective import Base, ProjSpace, bits
 
-# Default ceilings for exhaustive sweeps; pass force=True to go beyond.
-BASE_ENUM_CAP = (4, 3)  # (max n, max q) for enumerating every base
+# The ceiling for enumerating every base: beyond it iter_bases raises ScaleError.
+BASE_ENUM_CAP = (4, 3)  # (max n, max q)
 
 
 class ScaleError(RuntimeError):
-    """Exhaustive enumeration was requested beyond the default caps."""
+    """Exhaustive enumeration was requested beyond ``BASE_ENUM_CAP``."""
 
 
 class Chamber:
@@ -219,7 +219,7 @@ def apartment_of(base: Base) -> Apartment:
     return Apartment(base)
 
 
-def iter_bases(space: ProjSpace, force: bool = False):
+def iter_bases(space: ProjSpace):
     """The bases of :func:`all_bases`, lazily; beyond the cap the first
     step raises :class:`ScaleError`.
 
@@ -228,10 +228,9 @@ def iter_bases(space: ProjSpace, force: bool = False):
     lexicographic order of ``itertools.combinations``.
     """
     max_n, max_q = BASE_ENUM_CAP
-    if not force and (space.n > max_n or space.q > max_q):
+    if space.n > max_n or space.q > max_q:
         raise ScaleError(
-            f"enumerating all bases of {space!r} exceeds the default cap "
-            f"n <= {max_n}, q <= {max_q}; pass force=True to override"
+            f"enumerating all bases of {space!r} exceeds the cap n <= {max_n}, q <= {max_q}"
         )
     last = space.ambient - 1
 

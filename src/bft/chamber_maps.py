@@ -8,8 +8,8 @@ semilinear map: each subspace goes to the span of its points' images
 ("direct"), or to the meet of its points' image hyperplanes, the chain read
 backwards ("dual").  ``_subspace_image`` and ``_chain_image`` are that one
 definition of an induced chain, for any point map; ``subspace_image``
-applies it to a semilinear map, and ``jsonio.dump_induced`` writes from it
-with no table built and no chain imaged.
+applies it to a semilinear map, and ``jsonio.dump_map`` writes a semilinear
+map from it with no table built and no chain imaged.
 
 The analysis direction asks: given only the table, was it induced?
 
@@ -423,9 +423,10 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     source, target = f.source, f.target
     chains, chamber = f.chains, partial(Chamber, source)  # chambers only for witnesses
     walk = list(flags(source))  # star by star, in point order: witnesses follow it
-    g, first = [], {}  # g[p], and the first chain of the first star of each kind
+    g, heads, first = [], [], {}  # g[p], p's first chain, and each kind's first chain
     for head, star in itertools.groupby(walk, itemgetter(0)):
         star = list(star)
+        heads.append(star[0])
         images = [chains[c] for c in star]
         point, hyp = images[0][0], images[0][-1]
         # the first chambers whose image point, and image hyperplane, differ
@@ -465,11 +466,10 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     for p in range(source.size):
         other = preimage.setdefault(g[p], p)
         if other != p:
-            a, b = (next(c for c in walk if c[0] == 1 << x) for x in (other, p))
             raise ReconstructionError(
                 f"map is not injective: {source.point(other)} and "
                 f"{source.point(p)} share an image",
-                witness=(chamber(a), chamber(b)),
+                witness=(chamber(heads[other]), chamber(heads[p])),
             )
 
     try:

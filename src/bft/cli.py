@@ -39,7 +39,7 @@ from .buildings import apartment_of
 from .chamber_maps import analyze
 from .counts import MAX_DIMENSION, apartment_count, chamber_count, gaussian_binomial, point_count
 from .gf import SUPPORTED_ORDERS, FieldError
-from .jsonio import FormatError, dump_induced, encode_chamber, load_map, parse_rows
+from .jsonio import FormatError, dump_map, encode_chamber, load_map, parse_rows
 from .lemmas import CheckRow, case_row, structural_rows
 from .projective import Base, MapError, ProjSpace, Semilinear, standard_base
 
@@ -156,7 +156,9 @@ def cmd_apartment(args) -> int:
         return 2
     ap = apartment_of(base)
     report = RunReport("apartment", {"n": args.n, "q": args.q})
-    report.add("chambers", factorial(args.n + 1), len(ap), len(ap) == factorial(args.n + 1))
+    # distinct chains: len(ap) is (n+1)! by construction, whatever the chains
+    chambers, expected = len(set(ap.chains)), factorial(args.n + 1)
+    report.add("chambers", expected, chambers, chambers == expected)
     report.details["base"] = _encode_base(base)
     report.details["chambers"] = [
         {"perm": list(perm), "parts": encode_chamber(chamber)}
@@ -225,7 +227,7 @@ def cmd_map_induce(args) -> int:
         _fail(f"matrix does not induce a strong embedding: {exc}")
         return 1
     try:
-        written = dump_induced(semi, args.out, dual=args.dual)
+        written = dump_map(semi, args.out, dual=args.dual)
     except OSError as exc:
         _fail(f"cannot write {args.out}: {exc}")
         return 2

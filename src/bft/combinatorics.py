@@ -91,25 +91,13 @@ def _at(n: int) -> tuple[tuple[int, ...], ...]:
     """``_at(n)[c][i]``: the permutations with i at position c, the one table
     every family is cut from with & and |.  The (n+1)! permutations of 0..n
     are read in ``itertools.permutations`` order as one byte string, and
-    ``bytes.translate`` turns the bytes of position c into the 0/1 lane of
-    "holds i", one byte per permutation, which ``_bits`` packs."""
+    ``bytes.translate`` spells the bytes of position c as the digits of
+    "holds i", one per permutation: read backwards, a base-2 int whose
+    bit k is permutation k."""
     m = n + 1
     flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(m))))
-    equals = [bytes(x == i for x in range(256)) for i in range(m)]
-    return tuple(
-        tuple(_bits(n, int.from_bytes(flat[c::m].translate(eq), "little")) for eq in equals)
-        for c in range(m)
-    )
-
-
-def _bits(n: int, lane: int) -> int:
-    """A 0/1 lane as a bitset: bit k is byte k.  Each shift doubles the
-    bytes gathered in every byte, so byte 8m ends up holding bytes
-    8m..8m+7 as its bits 0..7, and every 8th byte is the bitset."""
-    lane |= lane >> 7
-    lane |= lane >> 14
-    lane |= lane >> 28
-    return int.from_bytes(lane.to_bytes(factorial(n + 1), "little")[::8], "little")
+    digits = [bytes(b"01"[x == i] for x in range(256)) for i in range(m)]
+    return tuple(tuple(int(flat[c::m].translate(d)[::-1], 2) for d in digits) for c in range(m))
 
 
 def _prefixes(positions) -> tuple[tuple[int, ...], ...]:
@@ -164,7 +152,6 @@ def residual_bits(n: int, i: int, j: int) -> int:
     return reduce(int.__or__, (at[c][i] & at[d][j] for c, d in pairs), 0)
 
 
-@lru_cache(maxsize=None)
 def max_inexact_bits(n: int, i: int, j: int) -> int:
     """Chambers all of whose components contain both of p_i, p_j or miss p_i.
 

@@ -13,15 +13,16 @@ subspaces (one per projective dimension, ascending) in those tables, and
 ``pairs`` covers every source chamber exactly once.  One writer streams the
 pairs along the flag tree of ``buildings.covers``, in ``flags`` order,
 which is the ``Chamber.sort_key`` order (so nothing is sorted), then the
-tables of RREF rows.  The source table is numbered in order of first use
-along the pairs as written, and so is the target table, along the target
-keys: a chamber map's image chains (``dump_map``; ``encode_map`` returns
-the same document), so a file round-trips byte-identically through
-``dump_map``/``load_map``.  A semilinear map is injective on subspaces, so
-``dump_induced`` keys the target table by source subspace: a direct line
-is ``[x,x]``, and a dual one reads a second numbering along the reversed
-chain.  It images each table entry once and no chain, builds no chamber,
-and its memory grows with the subspaces.
+tables of RREF rows.  ``dump_map`` writes either kind of map.  The source
+table is numbered in order of first use along the pairs as written, and
+so is the target table, along the target keys: a chamber map's image
+chains (``encode_map`` returns the same document), so a file round-trips
+byte-identically through ``dump_map``/``load_map``.  A semilinear map is
+injective on subspaces, so its target table is keyed by source subspace:
+a direct line is ``[x,x]``, and a dual one reads a second numbering along
+the reversed chain.  It writes the file of the chamber map it induces,
+imaging each table entry once and no chain, with no chamber built and
+memory that grows with the subspaces.
 
 ``decode_map`` also reads ``chamber-map/1``, which spells every subspace of
 every chamber inline; its table is the distinct spellings, as read.  Each
@@ -43,7 +44,7 @@ from .buildings import Chamber, covers
 from .chamber_maps import ChamberMap, subspace_image
 from .counts import MAX_DIMENSION, chamber_count
 from .gf import SUPPORTED_ORDERS
-from .projective import ProjSpace, Semilinear
+from .projective import ProjSpace
 
 __all__ = [
     "SCHEMA",
@@ -53,7 +54,6 @@ __all__ = [
     "encode_map",
     "decode_map",
     "dump_map",
-    "dump_induced",
     "load_map",
 ]
 
@@ -327,18 +327,13 @@ def _write(out, f, dual: bool) -> int:
     return written
 
 
-def dump_map(f: ChamberMap, path, dual: bool = False) -> None:
-    """Write ``f`` as ``chamber-map/2``."""
+def dump_map(f, path, dual: bool = False) -> int:
+    """Write ``f``, a chamber map or a semilinear map, as ``chamber-map/2``
+    and return the number of pairs written.  A semilinear map ``semi`` gives
+    the bytes of ``dump_map(induce(semi, dual), path, dual)``; ``path`` is
+    opened before any flag is walked."""
     with open(path, "w", encoding="utf-8") as out:
-        _write(out, f, dual)
-
-
-def dump_induced(semi: Semilinear, path, dual: bool = False) -> int:
-    """Write ``dump_map(induce(semi, dual), path, dual)``'s bytes with no
-    chamber built and no chain imaged; ``path`` is opened before any flag
-    is walked.  Returns the number of pairs written."""
-    with open(path, "w", encoding="utf-8") as out:
-        return _write(out, semi, dual)
+        return _write(out, f, dual)
 
 
 def load_map(path) -> ChamberMap:
@@ -347,7 +342,7 @@ def load_map(path) -> ChamberMap:
             data = json.loads(src.read())
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("JSON nested too deeply") from exc

@@ -73,12 +73,13 @@ class ProjSpace:
     every attribute is closed to assignment and deletion.
 
     Ids are computed from coordinates arithmetically (:meth:`id_of`
-    memoises them, as file rows repeat points), and lines, point perps and
-    canonical rows are cached on first use, so work on one apartment
-    builds only the part of the space that apartment touches.  The tables
-    that grow with n are built on first use as well, so making a space
-    costs the same at every n.  No table maps rows back to masks;
-    :meth:`mask_of` spans them afresh.
+    memoises them, as file rows repeat points), and lines and canonical
+    rows are cached on first use, so work on one apartment builds only the
+    part of the space that apartment touches.  A point perp is spanned on
+    every call: a request asks for each one once.  The tables that grow
+    with n are built on first use as well, so making a space costs the
+    same at every n.  No table maps rows back to masks; :meth:`mask_of`
+    spans them afresh.
     """
 
     _instances: dict = {}
@@ -219,7 +220,6 @@ class ProjSpace:
                 mask = self.join_point(mask, p)
         return True
 
-    @cache
     def perp(self, p: int) -> int:
         """The hyperplane of points orthogonal to point p.
 
@@ -250,9 +250,8 @@ class ProjSpace:
         units = [p for p in pts if sum(1 for c in pivots if p[c]) == 1]
         return tuple(sorted(units, key=lambda p: p.index(1)))
 
-    @cache
     def subspace_of(self, mask: int) -> Subspace:
-        """The interned :class:`Subspace` value of a mask."""
+        """The :class:`Subspace` value of a mask."""
         return Subspace(self.gf, self.ambient, self.rows(mask))
 
     def mask_of(self, sub: Subspace) -> int:

@@ -711,7 +711,12 @@ def test_a_non_injective_map_fails_by_the_first_base_holding_both_points():
     """On each of the 1,680 non-injective tables above, the walk stops no
     later than the first base it lists through the witness's first chamber
     that holds the other colliding point, and that base fails: the second
-    argument in the docstring of ``_witness_bases``."""
+    argument in the docstring of ``_witness_bases``.  The witness names
+    the first chamber of each colliding point's star, in ``chambers_of``
+    order."""
+    heads = {}
+    for c in chambers_of(PG22):
+        heads.setdefault(c.point, c)
     tables = 0
     for g, *induced in pg22_induced_tables():
         if len(set(g.values())) == len(g):
@@ -721,6 +726,7 @@ def test_a_non_injective_map_fails_by_the_first_base_holding_both_points():
             with pytest.raises(ReconstructionError, match="not injective") as info:
                 reconstruct(f)
             a, b = info.value.witness
+            assert (a, b) == (heads[a.point], heads[b.point])
             bases = list(_witness_bases(a, b))
             other = PG22.id_of(b.point)
             k = next(k for k, base in enumerate(bases, 1) if other in base.ids)

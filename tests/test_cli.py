@@ -528,13 +528,13 @@ def test_certified_map_analyze_and_induce_build_no_chamber(
     and ``induce`` fills the table off the flag walk."""
     from bft import buildings
     from bft.counts import chamber_count
-    from bft.jsonio import dump_induced
+    from bft.jsonio import dump_map
 
     source, target = bft.ProjSpace.of(n, q), bft.ProjSpace.of(n, target_q)
     eye = [[int(r == c) for c in range(n + 1)] for r in range(n + 1)]
     semi = bft.Semilinear.of(source, target, eye)
     path = tmp_path / "m.json"
-    dump_induced(semi, path, dual=dual)
+    dump_map(semi, path, dual=dual)
 
     def refuse(*args):
         raise AssertionError("a chamber was built")
@@ -585,8 +585,8 @@ def test_map_induce_reports_the_pairs_it_wrote(capsys, monkeypatch, tmp_path):
     assert code == 0 and report["checks"] == [
         {"name": "pairs-written", "expected": 315, "actual": pairs, "pass": True}
     ]
-    dump_induced = cli.dump_induced
-    monkeypatch.setattr(cli, "dump_induced", lambda *a, **k: dump_induced(*a, **k) - 1)
+    dump_map = cli.dump_map
+    monkeypatch.setattr(cli, "dump_map", lambda *a, **k: dump_map(*a, **k) - 1)
     code, report, _ = run_json(capsys, *argv)
     assert code == 1 and report["checks"][0]["actual"] == 314
     assert not report["checks"][0]["pass"] and not report["passed"]
@@ -599,6 +599,16 @@ def test_map_analyze_non_utf8_file_exits_2(tmp_path):
     assert done.returncode == 2 and done.stdout == ""
     assert "Traceback" not in done.stderr
     assert "malformed chamber-map file" in done.stderr
+
+
+def test_map_analyze_over_long_integer_exits_2(tmp_path):
+    """An integer of more digits than Python converts is not valid JSON."""
+    path = tmp_path / "long-int.json"
+    path.write_text('{"pairs":[' + "1" * 5000 + "]}")
+    done = _bft_subprocess("map", "analyze", str(path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert "malformed chamber-map file: not valid JSON: Exceeds the limit" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("n, q", [(30, 2), (6, 9)])
@@ -741,7 +751,7 @@ def test_map_induce_chamber_cap_keeps_the_largest_spaces_in_cap(capsys, monkeypa
     """PG(5,2), PG(4,3), PG(3,9) and PG(4,4) are written without ``--force``,
     and a forced PG(4,5) is not refused (the writer is replaced, so nothing
     is walked)."""
-    monkeypatch.setattr(cli, "dump_induced",
+    monkeypatch.setattr(cli, "dump_map",
                         lambda semi, out, dual: chamber_count(semi.source.n, semi.source.q))
     for n, q, *force in [(5, 2), (4, 3), (3, 9), (4, 4), (4, 5, "--force")]:
         code, report, _ = run_json(capsys, "map", "induce", "--n", str(n), "--q", str(q),

@@ -28,7 +28,6 @@ from bft.jsonio import (
     FormatError,
     _inline,
     decode_map,
-    dump_induced,
     dump_map,
     encode_chamber,
     encode_map,
@@ -241,13 +240,13 @@ _STREAMED = {
 
 @pytest.mark.parametrize("n, q, target_q, dual", list(_STREAMED.values()), ids=list(_STREAMED))
 def test_dump_induced_writes_the_bytes_of_dump_map_of_induce(tmp_path, n, q, target_q, dual):
-    """The streamed writer against the one that builds the map first, and
-    against the oracle's document.  A dual target table is numbered along
-    the reversed chains, as written."""
+    """``dump_map`` of a semilinear map, streamed, against ``dump_map`` of
+    the chamber map it induces, and against the oracle's document.  A dual
+    target table is numbered along the reversed chains, as written."""
     semi = _semilinear(n, q, target_q, seed=n * q)
     assert semi.matrix != tuple(tuple(int(r == c) for c in range(n + 1)) for r in range(n + 1))
     streamed, built = tmp_path / "streamed.json", tmp_path / "built.json"
-    written = dump_induced(semi, streamed, dual=dual)
+    written = dump_map(semi, streamed, dual=dual)
     f = induce(semi, dual=dual)
     dump_map(f, built, dual=dual)
     assert streamed.read_bytes() == built.read_bytes()
@@ -273,7 +272,7 @@ def test_dump_induced_writes_the_bytes_of_dump_map_on_each_bench_request(tmp_pat
     target = ProjSpace.of(args.n, args.target_q or args.q)
     semi = Semilinear.of(source, target, parse_rows(args.matrix))
     streamed, built = tmp_path / "streamed.json", tmp_path / "built.json"
-    dump_induced(semi, streamed, dual=args.dual)
+    dump_map(semi, streamed, dual=args.dual)
     dump_map(induce(semi, dual=args.dual), built, dual=args.dual)
     assert streamed.read_bytes() == built.read_bytes()
 

@@ -7,7 +7,6 @@ pass and note) from the bitsets of ``bft.combinatorics``.
 
 import functools
 import itertools
-import random
 from math import factorial
 
 import pytest
@@ -94,20 +93,6 @@ def test_permutation_bits_match_the_literal_definitions(n):
             for name in ("residual_bits", "max_inexact_bits"):
                 got = getattr(combinatorics, name)(n, i, j)
                 assert got == getattr(oracle, name)(n, i, j), (name, i, j)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
-def test_bits_packs_a_lane_as_its_base_2_digit_string(n):
-    """The shift-and-gather pack of ``_bits`` equals reading the lane's bytes
-    as the binary digits of the bitset, on the full lane and on random
-    lanes."""
-    size = factorial(n + 1)
-    ones = int.from_bytes(b"\1" * size, "little")
-    rng = random.Random(n)
-    digits = bytes.maketrans(b"\0\1", b"01")
-    for lane in [ones] + [rng.getrandbits(8 * size) & ones for _ in range(5)]:
-        flags = lane.to_bytes(size, "little").translate(digits)
-        assert combinatorics._bits(n, lane) == int(flags[::-1], 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])

@@ -42,7 +42,7 @@ from test_perfbench_names import PERFBENCH, _assigned
 
 import bft
 from bft.buildings import flags
-from bft.jsonio import dump_induced, dump_map
+from bft.jsonio import dump_map
 from bft.projective import ProjSpace, Semilinear, bits
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,7 +83,6 @@ KEPT = {
     "gf.Value.__repr__": DUNDER,
     "gf.Value.__setattr__": DUNDER,
     "jsonio._targets.<locals>.image_lines": PINNED,
-    "jsonio.dump_map": PINNED,
     "jsonio.encode_map": PINNED,
     "projective.ProjSpace.__delattr__": DUNDER,
     "projective.ProjSpace.__setattr__": DUNDER,
@@ -104,17 +103,21 @@ EYE5 = "1,0,0,0,0;0,1,0,0,0;0,0,1,0,0;0,0,0,1,0;0,0,0,0,1"
 SETUP = [("analyze-exhaustive", 1), ("analyze-sample", 1)]
 
 
-def _definitions() -> set:
+def _definitions(paths=None) -> set:
     """``module.qualname`` of every named function, read off the compiled
-    code objects."""
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
+    code objects of ``paths`` (by default ``src/bft``).  Two code objects of
+    one name, such as closures of one name in two branches, would count as
+    one, so that fails, naming them."""
+    found, shared = set(), set()
+    for path in sorted(SRC.glob("*.py")) if paths is None else paths:
         stack = [compile(path.read_text(), str(path), "exec")]
         while stack:
             code = stack.pop()
             stack.extend(c for c in code.co_consts if inspect.iscode(c))
             if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
-                found.add(f"{path.stem}.{code.co_qualname}")
+                name = f"{path.stem}.{code.co_qualname}"
+                (shared if name in found else found).add(name)
+    assert not shared, f"functions that share a module.qualname: {sorted(shared)}"
     return found
 
 
@@ -211,7 +214,7 @@ def _requests(tmp: Path) -> list:
     def induced(name, n, q, target_q, matrix, dual):
         source, target = ProjSpace.of(n, q), ProjSpace.of(n, target_q)
         path = tmp / name
-        dump_induced(Semilinear.of(source, target, matrix), path, dual=dual)
+        dump_map(Semilinear.of(source, target, matrix), path, dual=dual)
         return str(path)
 
     def written(name, doc):
@@ -253,8 +256,10 @@ def _requests(tmp: Path) -> list:
     latin1.write_bytes(b'{"schema": "caf\xe9"}')
     deep = tmp / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
-    broken += [[str(not_json)], [str(latin1)], [str(deep)], [str(tmp / "none.json")],
-               [direct, "--k", "0"]]
+    long_int = tmp / "long-int.json"
+    long_int.write_text('{"pairs":[' + "1" * 5000 + "]}")
+    broken += [[str(not_json)], [str(latin1)], [str(deep)], [str(long_int)],
+               [str(tmp / "none.json")], [direct, "--k", "0"]]
 
     induce = ["map", "induce", "--n", "2", "--q", "2", "--out", str(tmp / "out.json")]
     return [
@@ -453,6 +458,16 @@ def test_the_guard_runs_in_under_three_seconds(run):
 
 def test_every_function_is_entered_or_kept(run):
     assert sorted(_definitions() - run.entered - KEPT.keys()) == []
+
+
+def test_two_functions_of_one_qualified_name_are_named(tmp_path):
+    path = tmp_path / "twice.py"
+    path.write_text("def f(x):\n"
+                    "    if x:\n        def lines(): pass\n"
+                    "    else:\n        def lines(): pass\n"
+                    "    return lines\n")
+    with pytest.raises(AssertionError, match=r"\['twice\.f\.<locals>\.lines'\]"):
+        _definitions([path])
 
 
 def test_every_kept_function_is_kept_for_a_reason_that_holds(run):
