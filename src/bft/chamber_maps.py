@@ -25,11 +25,11 @@ The analysis direction asks: given only the table, was it induced?
   calls it: it is the reference for the sigma ``reconstruct`` reports.
 * ``reconstruct`` is the whole certificate.  It rebuilds ``g`` from
   chamber stars: all chambers through a point must map to chambers sharing
-  a 0-component (direct) or an (n-1)-component (dual).  It checks once that
-  the whole table is induced by ``g`` (through ``_chain_image``) and that
-  ``g`` is injective; together these make the point map a strong
-  embedding, so by the main theorem they certify the map.  It reads
-  ``sigma`` off ``g``.
+  a 0-component (direct) or an (n-1)-component (dual), and checks that
+  ``g`` is injective as it goes.  It then checks once that the whole table
+  is induced by ``g`` (through ``_chain_image``); together these make the
+  point map a strong embedding, so by the main theorem they certify the
+  map.  It reads ``sigma`` off ``g``.
   ``verify_strong_embedding`` is the definition, which the tests hold the
   certificate to; no request calls it.
 * ``analyze`` runs the whole procedure once.  When ``reconstruct``
@@ -392,13 +392,15 @@ report base to (sigma, case), as :func:`main_lemma_decompose` would."""
 def reconstruct(f: ChamberMap) -> Decomposition:
     """Certify a chamber map: recover the strong embedding that induces it.
 
-    For every source point, the images of all chambers through it must share
-    a 0-component (kind "direct") or an (n-1)-component (kind "dual"), the
-    kind being the same for every point.  Then every chamber's image must be
-    the chain ``_chain_image`` induces from that map ``g``: each component
-    S goes to span g(S) (direct), or the components, read backwards, are the
-    meets of the image hyperplanes of S (dual).  Last, ``g`` must be
-    injective.
+    One pass over the point stars, in point order, builds ``g``: the images
+    of all chambers through a point p must share a 0-component (kind
+    "direct", g(p) is that point) or an (n-1)-component (kind "dual", g(p)
+    is that hyperplane), and g(p) must not be the image of an earlier point
+    of its kind, so ``g`` is injective.  Then the kind must be the same for
+    every point.  Last, every chamber's image must be the chain
+    ``_chain_image`` induces from ``g``: each component S goes to span g(S)
+    (direct), or the components, read backwards, are the meets of the image
+    hyperplanes of S (dual).
     Violations raise :class:`ReconstructionError` whose witness is a tuple
     of source chambers: two or four from one star, the first chamber of
     each of two stars, or the one chamber not induced.
@@ -423,10 +425,9 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     source, target = f.source, f.target
     chains, chamber = f.chains, partial(Chamber, source)  # chambers only for witnesses
     walk = list(flags(source))  # star by star, in point order: witnesses follow it
-    g, heads, first = [], [], {}  # g[p], p's first chain, and each kind's first chain
+    g, first, seen = [], {}, {}  # g[p]; each kind's, and each image's, first chain
     for head, star in itertools.groupby(walk, itemgetter(0)):
         star = list(star)
-        heads.append(star[0])
         images = [chains[c] for c in star]
         point, hyp = images[0][0], images[0][-1]
         # the first chambers whose image point, and image hyperplane, differ
@@ -447,6 +448,15 @@ def reconstruct(f: ChamberMap) -> Decomposition:
             )
         first.setdefault("direct" if moved is None else "dual", star[0])
         g.append(point.bit_length() - 1 if moved is None else hyp)
+        # one dict for both kinds: a hyperplane of h points has a mask of at
+        # least 2^h - 1, above q h, the last point id
+        other = seen.setdefault(g[-1], star[0])
+        if other != star[0]:
+            raise ReconstructionError(
+                f"map is not injective: {chamber(other).point} and "
+                f"{source.point(p)} share an image",
+                witness=(chamber(other), chamber(star[0])),
+            )
     if len(first) > 1:  # after every star, so a later star's failure comes first
         a, b = chamber(first["direct"]), chamber(first["dual"])
         raise ReconstructionError(
@@ -461,15 +471,6 @@ def reconstruct(f: ChamberMap) -> Decomposition:
             raise ReconstructionError(
                 "a chamber image is not componentwise induced by the point map",
                 witness=(chamber(c),),
-            )
-    preimage = {}
-    for p in range(source.size):
-        other = preimage.setdefault(g[p], p)
-        if other != p:
-            raise ReconstructionError(
-                f"map is not injective: {source.point(other)} and "
-                f"{source.point(p)} share an image",
-                witness=(chamber(heads[other]), chamber(heads[p])),
             )
 
     try:
@@ -555,11 +556,14 @@ def analyze(f: ChamberMap) -> Analysis:
     By the theorem, a map that fails the certificate does not preserve
     apartments.  The apartments through the source chambers its witness
     names (see :func:`_witness_bases`) are checked first, for a witness
-    base of ``"not-apartment-preserving"``.  Only if all of them are
-    preserved are all apartments swept, within the base cap: a map whose
-    stars are all direct but whose g is not injective fails the table check
-    first, on a chamber whose apartments can all be preserved.  A sweep
-    that finds no witness contradicts the theorem and is labelled
+    base of ``"not-apartment-preserving"``.  As :func:`reconstruct` checks
+    the stars and injectivity, then the kinds, then the table, a g that is
+    not injective is named as such, and for it, as for a collapsing star,
+    that walk is proved to find a witness.  Only if every apartment it
+    lists is preserved are all apartments swept, within the base cap; the
+    "neither", mixed-kinds and injective "not induced" failures have no
+    such proof, but no known map reaches the sweep.  A sweep that finds no
+    witness contradicts the theorem and is labelled
     ``"apartment-preserving-not-induced"``; beyond the cap the map keeps
     ``"not-apartment-preserving"``.  Either way ``error`` is set.
     """

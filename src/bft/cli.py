@@ -255,7 +255,7 @@ def cmd_map_analyze(args) -> int:
     except OSError as exc:
         _fail(f"cannot read {args.path}: {exc}")
         return 2
-    except (FormatError, MapError) as exc:
+    except FormatError as exc:
         _fail(f"malformed chamber-map file: {exc}")
         return 2
     result = analyze(f)

@@ -78,8 +78,6 @@ def parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
         except ValueError as exc:
             raise FormatError(f"row {chunk!r} is not a comma-separated "
                               "list of integers") from exc
-    if not rows:
-        raise FormatError("no rows given")
     if len({len(r) for r in rows}) != 1:
         raise FormatError(f"rows of unequal length in {text!r}")
     return tuple(rows)

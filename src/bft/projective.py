@@ -24,7 +24,6 @@ same (n, q); the pairing is the standard dot product.
 
 from __future__ import annotations
 
-import itertools
 from functools import cache, cached_property, lru_cache
 
 from .gf import GF, Subspace, Value
@@ -50,12 +49,8 @@ def normalize_point(space: ProjSpace, vector) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def points_of(space: ProjSpace) -> tuple[tuple[int, ...], ...]:
-    """All points in lexicographic coordinate order."""
-    return tuple(
-        v
-        for v in itertools.product(range(space.q), repeat=space.ambient)
-        if any(v) and next(x for x in v if x) == 1
-    )
+    """All points in lexicographic coordinate order, which is id order."""
+    return tuple(map(space.point, range(space.size)))
 
 
 def bits(mask: int):

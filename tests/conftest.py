@@ -33,17 +33,19 @@ def oracle_chamber_of_perm(base: Base, perm):
 
 
 def sweep_only_map(space: ProjSpace) -> ChamberMap:
-    """A map of PG(2, q) to itself that fails the certificate where the
-    apartments its witness names cannot show it.  Let c = (p, L) be the
-    first chain of ``flags``, W the next line through p and x a point of W
-    other than p.  Then (p, L) goes to (p, W) and (p, N) to (p, L) for
-    N != L; for b on L other than p, (b, L) is fixed and (b, N) goes to
-    (b, bx); and for y off L, (y, N) goes to (x, x(N meet L)).
+    """A map of PG(2, q) to itself whose first chamber not induced has only
+    preserved apartments.  Let c = (p, L) be the first chain of ``flags``,
+    W the next line through p and x a point of W other than p.  Then
+    (p, L) goes to (p, W) and (p, N) to (p, L) for N != L; for b on L
+    other than p, (b, L) is fixed and (b, N) goes to (b, bx); and for y
+    off L, (y, N) goes to (x, x(N meet L)).
 
     Every star is direct, with g fixing L pointwise and sending every
     point off L to x, so the first chamber whose image is not induced by g
-    is c, and ``reconstruct`` names only c; yet every apartment through c
-    is preserved."""
+    is c, yet every apartment through c is preserved.  ``reconstruct``
+    names the first two points off L instead, both sent to x, and their
+    apartments break; with the witness walk stubbed out, the map still
+    feeds the sweep."""
     chains = list(flags(space))
     (p, L), (_, W) = chains[0], chains[1]
     x = next(k for k in bits(W) if 1 << k != p)

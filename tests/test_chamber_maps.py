@@ -300,7 +300,9 @@ def test_star_rotations_and_glued_collineations_fail_on_the_apartments_they_name
     """Seeded star rotations of a collineation, and maps glued by point from
     two collineations (each direct or dual), fail on the apartments their
     witness names, so no sweep runs.  The apartments checked are pinned in
-    sum, as for the swaps."""
+    sum, as for the swaps.  A glued map whose g is not injective is named
+    at the collision, as ``reconstruct`` reads the stars, and not at the
+    first chamber g does not induce, so its walk is no longer."""
     rng = random.Random(space.n * 10 + space.q)
 
     def collineation():
@@ -315,7 +317,7 @@ def test_star_rotations_and_glued_collineations_fail_on_the_apartments_they_name
         assert result.label == "not-apartment-preserving"
         assert result.check.path == "local"
         checked.append(result.check.checked)
-    assert (sum(checked[:20]), sum(checked[20:])) == {2: (105, 35), 3: (33, 49)}[space.q]
+    assert (sum(checked[:20]), sum(checked[20:])) == {2: (105, 25), 3: (33, 48)}[space.q]
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["direct", "dual"])
@@ -340,30 +342,51 @@ def test_a_collapsing_star_fails_on_the_first_apartment_it_names(space, dual):
     assert len(stars) == space.size
 
 
-@pytest.mark.parametrize("space, base", [(PG22, 9), (PG23, 28)], ids=["PG22", "PG23"])
-def test_a_map_only_the_sweep_refutes(space, base):
-    """``reconstruct`` checks the table before injectivity, so for a map
-    whose stars are all direct but whose g is not injective it names the
-    one chamber not induced.  Every apartment through that chamber is
-    preserved, so the witness walk finds nothing and only the sweep of
-    every base finds the apartment that breaks: the walk is not complete
-    for the "not induced" kind."""
+@pytest.mark.parametrize(
+    "space, checked, base",
+    [(PG22, 3, (0, 3, 5)), (PG23, 4, (0, 4, 7)), (PG24, 5, (0, 5, 9))],
+    ids=["PG22", "PG23", "PG24"],
+)
+def test_a_non_injective_g_is_named_before_the_table(space, checked, base):
+    """``reconstruct`` checks injectivity as it reads the stars, so a map
+    whose stars are all direct but whose g is not injective is named by the
+    first chamber of each colliding star, not by the first chamber g does
+    not induce, whose apartments are all preserved.  The witness walk is
+    proved complete for that kind, and on PG(2, 4), beyond the base cap,
+    it finds the witness that no sweep could."""
     f = sweep_only_map(space)
-    first = next(iter(f.chains))
-    with pytest.raises(ReconstructionError, match="not componentwise induced") as caught:
+    with pytest.raises(ReconstructionError, match="not injective") as caught:
         reconstruct(f)
-    assert [c.masks for c in caught.value.witness] == [first]
-    assert preserves_apartments(f, _witness_bases(*caught.value.witness)).ok
+    assert str(caught.value) == "map is not injective: (1, 0, 0) and (1, 0, 1) share an image"
+    assert [c.point for c in caught.value.witness] == [(1, 0, 0), (1, 0, 1)]
     result = analyze(f)
+    assert result.label == "not-apartment-preserving" and result.error is None
+    assert result.check[:4] == (False, "local", checked, space.base(base))
+
+
+def no_witness_bases(monkeypatch):
+    """Stub the witness walk to list no base, so ``analyze`` goes on to
+    the sweep: no known map gets there otherwise."""
+    monkeypatch.setattr(chamber_maps, "_witness_bases", lambda *chambers: iter(()))
+
+
+@pytest.mark.parametrize("space, base", [(PG22, 9), (PG23, 28)], ids=["PG22", "PG23"])
+def test_a_map_only_the_sweep_refutes(monkeypatch, space, base):
+    """With the witness walk stubbed to list no base, the sweep of every
+    base finds the apartment that breaks."""
+    no_witness_bases(monkeypatch)
+    result = analyze(sweep_only_map(space))
     assert result.label == "not-apartment-preserving" and result.error is None
     assert result.check[:3] == (False, "sweep", base)
 
 
-def test_a_map_only_the_sweep_refutes_keeps_its_label_beyond_the_cap():
-    """On PG(2, 4), beyond the base cap, the walk passes every apartment it
-    lists and no sweep runs, so the label stays negative with no witness."""
+def test_a_map_only_the_sweep_refutes_keeps_its_label_beyond_the_cap(monkeypatch):
+    """With the witness walk stubbed to list no base, on PG(2, 4), beyond
+    the base cap, no sweep runs, so the label stays negative with no
+    witness and the error that stopped ``reconstruct``."""
+    no_witness_bases(monkeypatch)
     result = analyze(sweep_only_map(PG24))
-    assert result.check == ApartmentCheck(True, "local", 64)
+    assert result.check == ApartmentCheck(True, "local", 0)
     assert result.label == "not-apartment-preserving"
     assert isinstance(result.error, ReconstructionError)
 

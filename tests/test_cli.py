@@ -422,18 +422,33 @@ def test_map_analyze_names_a_witness_for_a_late_swap_on_pg42(capsys, tmp_path):
     assert "witness base: " in err
 
 
+@pytest.mark.parametrize("q, checked", [(2, 3), (4, 5)], ids=["PG22", "PG24"])
+def test_map_analyze_names_a_non_injective_g(capsys, tmp_path, q, checked):
+    """``reconstruct`` names the two points g sends to one image, and the
+    apartments through their stars hold a witness base, beyond the base cap
+    too."""
+    out_path = tmp_path / "map.json"
+    bft.dump_map(sweep_only_map(bft.ProjSpace.of(2, q)), out_path)
+    code, report, err = run_json(capsys, "map", "analyze", str(out_path))
+    assert code == 1 and not report["passed"]
+    assert report["checks"][0]["note"] == f"{checked} apartments checked (local)"
+    assert report["checks"][-1]["actual"] == "not-apartment-preserving"
+    assert "witness base: 0,0,1;1,0,0;1,1,0" in err and "reconstruction failed" not in err
+
+
 @pytest.mark.parametrize(
     "q, note, stderr",
     [
         (2, "9 apartments checked (sweep)", "witness base: 0,0,1;1,0,0;1,1,0"),
-        (4, "64 apartments checked (local)", "reconstruction failed: a chamber image"),
+        (4, "0 apartments checked (local)", "reconstruction failed: map is not injective"),
     ],
     ids=["sweep", "beyond-cap"],
 )
-def test_map_analyze_a_map_only_the_sweep_refutes(capsys, tmp_path, q, note, stderr):
-    """The apartments through the chamber ``reconstruct`` names are all
-    preserved: on PG(2, 2) the sweep finds the witness base, and on PG(2, 4),
-    beyond the cap, the map keeps the negative label with no witness base."""
+def test_map_analyze_a_map_only_the_sweep_refutes(capsys, monkeypatch, tmp_path, q, note, stderr):
+    """With the witness walk stubbed to list no base: on PG(2, 2) the sweep
+    finds the witness base, and on PG(2, 4), beyond the cap, the map keeps
+    the negative label with no witness base."""
+    monkeypatch.setattr(bft.chamber_maps, "_witness_bases", lambda *chambers: iter(()))
     out_path = tmp_path / "map.json"
     bft.dump_map(sweep_only_map(bft.ProjSpace.of(2, q)), out_path)
     code, report, err = run_json(capsys, "map", "analyze", str(out_path))

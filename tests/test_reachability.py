@@ -246,8 +246,8 @@ def _requests(tmp: Path) -> list:
         [written("swap.json", {**doc, "pairs": swapped})],
         [written("shuffle.json", {**doc, "pairs": shuffled}), "--format", "csv"],
         *([written(f"{kind}.json", bad)] for kind, bad in _uninduced(doc).items()),
-        [sweep_only("sweep-only.json", 2)],  # the sweep finds the witness
-        [sweep_only("sweep-only-pg24.json", 4)],  # beyond the cap: no sweep
+        [sweep_only("sweep-only.json", 2)],  # g not injective: a local witness
+        [sweep_only("sweep-only-pg24.json", 4)],  # the same, beyond the base cap
     ]
     broken = [[written(f"{kind}.json", bad)] for kind, bad in _malformed(doc).items()]
     not_json = tmp / "not.json"
