@@ -210,12 +210,22 @@ def complement_chamber(ap: Apartment, chamber: Chamber) -> Chamber:
     On permutations this is reversal, so it is an involution that swaps
     ``point_family(i)`` with ``copoint_family(i)`` and sends
     ``residual_family(i, j)`` onto ``residual_family(j, i)``.
+
+    The permutation is read off the chain: base point p_i first enters the
+    component of pdim n minus the number of components through it.  A
+    permutation and its reversal index ``ap.chambers`` at their
+    lexicographic ranks (Lehmer codes), so nothing is scanned or spanned.
     """
-    try:
-        perm = ap.perms[ap.chambers.index(chamber)]
-    except ValueError:
-        raise ValueError("chamber does not belong to this apartment") from None
-    return ap.chambers[ap.perms.index(perm[::-1])]
+    m = ap.space.n + 1
+    entry = [m - 1 - sum(mask >> p & 1 for mask in chamber.masks) for p in ap.base.ids]
+    perm = sorted(range(m), key=entry.__getitem__)
+    rank, opposite = 0, 0
+    for k in range(m):
+        rank = rank * (m - k) + sum(x < perm[k] for x in perm[k + 1 :])
+        opposite = opposite * (m - k) + sum(x < perm[-1 - k] for x in perm[: -1 - k])
+    if ap.chambers[rank] != chamber:
+        raise ValueError("chamber does not belong to this apartment")
+    return ap.chambers[opposite]
 
 
 def _check_index_pair(pair) -> tuple[int, int]:

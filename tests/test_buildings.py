@@ -164,8 +164,18 @@ def test_apartment_chambers_are_chambers_of_the_space():
 def test_complement_chamber_rejects_a_chamber_outside_the_apartment():
     ap = apartment_of(standard_base(PG22))
     foreign = next(c for c in chambers_of(PG22) if c not in ap.chamber_set)
-    with pytest.raises(ValueError, match="chamber does not belong to this apartment"):
-        complement_chamber(ap, foreign)
+    point, line = ap.chains[0]
+    outside = next(p for p in range(PG22.size) if not (line >> p & 1 or p in ap.base.ids))
+    for chamber in (
+        foreign,
+        # the masks of an apartment chamber, over another space
+        Chamber(PG23, ap.chains[0]),
+        # a chain of this space whose components hold the base points of
+        # ap.chains[0], so it reads off as that permutation, with another line
+        Chamber(PG22, (point, line | 1 << outside)),
+    ):
+        with pytest.raises(ValueError, match="chamber does not belong to this apartment"):
+            complement_chamber(ap, chamber)
 
 
 def test_positions_and_prefix_sets():

@@ -17,7 +17,7 @@ from math import factorial
 
 import pytest
 
-from bft.buildings import apartment_of
+from bft.buildings import Chamber, apartment_of
 from bft.combinatorics import (
     UndefinedCountError,
     classify_adjacent_family,
@@ -188,6 +188,28 @@ def test_complement_chamber_literal_definition():
             for pref in reversed(prefixes)
         ]
         assert list(parts(complement_chamber(AP3, c))) == expected
+
+
+def test_complement_chamber_looks_its_chamber_up(monkeypatch):
+    """The opposite chamber is found by rank: at most one ``Chamber.__eq__``
+    per call (the membership check), where a scan of ``ap.chambers`` makes
+    about (n+1)!/2, and no span."""
+    chambers = AP4.chambers
+    eq, compared = Chamber.__eq__, [0]
+
+    def counted(self, other):
+        compared[0] += 1
+        return eq(self, other)
+
+    def refuse(*args):
+        raise AssertionError("complement_chamber spans a subspace")
+
+    monkeypatch.setattr(Chamber, "__eq__", counted)
+    monkeypatch.setattr(ProjSpace, "join_point", refuse)
+    for c in chambers:
+        compared[0] = 0
+        complement_chamber(AP4, c)
+        assert compared[0] <= 1
 
 
 def test_complement_chamber_swaps_families():
