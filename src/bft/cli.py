@@ -2,12 +2,14 @@
 
 Commands::
 
-    bft space --n 2 --q 2
-    bft apartment --n 2 --q 2 [--base "0,0,1;0,1,0;1,0,0"]
-    bft lemmas --n 3 --q 2 [--all | --case K] [--force]
+    bft space --n 2 --q 2 [--format json|csv]
+    bft apartment --n 2 --q 2 [--base "0,0,1;0,1,0;1,0,0"] [--force]
+                  [--format json|csv]
+    bft lemmas --n 3 --q 2 [--all | --case K] [--force] [--format json|csv]
     bft map induce --n 2 --q 2 --matrix "1,0,0;0,1,0;0,0,1" [--target-q Q]
                    [--dual] [--force] --out FILE
     bft map analyze FILE [--mode exhaustive|sample] [--k K] [--seed S]
+                    [--format json|csv]
 
 The commands only parse, call the library and render: ``lemmas`` runs the
 battery of :mod:`bft.lemmas`.  ``map analyze`` certifies its verdict by
@@ -20,9 +22,14 @@ echoed in the report so that existing command lines keep working.
 
 Exit codes are stable across commands: 0 when every check passes, 1 when a
 mathematical check fails (the first witness is printed to stderr), 2 for
-invalid input.  Reports are emitted on stdout as JSON (default) or CSV and
-are byte-identical for identical inputs and seeds; wall-clock timing goes
-to stderr only.
+invalid input.  Each input rule has one owner, whose error the commands map
+to an exit code: ``GF`` owns the field orders (``--q``, ``--target-q``),
+``Semilinear`` the matrix's element codes, the subfield and (exit 1) its
+rank, ``jsonio`` the ``--base``/``--matrix`` text and the map files, and
+``Base`` the independence of base points.  The commands check only the
+dimension range, the caps ``--force`` lifts, the matrix shape and ``--k``.
+Reports go to stdout as JSON (default) or CSV, byte-identical for identical
+inputs and seeds; wall-clock timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from math import factorial
 from .buildings import apartment_of
 from .chamber_maps import analyze
 from .counts import MAX_DIMENSION, apartment_count, chamber_count, gaussian_binomial, point_count
-from .gf import SUPPORTED_ORDERS, FieldError
+from .gf import GF, FieldError
 from .jsonio import FormatError, dump_map, encode_chamber, load_map, parse_rows
 from .lemmas import CheckRow, case_row, structural_rows
 from .projective import Base, MapError, ProjSpace, Semilinear, standard_base
@@ -115,11 +122,10 @@ def _check_space_args(n: int, q: int, force: bool = True) -> str | None:
         return f"projective dimension must be at least 2, got {n}"
     if n > MAX_DIMENSION:
         return f"projective dimension must be at most {MAX_DIMENSION}, got {n}"
-    if q not in SUPPORTED_ORDERS:
-        return (
-            f"unsupported field order {q}; supported: "
-            + ", ".join(map(str, SUPPORTED_ORDERS))
-        )
+    try:
+        GF.of(q)
+    except FieldError as exc:
+        return str(exc)
     if n > RANK_CAP and not force:
         return f"dimension {n} exceeds the cap {RANK_CAP}; use --force"
     return None
@@ -195,13 +201,6 @@ def cmd_map_induce(args) -> int:
         _fail(f"PG({args.n},{args.q}) has {pairs} chambers, more than the cap {PAIR_CAP}; "
               "use --force")
         return 2
-    target_q = args.target_q if args.target_q is not None else args.q
-    if target_q not in SUPPORTED_ORDERS:
-        _fail(
-            f"unsupported target order {target_q}; supported: "
-            + ", ".join(map(str, SUPPORTED_ORDERS))
-        )
-        return 2
     try:
         matrix = parse_rows(args.matrix)
     except FormatError as exc:
@@ -211,18 +210,12 @@ def cmd_map_induce(args) -> int:
     if len(matrix) != m or any(len(r) != m for r in matrix):
         _fail(f"matrix must be {m}x{m} for n={args.n}")
         return 2
-    if any(not 0 <= x < target_q for row in matrix for x in row):
-        _fail(f"matrix entries must be field codes in 0..{target_q - 1}")
-        return 2
-    source = ProjSpace.of(args.n, args.q)
-    target = ProjSpace.of(args.n, target_q)
+    target_q = args.target_q if args.target_q is not None else args.q
     try:
-        sigma = source.gf.embedding_into(target.gf)
+        semi = Semilinear.of(ProjSpace.of(args.n, args.q), ProjSpace.of(args.n, target_q), matrix)
     except FieldError as exc:
         _fail(str(exc))
         return 2
-    try:
-        semi = Semilinear.of(source, target, matrix, sigma=sigma)
     except MapError as exc:
         _fail(f"matrix does not induce a strong embedding: {exc}")
         return 1
@@ -330,24 +323,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    nq = argparse.ArgumentParser(add_help=False)
+    nq.add_argument("--n", type=int, required=True)
+    nq.add_argument("--q", type=int, required=True)
 
-    p = sub.add_parser("space", help="print counting data for PG(n, q)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("space", parents=[nq], help="print counting data for PG(n, q)")
     _add_common(p)
     p.set_defaults(func=cmd_space)
 
-    p = sub.add_parser("apartment", help="dump one apartment's chambers")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("apartment", parents=[nq], help="dump one apartment's chambers")
     p.add_argument("--base", help='base points, e.g. "0,0,1;0,1,0;1,0,0"')
     p.add_argument("--force", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_apartment)
 
-    p = sub.add_parser("lemmas", help="verify the apartment counting lemmas")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("lemmas", parents=[nq], help="verify the apartment counting lemmas")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--case", type=int, choices=range(1, 7))
     group.add_argument("--all", action="store_true", default=False)
@@ -358,9 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="induce or analyze chamber maps")
     map_sub = p.add_subparsers(dest="subcommand", required=True)
 
-    pi = map_sub.add_parser("induce", help="write the chamber map of a matrix")
-    pi.add_argument("--n", type=int, required=True)
-    pi.add_argument("--q", type=int, required=True)
+    pi = map_sub.add_parser("induce", parents=[nq], help="write the chamber map of a matrix")
     pi.add_argument("--target-q", type=int, dest="target_q")
     pi.add_argument("--matrix", required=True)
     pi.add_argument("--dual", action="store_true")

@@ -343,10 +343,8 @@ def classify_adjacent_family(pairs):
     n = len(family)
     if n < 2:
         raise ValueError("need at least two index pairs")
-    for pair in family:
-        i, j = _check_index_pair(pair)
-        if not (0 <= i <= n and 0 <= j <= n):
-            raise ValueError(f"pair {pair} out of range for index set 0..{n}")
+    for i, j in family:
+        _check_pair(n, i, j)
     for p1, p2 in itertools.combinations(family, 2):
         if not complement_adjacent(p1, p2):
             raise ValueError(f"pairs {p1} and {p2} are not adjacent")

@@ -102,7 +102,8 @@ class GF:
     def __init__(self, q: int):
         if q not in SUPPORTED_ORDERS:
             raise FieldError(
-                f"unsupported field order {q}; supported orders: {SUPPORTED_ORDERS}"
+                f"unsupported field order {q}; supported: "
+                + ", ".join(map(str, SUPPORTED_ORDERS))
             )
         self.q = q
         self.char = p = next(d for d in (2, 3, 5, 7) if q % d == 0)

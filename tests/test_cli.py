@@ -281,6 +281,39 @@ def test_map_induce_error_paths(capsys, tmp_path):
         "--matrix", IDENTITY, "--out", out_path,
     )
     assert code == 2 and "not a subfield" in err
+    for argv, message in [
+        (["--target-q", "6", "--matrix", IDENTITY],
+         "unsupported field order 6; supported: 2, 3, 4, 5, 7, 8, 9"),
+        (["--matrix", "5,0,0;0,1,0;0,0,1"], "5 is not an element code of GF(3)"),
+        (["--matrix", "1,0,0;0,-1,0;0,0,1"], "-1 is not an element code of GF(3)"),
+    ]:
+        code, out, err = run(
+            capsys, "map", "induce", "--n", "2", "--q", "3", "--out", out_path, *argv
+        )
+        lines = [line for line in err.splitlines() if not line.startswith("elapsed ")]
+        assert (code, out, lines) == (2, "", [message])  # so no traceback either
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["apartment"], "usage: bft apartment [-h] --n N --q Q [--base BASE] [--force]\n"
+                        "                     [--format {json,csv}]"),
+        (["lemmas"],
+         "usage: bft lemmas [-h] --n N --q Q [--case {1,2,3,4,5,6} | --all] [--force]\n"
+         "                  [--format {json,csv}]"),
+        (["map", "induce"],
+         "usage: bft map induce [-h] --n N --q Q [--target-q TARGET_Q] --matrix MATRIX\n"
+         "                      [--dual] --out OUT [--force]"),
+    ],
+)
+def test_help_usage_keeps_the_option_order(capsys, monkeypatch, argv, usage):
+    """--n and --q come from one shared parent parser, and still come first."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.split("\n\n")[0] == usage
 
 
 def test_map_analyze_tampered_file(capsys, tmp_path):
