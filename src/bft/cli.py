@@ -11,8 +11,12 @@ Commands::
     bft map analyze FILE [--mode exhaustive|sample] [--k K] [--seed S]
                     [--format json|csv]
 
+A ``--matrix`` or ``--base`` value that starts with ``-`` must be joined to
+its option, as ``--matrix=-1,0,0;...``: argparse reads a separate word that
+starts with ``-`` as an option, and refuses the command with its usage.
+
 The commands only parse, call the library and render: ``lemmas`` runs the
-battery of :mod:`bft.lemmas`.  ``map analyze`` certifies its verdict by
+battery of :mod:`bft.combinatorics`.  ``map analyze`` certifies its verdict by
 reconstructing the point map, checking that it induces every chamber image
 and that it is injective; a map that fails that is checked on the
 apartments through the source chambers its failure names, then, if none
@@ -44,10 +48,10 @@ from math import factorial
 
 from .buildings import apartment_of
 from .chamber_maps import analyze
+from .combinatorics import CheckRow, case_row, structural_rows
 from .counts import MAX_DIMENSION, apartment_count, chamber_count, gaussian_binomial, point_count
 from .gf import GF, FieldError
 from .jsonio import FormatError, dump_map, encode_chamber, load_map, parse_rows
-from .lemmas import CheckRow, case_row, structural_rows
 from .projective import Base, MapError, ProjSpace, Semilinear, standard_base
 
 __all__ = ["main", "RunReport", "CheckRow"]

@@ -1,4 +1,5 @@
-"""The frozenset lemma battery: the slow oracle for :mod:`bft.lemmas`.
+"""The frozenset lemma battery: the slow oracle for the battery of
+:mod:`bft.combinatorics`.
 
 This is the battery as it was before it moved onto permutation bitsets: every
 family is a frozenset of the chambers of a real apartment, selected by its
@@ -20,6 +21,7 @@ from operator import itemgetter
 
 from bft.buildings import Apartment, Chamber, _perm_prefixes
 from bft.combinatorics import (
+    CheckRow,
     _check_index,
     _check_pair,
     classify_adjacent_family,
@@ -30,7 +32,6 @@ from bft.combinatorics import (
     is_exact,
     is_exact_by_search,
 )
-from bft.lemmas import CheckRow
 
 
 # ------------------------------------------------ per-permutation bitsets

@@ -286,6 +286,8 @@ def test_map_induce_error_paths(capsys, tmp_path):
          "unsupported field order 6; supported: 2, 3, 4, 5, 7, 8, 9"),
         (["--matrix", "5,0,0;0,1,0;0,0,1"], "5 is not an element code of GF(3)"),
         (["--matrix", "1,0,0;0,-1,0;0,0,1"], "-1 is not an element code of GF(3)"),
+        # joined by "=": argparse reads a separate "-1,..." as an option
+        (["--matrix=-1,0,0;0,1,0;0,0,1"], "-1 is not an element code of GF(3)"),
     ]:
         code, out, err = run(
             capsys, "map", "induce", "--n", "2", "--q", "3", "--out", out_path, *argv

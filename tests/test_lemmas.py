@@ -1,8 +1,8 @@
 """The lemma battery on permutation bitsets against the frozenset oracle.
 
 ``lemma_oracle`` is the battery as it ran on the chambers of a real
-apartment; ``bft.lemmas`` must give the same rows (name, expected, actual,
-pass and note) from the bitsets of ``bft.combinatorics``.
+apartment; ``bft.combinatorics`` must give the same rows (name, expected,
+actual, pass and note) from its bitsets.
 """
 
 import functools
@@ -12,7 +12,7 @@ from math import factorial
 import pytest
 
 import lemma_oracle as oracle
-from bft import combinatorics, lemmas
+from bft import combinatorics
 from bft.buildings import APARTMENT_CACHE_SIZE, all_bases, apartment_of
 from bft.projective import ProjSpace, standard_base
 
@@ -32,8 +32,8 @@ FAMILIES = (
 def test_battery_matches_the_frozenset_oracle(n, q):
     ap = apartment_of(standard_base(ProjSpace.of(n, q)))
     for case in range(1, 7):
-        assert lemmas.case_row(n, case) == oracle.case_row(ap, n, case)
-    assert lemmas.structural_rows(n, q) == oracle.structural_rows(ap, n, q)
+        assert combinatorics.case_row(n, case) == oracle.case_row(ap, n, case)
+    assert combinatorics.structural_rows(n, q) == oracle.structural_rows(ap, n, q)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -61,7 +61,7 @@ def test_adjacent_families_match_the_subset_filter(n):
             for a, b in itertools.combinations(family, 2)
         )
     ]
-    assert list(lemmas._adjacent_families(n, pairs)) == expected
+    assert list(combinatorics._adjacent_families(n, pairs)) == expected
 
 
 def test_apartment_family_caches_are_bounded():

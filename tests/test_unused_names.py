@@ -67,3 +67,17 @@ def test_every_public_helper_is_used_or_kept_for_a_stated_reason():
         _trees(ROOT / "perfbench"), strings=True
     )
     assert defined - used == set()
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A private name of ``src/bft`` is read only in the module that defines
+    it: a relative ``from .x import _name`` gives its encoding two owners."""
+    borrowed = [
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for path in sorted((ROOT / "src" / "bft").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert borrowed == []
