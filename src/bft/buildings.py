@@ -20,6 +20,11 @@ base points yields the chain of its prefix spans.  That bijection with
 permutations is the combinatorial skeleton used by
 :mod:`bft.combinatorics`.  Apartments are thin: inside one apartment
 every panel lies in exactly 2 chambers.
+
+The bases are enumerated with no cap, :func:`iter_bases` lazily and
+:func:`all_bases` as one tuple.  A caller that walks them all bounds its
+own spaces: the sweep of ``chamber_maps.analyze`` by the apartment count,
+the lemma battery's apartment search to PG(2, 2) and PG(2, 3).
 """
 
 from __future__ import annotations
@@ -28,13 +33,6 @@ import itertools
 from functools import cached_property, lru_cache, partial
 
 from .projective import Base, ProjSpace, bits
-
-# The ceiling for enumerating every base: beyond it iter_bases raises ScaleError.
-BASE_ENUM_CAP = (4, 3)  # (max n, max q)
-
-
-class ScaleError(RuntimeError):
-    """Exhaustive enumeration was requested beyond ``BASE_ENUM_CAP``."""
 
 
 class Chamber:
@@ -220,18 +218,13 @@ def apartment_of(base: Base) -> Apartment:
 
 
 def iter_bases(space: ProjSpace):
-    """The bases of :func:`all_bases`, lazily; beyond the cap the first
-    step raises :class:`ScaleError`.
+    """The bases of :func:`all_bases`, lazily, with no cap: a caller takes
+    as many as it can afford.
 
     A depth-first walk over increasing point ids that never extends a
     dependent prefix, so it yields the independent (n+1)-subsets in the
     lexicographic order of ``itertools.combinations``.
     """
-    max_n, max_q = BASE_ENUM_CAP
-    if space.n > max_n or space.q > max_q:
-        raise ScaleError(
-            f"enumerating all bases of {space!r} exceeds the cap n <= {max_n}, q <= {max_q}"
-        )
     last = space.ambient - 1
 
     def extend(ids, span):
@@ -249,7 +242,8 @@ def iter_bases(space: ProjSpace):
 
 @lru_cache(maxsize=None)
 def all_bases(space: ProjSpace) -> tuple[Base, ...]:
-    """Every base (independent (n+1)-point set), in lexicographic order."""
+    """Every base (independent (n+1)-point set), in lexicographic order,
+    held as one tuple: ``apartment_count(n, q)`` of them, with no cap."""
     return tuple(iter_bases(space))
 
 

@@ -37,8 +37,8 @@ The analysis direction asks: given only the table, was it induced?
   theorem, so the apartment verdict is certified without a sweep.  When
   it fails, the failure's witness names source chambers: the apartments
   through them are checked first, and only if all of them are preserved
-  are all apartments swept (within the base cap).  ``classify`` returns
-  just the label.
+  are all apartments swept, if the source has at most ``SWEEP_CAP``
+  apartments.  ``classify`` returns just the label.
 
 Failures carry witnesses (a base whose apartment breaks, or the source
 chambers whose images disagree) rather than a bare boolean.
@@ -54,7 +54,6 @@ from operator import and_, itemgetter
 from .buildings import (
     Apartment,
     Chamber,
-    ScaleError,
     apartment_of,
     chambers_of,
     check_chamber,
@@ -78,7 +77,6 @@ from .projective import (
     bits,
     dual_subspace,
     points_of,
-    standard_base,
 )
 
 __all__ = [
@@ -99,6 +97,10 @@ __all__ = [
     "classify",
     "dual_point",
 ]
+
+# The most apartments ``analyze`` sweeps.  PG(4,2) (83,328, 12-14 s),
+# PG(3,3) and every PG(2, q) are in; PG(3,4), PG(4,3) and PG(5,2) are out.
+SWEEP_CAP = 2**17
 
 
 class AnalysisError(RuntimeError):
@@ -248,8 +250,9 @@ def _image_apartment(f: ChamberMap, ap: Apartment):
 
 def preserves_apartments(f: ChamberMap, bases=None) -> ApartmentCheck:
     """Check that the image of each apartment of ``bases`` is a target
-    apartment; by default ``bases`` is every base of the source (subject to
-    the enumeration cap), in the order of ``iter_bases``.
+    apartment; by default ``bases`` is every base of the source, in the
+    order of ``iter_bases``, with no cap (:func:`analyze` sweeps only up to
+    ``SWEEP_CAP`` apartments).
 
     The first failing base is returned as a witness together with the
     offending image chamber set.
@@ -417,10 +420,10 @@ def reconstruct(f: ChamberMap) -> Decomposition:
     S; and no star collapses, so two different image hyperplanes (direct)
     or points (dual) make the whole space span full rank.
 
-    Sigma is then read off g on the report bases
-    (the first five of :func:`iter_bases`, else the standard base):
-    base point i goes to g(p_i), or when dual to the meet of g(p_j), j != i,
-    and sigma[i] is its index in the sorted image base.
+    Sigma is then read off g on the report bases, the first five of
+    :func:`iter_bases`: base point i goes to g(p_i), or when dual to the
+    meet of g(p_j), j != i, and sigma[i] is its index in the sorted image
+    base.
     """
     source, target = f.source, f.target
     chains, chamber = f.chains, partial(Chamber, source)  # chambers only for witnesses
@@ -473,13 +476,9 @@ def reconstruct(f: ChamberMap) -> Decomposition:
                 witness=(chamber(c),),
             )
 
-    try:
-        bases = list(itertools.islice(iter_bases(f.source), 5))
-    except ScaleError:
-        bases = [standard_base(f.source)]
     case = 1 if kind == "direct" else 2
     sigma_by_base = {}
-    for base in bases:
+    for base in itertools.islice(iter_bases(source), 5):
         ms = [g[p] for p in base.ids]
         if dual:  # point i goes to the meet of the other images
             ms = [reduce(and_, ms[:i] + ms[i + 1 :]) for i in range(len(ms))]
@@ -560,26 +559,27 @@ def analyze(f: ChamberMap) -> Analysis:
     the stars and injectivity, then the kinds, then the table, a g that is
     not injective is named as such, and for it, as for a collapsing star,
     that walk is proved to find a witness.  Only if every apartment it
-    lists is preserved are all apartments swept, within the base cap; the
-    "neither", mixed-kinds and injective "not induced" failures have no
-    such proof, but no known map reaches the sweep.  A sweep that finds no
-    witness contradicts the theorem and is labelled
-    ``"apartment-preserving-not-induced"``; beyond the cap the map keeps
-    ``"not-apartment-preserving"``.  Either way ``error`` is set.
+    lists is preserved, and the source has at most ``SWEEP_CAP``
+    apartments, are all apartments swept; the "neither", mixed-kinds and
+    injective "not induced" failures have no such proof, but no known map
+    reaches the sweep.  A sweep that finds no witness contradicts the
+    theorem and is labelled ``"apartment-preserving-not-induced"``; above
+    the cap no sweep runs and the map keeps ``"not-apartment-preserving"``.
+    Either way ``error`` is set.
     """
+    apartments = apartment_count(f.source.n, f.source.q)
     try:
         decomposition = reconstruct(f)
     except AnalysisError as exc:
         check = preserves_apartments(f, _witness_bases(*exc.witness))
         if check.ok:
-            try:  # beyond the base cap the sweep's first step raises
-                check = preserves_apartments(f)
-            except ScaleError:
+            if apartments > SWEEP_CAP:
                 return Analysis(check, "not-apartment-preserving", error=exc)
+            check = preserves_apartments(f)
             if check.ok:
                 return Analysis(check, "apartment-preserving-not-induced", error=exc)
         return Analysis(check, "not-apartment-preserving")
-    check = ApartmentCheck(True, "certified", apartment_count(f.source.n, f.source.q))
+    check = ApartmentCheck(True, "certified", apartments)
     onto = len(decomposition.g) == f.target.size  # g is injective
     head = "collineation" if onto else "strong-embedding"
     return Analysis(check, f"{head}-{decomposition.kind}", decomposition)

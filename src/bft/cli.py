@@ -20,7 +20,8 @@ battery of :mod:`bft.combinatorics`.  ``map analyze`` certifies its verdict by
 reconstructing the point map, checking that it induces every chamber image
 and that it is injective; a map that fails that is checked on the
 apartments through the source chambers its failure names, then, if none
-fails, swept over every base within the cap, to find a witness base.
+fails and the source has at most ``SWEEP_CAP`` apartments, swept over every
+base, to find a witness base.
 ``--mode``, ``--k`` and ``--seed`` select nothing: they are accepted and
 echoed in the report so that existing command lines keep working.
 

@@ -1,5 +1,6 @@
 import random
 
+from bft import chamber_maps
 from bft.buildings import flags
 from bft.chamber_maps import ChamberMap
 from bft.gf import Subspace
@@ -59,3 +60,14 @@ def sweep_only_map(space: ProjSpace) -> ChamberMap:
         return 1 << x, space.span([x, (line & L).bit_length() - 1])
 
     return ChamberMap._trusted(space, space, {c: image(c) for c in chains})
+
+
+def refuse_reconstruction(monkeypatch):
+    """Stub ``reconstruct`` to fail with a witness that names no chamber, so
+    ``analyze`` checks no apartment locally and goes on to the sweep or,
+    above ``SWEEP_CAP``, stops."""
+
+    def refuse(f):
+        raise chamber_maps.ReconstructionError("refused")
+
+    monkeypatch.setattr(chamber_maps, "reconstruct", refuse)

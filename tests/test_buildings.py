@@ -14,7 +14,6 @@ import pytest
 from bft.buildings import (
     APARTMENT_CACHE_SIZE,
     Chamber,
-    ScaleError,
     all_bases,
     apartment_of,
     apartments_containing,
@@ -192,13 +191,6 @@ def test_base_counts():
     assert len(all_bases(PG22)) == 28 == _base_count(2, 2)
     assert len(all_bases(PG23)) == 234 == _base_count(2, 3)
     assert len(all_bases(PG32)) == 840 == _base_count(3, 2)
-
-
-def test_base_cap_and_force():
-    with pytest.raises(ScaleError):
-        all_bases(ProjSpace.of(5, 2))
-    with pytest.raises(ScaleError):
-        all_bases(ProjSpace.of(2, 4))
 
 
 def test_exhaustive_sweep_keeps_the_apartment_cache_bounded():

@@ -10,12 +10,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bft import chamber_maps
 from bft.buildings import (
     Chamber,
-    ScaleError,
     all_bases,
     apartment_of,
     chambers_of,
+    iter_bases,
 )
 from bft.chamber_maps import (
+    SWEEP_CAP,
     AnalysisError,
     ApartmentCheck,
     ChamberMap,
@@ -31,8 +32,8 @@ from bft.chamber_maps import (
     reconstruct,
     verify_strong_embedding,
 )
-from bft.counts import gaussian_binomial
-from bft.gf import GF, Subspace
+from bft.counts import apartment_count, gaussian_binomial
+from bft.gf import GF, SUPPORTED_ORDERS, Subspace
 from bft.projective import (
     Base,
     MapError,
@@ -45,7 +46,12 @@ from bft.projective import (
     points_of_subspace,
     standard_base,
 )
-from conftest import oracle_chamber_of_perm, random_invertible, sweep_only_map
+from conftest import (
+    oracle_chamber_of_perm,
+    random_invertible,
+    refuse_reconstruction,
+    sweep_only_map,
+)
 from reference import apply_point, chamber_of, frobenius, hyperplane, is_surjective, parts
 
 PG22 = ProjSpace.of(2, 2)
@@ -352,8 +358,8 @@ def test_a_non_injective_g_is_named_before_the_table(space, checked, base):
     whose stars are all direct but whose g is not injective is named by the
     first chamber of each colliding star, not by the first chamber g does
     not induce, whose apartments are all preserved.  The witness walk is
-    proved complete for that kind, and on PG(2, 4), beyond the base cap,
-    it finds the witness that no sweep could."""
+    proved complete for that kind, and finds the witness in a handful of
+    apartments, where the sweep of PG(2, 4) needs 65."""
     f = sweep_only_map(space)
     with pytest.raises(ReconstructionError, match="not injective") as caught:
         reconstruct(f)
@@ -370,7 +376,22 @@ def no_witness_bases(monkeypatch):
     monkeypatch.setattr(chamber_maps, "_witness_bases", lambda *chambers: iter(()))
 
 
-@pytest.mark.parametrize("space, base", [(PG22, 9), (PG23, 28)], ids=["PG22", "PG23"])
+def test_the_sweep_cap_admits_the_spaces_swept_in_seconds():
+    """``analyze`` sweeps a source of at most ``SWEEP_CAP`` apartments:
+    PG(4, 2), PG(3, 3) and every plane, up to PG(2, 9), are in; PG(3, 4),
+    PG(4, 3) and PG(5, 2) are out."""
+    inside = [(4, 2), (3, 3), (2, 9)]
+    assert [apartment_count(n, q) for n, q in inside] == [83328, 63180, 110565]
+    assert all(apartment_count(n, q) <= SWEEP_CAP for n, q in inside)
+    assert max(apartment_count(2, q) for q in SUPPORTED_ORDERS) == apartment_count(2, 9)
+    outside = [(3, 4), (4, 3), (5, 2)]
+    assert [apartment_count(n, q) for n, q in outside] == [1523200, 123845436, 27998208]
+    assert all(apartment_count(n, q) > SWEEP_CAP for n, q in outside)
+
+
+@pytest.mark.parametrize(
+    "space, base", [(PG22, 9), (PG23, 28), (PG24, 65)], ids=["PG22", "PG23", "PG24"]
+)
 def test_a_map_only_the_sweep_refutes(monkeypatch, space, base):
     """With the witness walk stubbed to list no base, the sweep of every
     base finds the apartment that breaks."""
@@ -381,11 +402,11 @@ def test_a_map_only_the_sweep_refutes(monkeypatch, space, base):
 
 
 def test_a_map_only_the_sweep_refutes_keeps_its_label_beyond_the_cap(monkeypatch):
-    """With the witness walk stubbed to list no base, on PG(2, 4), beyond
-    the base cap, no sweep runs, so the label stays negative with no
+    """With reconstruction refused and no chamber named, on PG(3, 4), above
+    the sweep cap, no sweep runs, so the label stays negative with no
     witness and the error that stopped ``reconstruct``."""
-    no_witness_bases(monkeypatch)
-    result = analyze(sweep_only_map(PG24))
+    refuse_reconstruction(monkeypatch)
+    result = analyze(identity_map(PG34))
     assert result.check == ApartmentCheck(True, "local", 0)
     assert result.label == "not-apartment-preserving"
     assert isinstance(result.error, ReconstructionError)
@@ -475,20 +496,16 @@ def test_sigma_and_point_map_match_the_main_lemma(source, target, twisted, dual)
     """``reconstruct`` reads sigma off g; on every report base it equals
     what the main lemma reads off the apartment, and the point map (g, or
     the annihilators of the hyperplanes g(p) when dual) is the semilinear
-    map's.  The Frobenius spaces lie beyond the base cap, so their one
-    report base is the standard base."""
+    map's.  The report bases are the first five of ``iter_bases``, on the
+    Frobenius spaces too."""
     rng = random.Random(source.n * 100 + source.q * 10 + target.q + dual)
     matrix = random_invertible(source.gf, source.ambient, rng)
     twist = frobenius(source.gf) if twisted else None
     semi = Semilinear.of(source, target, matrix, sigma=twist)
     f = induce(semi, dual=dual)
     d = reconstruct(f)
-    try:
-        report_bases = list(all_bases(source)[:5])
-    except ScaleError:
-        report_bases = [standard_base(source)]
-    assert twisted == (report_bases == [standard_base(source)])
-    assert list(d.sigma_by_base) == report_bases
+    report_bases = list(itertools.islice(iter_bases(source), 5))
+    assert len(report_bases) == 5 and list(d.sigma_by_base) == report_bases
     for base, sigma_case in d.sigma_by_base.items():
         assert sigma_case == main_lemma_decompose(f, base)
     assert point_map_of(d, target) == {p: apply_point(semi, p) for p in points_of(source)}
@@ -785,17 +802,14 @@ def test_analyze_record(monkeypatch):
     assert swapped.decomposition is None and swapped.error is None
     assert swapped.label == "not-apartment-preserving"
 
-    def refuse(f):
-        raise ReconstructionError("refused")
-
-    # beyond the base cap, with no witness to search from, nothing is swept
-    monkeypatch.setattr(chamber_maps, "reconstruct", refuse)
-    beyond = analyze(identity_map(PG24))
+    # above the sweep cap, with no witness to search from, nothing is swept
+    refuse_reconstruction(monkeypatch)
+    beyond = analyze(identity_map(PG34))
     assert beyond.check == ApartmentCheck(True, "local", 0)
     assert isinstance(beyond.error, ReconstructionError)
     assert beyond.label == "not-apartment-preserving"
     with pytest.raises(ReconstructionError):
-        classify(identity_map(PG24))
+        classify(identity_map(PG34))
 
 
 INDUCED_SPACES = [(PG22, PG22), (PG23, PG23), (PG32, PG32), (PG22, PG24), (PG23, PG29)]

@@ -10,7 +10,7 @@ import pytest
 import bft
 from bft import cli
 from bft.counts import chamber_count
-from conftest import sweep_only_map
+from conftest import refuse_reconstruction, sweep_only_map
 
 IDENTITY = "1,0,0;0,1,0;0,0,1"
 
@@ -404,29 +404,31 @@ def test_import_cli_adds_only_bft_to_the_stdlib_it_runs():
     assert {m for m in added if m.split(".")[0] != "bft"} <= {"__future__"}
 
 
-def _pg24_identity(tmp_path) -> str:
-    out_path = str(tmp_path / "pg24.json")
-    made = _bft_subprocess("map", "induce", "--n", "2", "--q", "4",
-                           "--matrix", IDENTITY, "--out", out_path)
+def _pg34_identity(tmp_path) -> str:
+    out_path = str(tmp_path / "pg34.json")
+    made = _bft_subprocess("map", "induce", "--n", "3", "--q", "4",
+                           "--matrix", _identity(3), "--out", out_path)
     assert made.returncode == 0
     return out_path
 
 
 def test_map_analyze_exhaustive_beyond_the_cap_is_certified(tmp_path):
-    """PG(2, 4) is beyond the base cap; ``--mode exhaustive`` selects
-    nothing, and the certificate needs no sweep."""
-    done = _bft_subprocess("map", "analyze", _pg24_identity(tmp_path),
+    """PG(3, 4) has more apartments than the sweep cap; ``--mode
+    exhaustive`` selects nothing, and the certificate needs no sweep."""
+    done = _bft_subprocess("map", "analyze", _pg34_identity(tmp_path),
                            "--mode", "exhaustive")
     assert done.returncode == 0 and "Traceback" not in done.stderr
     report = json.loads(done.stdout)
     assert report["params"]["mode"] == "exhaustive"
     assert report["checks"][0]["note"] == (
-        "1120 apartments preserved (certified: induced by a strong embedding)"
+        "1523200 apartments preserved (certified: induced by a strong embedding)"
     )
 
 
 def test_map_analyze_swap_beyond_the_cap_names_a_witness_base(tmp_path):
-    path = _pg24_identity(tmp_path)
+    """Above the sweep cap, the apartments through the chambers a failure
+    names still hold a witness base."""
+    path = _pg34_identity(tmp_path)
     data = json.load(open(path))
     data["pairs"][0][1], data["pairs"][1][1] = data["pairs"][1][1], data["pairs"][0][1]
     with open(path, "w") as fh:
@@ -460,8 +462,8 @@ def test_map_analyze_names_a_witness_for_a_late_swap_on_pg42(capsys, tmp_path):
 @pytest.mark.parametrize("q, checked", [(2, 3), (4, 5)], ids=["PG22", "PG24"])
 def test_map_analyze_names_a_non_injective_g(capsys, tmp_path, q, checked):
     """``reconstruct`` names the two points g sends to one image, and the
-    apartments through their stars hold a witness base, beyond the base cap
-    too."""
+    apartments through their stars hold a witness base: on PG(2, 4) the
+    fifth, where the sweep finds its first at the 65th."""
     out_path = tmp_path / "map.json"
     bft.dump_map(sweep_only_map(bft.ProjSpace.of(2, q)), out_path)
     code, report, err = run_json(capsys, "map", "analyze", str(out_path))
@@ -472,25 +474,36 @@ def test_map_analyze_names_a_non_injective_g(capsys, tmp_path, q, checked):
 
 
 @pytest.mark.parametrize(
-    "q, note, stderr",
+    "n, q, note, stderr",
     [
-        (2, "9 apartments checked (sweep)", "witness base: 0,0,1;1,0,0;1,1,0"),
-        (4, "0 apartments checked (local)", "reconstruction failed: map is not injective"),
+        (2, 2, "9 apartments checked (sweep)", "witness base: 0,0,1;1,0,0;1,1,0"),
+        (2, 4, "65 apartments checked (sweep)", "witness base: 0,0,1;1,0,0;1,1,0"),
+        (3, 4, "0 apartments checked (local)", "reconstruction failed: refused"),
     ],
-    ids=["sweep", "beyond-cap"],
+    ids=["sweep", "sweep-PG24", "beyond-cap"],
 )
-def test_map_analyze_a_map_only_the_sweep_refutes(capsys, monkeypatch, tmp_path, q, note, stderr):
-    """With the witness walk stubbed to list no base: on PG(2, 2) the sweep
-    finds the witness base, and on PG(2, 4), beyond the cap, the map keeps
-    the negative label with no witness base."""
+def test_map_analyze_a_map_only_the_sweep_refutes(
+    capsys, monkeypatch, tmp_path, n, q, note, stderr
+):
+    """With the witness walk stubbed to list no base, the sweep finds the
+    witness base of ``sweep_only_map`` on PG(2, 2) and PG(2, 4).  PG(3, 4)
+    has more apartments than the sweep cap: with reconstruction refused,
+    its identity map is not swept and keeps the negative label with no
+    witness base."""
     monkeypatch.setattr(bft.chamber_maps, "_witness_bases", lambda *chambers: iter(()))
     out_path = tmp_path / "map.json"
-    bft.dump_map(sweep_only_map(bft.ProjSpace.of(2, q)), out_path)
+    space = bft.ProjSpace.of(n, q)
+    if n == 2:
+        bft.dump_map(sweep_only_map(space), out_path)
+    else:  # sweep_only_map builds planes only
+        refuse_reconstruction(monkeypatch)
+        eye = [[int(r == c) for c in range(n + 1)] for r in range(n + 1)]
+        bft.dump_map(bft.Semilinear.of(space, space, eye), out_path)
     code, report, err = run_json(capsys, "map", "analyze", str(out_path))
     assert code == 1 and not report["passed"]
     assert report["checks"][0]["note"] == note
     assert report["checks"][-1]["actual"] == "not-apartment-preserving"
-    assert stderr in err and ("witness base: " in err) == (q == 2)
+    assert stderr in err and ("witness base: " in err) == (n == 2)
 
 
 def test_map_induce_unwritable_out_exits_2(tmp_path):
@@ -688,30 +701,24 @@ def test_map_analyze_float_order_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "q, label, note",
+    "n, q, label, note",
     [
-        (2, "apartment-preserving-not-induced", "28 apartments checked (sweep)"),
-        (4, "not-apartment-preserving", "0 apartments checked (local)"),
+        (2, 2, "apartment-preserving-not-induced", "28 apartments checked (sweep)"),
+        (3, 4, "not-apartment-preserving", "0 apartments checked (local)"),
     ],
     ids=["exhaustive-apartment-preserving-not-induced", "beyond-cap-not-apartment-preserving"],
 )
 def test_map_analyze_labels_a_preserving_map_that_fails_reconstruction(
-    capsys, tmp_path, monkeypatch, q, label, note
+    capsys, tmp_path, monkeypatch, n, q, label, note
 ):
     """A full sweep that passes while reconstruction fails contradicts the
-    theorem, and is never reported as a pass; beyond the base cap no sweep
-    runs, so a map whose witness names no apartment keeps the negative
-    label."""
-    from bft import chamber_maps
-
+    theorem, and is never reported as a pass; above the sweep cap (PG(3, 4))
+    no sweep runs, so a map whose witness names no apartment keeps the
+    negative label."""
     out_path = str(tmp_path / "map.json")
-    run(capsys, "map", "induce", "--n", "2", "--q", str(q), "--matrix", IDENTITY,
+    run(capsys, "map", "induce", "--n", str(n), "--q", str(q), "--matrix", _identity(n),
         "--out", out_path)
-
-    def refuse(f):
-        raise chamber_maps.ReconstructionError("refused")
-
-    monkeypatch.setattr(chamber_maps, "reconstruct", refuse)
+    refuse_reconstruction(monkeypatch)
     code, report, err = run_json(capsys, "map", "analyze", out_path)
     assert code == 1 and not report["passed"]
     rows = {r["name"]: r for r in report["checks"]}

@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from bft import buildings
 from bft.buildings import apartment_of, chambers_of, covers, iter_bases
 from bft.chamber_maps import _witness_bases, induce
 from bft.counts import gaussian_binomial
@@ -203,10 +202,9 @@ def test_chambers_of_builds_each_cover_once(n, q, monkeypatch):
 
 
 @pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
-def test_apartments_match_chamber_of_perm_on_rref(n, q, monkeypatch):
+def test_apartments_match_chamber_of_perm_on_rref(n, q):
     space = ProjSpace.of(n, q)
     rng = random.Random(7)
-    monkeypatch.setattr(buildings, "BASE_ENUM_CAP", (n, q))
     bases = list(itertools.islice(iter_bases(space), 3))
     pts = points_of(space)
     while len(bases) < 6:
@@ -221,9 +219,8 @@ def test_apartments_match_chamber_of_perm_on_rref(n, q, monkeypatch):
 
 
 @pytest.mark.parametrize("n,q", LADDER, ids=LADDER_IDS)
-def test_iter_bases_matches_rref_independence(n, q, monkeypatch):
+def test_iter_bases_matches_rref_independence(n, q):
     space = ProjSpace.of(n, q)
-    monkeypatch.setattr(buildings, "BASE_ENUM_CAP", (n, q))
     # the whole sequence on the small spaces, a long prefix on the others
     limit = None if len(points_of(space)) <= 15 else 4000
     got = [b.points for b in itertools.islice(iter_bases(space), limit)]

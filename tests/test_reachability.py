@@ -85,6 +85,7 @@ KEPT = {
     "jsonio._targets.<locals>.image_lines": PINNED,
     "jsonio.encode_map": PINNED,
     "projective.ProjSpace.__delattr__": DUNDER,
+    "projective.ProjSpace.__repr__": DUNDER,
     "projective.ProjSpace.__setattr__": DUNDER,
     "projective.ProjSpace.mask_of": callee("projective.points_of_subspace"),
     "projective.ProjSpace.subspace": callee("projective.span_points"),
@@ -247,7 +248,7 @@ def _requests(tmp: Path) -> list:
         [written("shuffle.json", {**doc, "pairs": shuffled}), "--format", "csv"],
         *([written(f"{kind}.json", bad)] for kind, bad in _uninduced(doc).items()),
         [sweep_only("sweep-only.json", 2)],  # g not injective: a local witness
-        [sweep_only("sweep-only-pg24.json", 4)],  # the same, beyond the base cap
+        [sweep_only("sweep-only-pg24.json", 4)],  # the same, where the sweep needs 65
     ]
     broken = [[written(f"{kind}.json", bad)] for kind, bad in _malformed(doc).items()]
     not_json = tmp / "not.json"

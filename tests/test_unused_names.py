@@ -10,6 +10,9 @@ used if another line of ``src/bft`` names it (as a name or an attribute) or
 if ``perfbench/`` names it (as a name, an import or a string constant, so
 the names its tracer looks up by ``getattr`` count).  Tests do not count:
 a name only its own tests use is dead code.
+
+Nor does a module of ``src/bft`` import a name it never reads: a name
+listed in its ``__all__`` counts as read, as the package root re-exports.
 """
 
 import ast
@@ -81,3 +84,39 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert borrowed == []
+
+
+def _imported(tree):
+    """The names a module's imports bind, with their lines; a future
+    import binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _exported(tree) -> set:
+    """The names in a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for path in sorted((ROOT / "src" / "bft").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = _exported(tree) | {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            f"{path.name}:{line}: {name}" for line, name in _imported(tree) if name not in read
+        ]
+    assert unread == []
